@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every error that maps to a CLI exit code lives here; the CLI translates
-ConfigError subclasses to exit 2 and NumericalError subclasses to exit 3.
+Every error the package raises on purpose lives here, under two roots:
+ConfigError for inputs outside a contract's domain, NumericalError for
+a solver, quadrature or sampler that missed its accuracy target.
 """
 
 

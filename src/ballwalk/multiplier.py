@@ -191,6 +191,6 @@ def taylor_check(d, r_samples):
 
 
 def multiplier_table(d, r_values):
-    """(r, G_d(r)) pairs for the CLI dump subcommand."""
+    """(r, G_d(r)) pairs as the rows of an (n, 2) array."""
     r = np.asarray(r_values, dtype=float)
     return np.column_stack([r, eval_Gd(d, r)])

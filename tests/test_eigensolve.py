@@ -1,8 +1,10 @@
 """Eigensolver tests against dense references.
 
 Everything here is checked twice over: once through the matvec-only
-Lanczos/bisection paths under test, once through numpy's eigh on the
-assembled matrix.
+ARPACK/bisection paths under test, once through numpy's eigh on the
+assembled matrix. Multiplicities of degenerate levels are checked
+against the known level structure, since ARPACK finds repeated
+eigenvalues through rounding rather than by construction.
 """
 
 import json
@@ -10,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from ballwalk.analysis import LAMBDA_ZERO_TOL
 from ballwalk.densities import make_density
 from ballwalk.eigensolve import (
     CLUSTER_RTOL,
@@ -41,13 +44,25 @@ def banded_op(gauss_half):
     return build_conjugated(Grid(1, 9.0, 720), gauss_half, 0.25, scheme=BANDED)
 
 
-# --- Lanczos vs dense ---------------------------------------------------------
+@pytest.fixture(scope="module")
+def identity_op():
+    g = Grid(1, 4.0, 64)
+    return DiscreteOperator(MULTIPLIER, "ball_average", g, 0.5, True,
+                            symbol=np.ones(g.N // 2 + 1))
+
+
+@pytest.fixture(scope="module")
+def conjugated_d2():
+    return build_conjugated(Grid(2, 8.0, 96), make_density("gaussian", 2, 1.0), 0.5)
+
+
+# --- ARPACK vs dense -----------------------------------------------------------
 
 def test_top_k_matches_dense(banded_op):
     r = top_k(banded_op, 6)
     lam = np.linalg.eigvalsh(banded_op.to_dense())[::-1][:6]
     np.testing.assert_allclose(r.eigenvalues, lam, atol=1e-9)
-    assert r.method == "LanczosFull"
+    assert r.method == "ARPACK"
     assert np.all(r.residuals <= 1e-9)
 
 
@@ -65,9 +80,13 @@ def test_dense_reference_agrees(banded_op):
     assert r.method == "DenseReference"
 
 
-def test_top_k_deterministic(banded_op):
-    a = top_k(banded_op, 5)
-    b = top_k(banded_op, 5)
+# the identity operator makes every start vector an eigenvector, so
+# ARPACK restarts on an invariant subspace at once
+@pytest.mark.parametrize("name", ["banded_op", "identity_op", "conjugated_d2"])
+def test_top_k_deterministic(name, request):
+    op = request.getfixturevalue(name)
+    a = top_k(op, 5)
+    b = top_k(op, 5)
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
     np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -87,12 +106,8 @@ def test_eigenvector_equation(banded_op):
         assert resid <= 1e-9 * np.linalg.norm(v)
 
 
-def test_identity_operator_multiplicity():
-    # pure breakdown path: every start vector is an eigenvector
-    g = Grid(1, 4.0, 64)
-    T = DiscreteOperator(MULTIPLIER, "ball_average", g, 0.5, True,
-                         symbol=np.ones(g.N // 2 + 1))
-    r = top_k(T, 3)
+def test_identity_operator_multiplicity(identity_op):
+    r = top_k(identity_op, 3)
     np.testing.assert_allclose(r.eigenvalues, 1.0, atol=1e-12)
     assert r.clusters == [(pytest.approx(1.0), 3)]
 
@@ -112,6 +127,15 @@ def test_degenerate_levels_d2():
     sizes = [s for _, s in r.clusters]
     assert sizes[0] == 1 and 2 in sizes
     assert sum(sizes) == 6
+
+
+def test_top_k_degenerate_levels_d2(conjugated_d2):
+    # the grid's square symmetry keeps the (1,0)/(0,1) and (2,0)/(0,2)
+    # levels of T-tilde exactly paired
+    r = top_k(conjugated_d2, 6)
+    assert abs(r.eigenvalues[0] - 1.0) <= LAMBDA_ZERO_TOL
+    assert [s for _, s in r.clusters] == [1, 2, 2, 1]
+    assert r.method == "ARPACK"
 
 
 def test_bottom_k_d1_is_sturm(gauss_half):
@@ -215,7 +239,7 @@ def test_count_interval_validation(banded_op):
 def test_eigen_result_json(banded_op):
     r = top_k(banded_op, 3)
     blob = json.loads(r.to_json())
-    assert blob["method"] == "LanczosFull"
+    assert blob["method"] == "ARPACK"
     np.testing.assert_allclose(blob["eigenvalues"], r.eigenvalues)
     assert len(blob["residuals"]) == 3
     assert blob["grid"]["N"] == 720
