@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import kappa_analytic, tail_constants, tempered_A_h
-from .eigensolve import bottom_k, count_in_interval, top_k
+from .eigensolve import bottom_k, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
 from .operators import BANDED, MULTIPLIER, Grid, build_conjugated, build_schrodinger
@@ -266,6 +266,7 @@ class WeylReport:
     exponent: float
     c_dominating: float
     passed: bool
+    retries: int = 0  # inertia retries, summed over h
 
     def to_json(self):
         return json.dumps(
@@ -275,6 +276,7 @@ class WeylReport:
                 "exponent": self.exponent,
                 "c_dominating": self.c_dominating,
                 "passed": bool(self.passed),
+                "retries": int(self.retries),
             },
             sort_keys=True,
         )
@@ -284,8 +286,11 @@ def weyl_curve(density, h_list, lambda_grid=None, L=12.0, delta_rule=20):
     """Count N(lambda, h) = #{eigenvalues of T-tilde in [1-lambda, 1]} and
     fit the growth exponent against 1 + lambda h^{-2}.
 
-    PASS iff the fitted exponent is <= d + 0.3; the dominating constant
-    max N / (1 + lambda h^{-2})^d is reported alongside.
+    All counts for one h come from one count_at_most call at the shifts
+    1 - lambda and 1. PASS iff the fitted exponent is <= d + 0.3; the
+    dominating constant max N / (1 + lambda h^{-2})^d is reported
+    alongside. Fewer than two distinct abscissae with N >= 1 leave the
+    exponent undetermined: it is reported as nan and the check fails.
     """
     if density.kind != "gaussian":
         raise WrongDensityKind("the counting bound is checked on Gaussian densities")
@@ -296,15 +301,21 @@ def weyl_curve(density, h_list, lambda_grid=None, L=12.0, delta_rule=20):
         raise ConfigError(f"lambda sweep exceeds the configured ceiling {WEYL_LAMBDA_MAX}")
 
     rows = []
+    retries = 0
     for h in h_list:
         g = Grid(density.dim, L, _even_grid(L, h, delta_rule))
         op = build_conjugated(g, density, h, scheme=BANDED)
-        for lam in lambda_grid:
-            n = count_in_interval(op, 1.0 - lam, 1.0).count
+        r = count_at_most(op, np.append(1.0 - lambda_grid, 1.0))
+        retries += r.retries
+        for lam, below in zip(lambda_grid, r.counts[:-1]):
+            n = r.counts[-1] - below
             rows.append((float(h), float(lam), int(n), 1.0 + lam / h**2))
 
     pts = [(s, n) for _, _, n, s in rows if n >= 1]
-    exponent = _fit_loglog_slope([s for s, _ in pts], [n for _, n in pts])
+    if len({s for s, _ in pts}) >= 2:
+        exponent = _fit_loglog_slope([s for s, _ in pts], [n for _, n in pts])
+    else:
+        exponent = math.nan
     c_dom = max(n / s**density.dim for s, n in pts)
     return WeylReport(
         dim=density.dim,
@@ -312,6 +323,7 @@ def weyl_curve(density, h_list, lambda_grid=None, L=12.0, delta_rule=20):
         exponent=exponent,
         c_dominating=float(c_dom),
         passed=bool(exponent <= density.dim + 0.3),
+        retries=retries,
     )
 
 

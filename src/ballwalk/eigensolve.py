@@ -11,12 +11,13 @@ Three routes, matched to the operator shapes:
   * bottom_k: d=1 Schrodinger operators are tridiagonal, solved by the
     LAPACK Sturm bisection path; d=2 goes through ARPACK's smallest
     algebraic eigenvalues of L.
-  * count_in_interval: Sylvester inertia. Banded operators use an
-    unpivoted banded LDL^T written here (LAPACK has no banded symmetric
-    indefinite driver); a near-zero or exploding pivot means the shift
-    essentially hit an eigenvalue, which is answered by a tiny shift
-    perturbation and retry. Densified multiplier operators go through
-    the pivoted dense LDL^T.
+  * count_at_most (and count_in_interval over it): Sylvester inertia.
+    Banded operators take one unpivoted banded LDL^T sweep that carries
+    every shift along at once (LAPACK has no banded symmetric indefinite
+    driver); a near-zero or exploding pivot means that shift essentially
+    hit an eigenvalue, and only it is swept again, nudged by a tiny
+    perturbation. Densified multiplier operators take one eigvalsh and
+    look every shift up in the sorted eigenvalues.
 
 Eigenvectors are returned with unit L^2(dx) norm (grid weight delta^d).
 """
@@ -187,64 +188,52 @@ class CountResult:
 
 _PIVOT_FLOOR = 1e-13
 _GROWTH_CAP = 1e10
+_NUDGE = 1e-12  # shifts move by this, relative, off computed eigenvalues
+_RETRIES = 3
 
 
-def _banded_neg_count(bands, shift):
-    """Negatives of A - shift*I by unpivoted banded LDL^T.
+@dataclass
+class ShiftCounts:
+    shifts: np.ndarray  # as passed, order and duplicates kept
+    counts: np.ndarray  # #{lambda <= s} for each shift
+    method: str  # inertia-banded | eigvalsh-dense
+    retries: int = 0
 
-    bands[k, i] = A[i, i+k]. Raises ShiftHitsEigenvalue on a pivot too
-    close to zero or on factor growth, the symptoms of an eigenvalue at
-    or near the shift where the unpivoted factorization loses footing.
+
+def _ldl_sweep(bands, shifts):
+    """Negatives of A - s*I for every shift s, and which shifts passed.
+
+    Unpivoted right-looking banded LDL^T, bands[k, i] = A[i, i+k]. Each
+    shift keeps the (K+1)x(K+1) trailing window W of its Schur complement
+    (only the lower triangle is read) and all shifts advance together, so
+    numpy's per-call cost is paid once per column. A pivot within
+    _PIVOT_FLOOR of zero or factor growth past _GROWTH_CAP, the symptoms
+    of an eigenvalue at or near the shift, fails that shift alone.
     """
     Kb, n = bands.shape
-    K = Kb - 1
-    scale = float(np.max(np.abs(bands))) + abs(shift)
-    d = np.zeros(n)
-    Lb = np.zeros((K + 1, n))  # Lb[k, j] = L[j+k, j]
-    ks = np.arange(1, K + 1)
-    for j in range(n):
-        t = np.arange(1, min(K, j) + 1)
-        g = Lb[t, j - t]
-        wd = g * d[j - t]
-        piv = bands[0, j] - shift - float(g @ wd)
-        if abs(piv) <= _PIVOT_FLOOR * scale:
-            raise ShiftHitsEigenvalue(f"pivot {piv:.3e} at column {j}")
-        kmax = min(K, n - 1 - j)
-        if kmax > 0:
-            a = bands[1 : kmax + 1, j].copy()
-            if t.size:
-                # s_k = sum_t L[j+k, j-t] L[j, j-t] d[j-t], live while k+t <= K
-                kk = ks[:kmax, None] + t[None, :]
-                M = np.where(kk <= K, Lb[np.minimum(kk, K), j - t[None, :]], 0.0)
-                a -= M @ wd
-            col = a / piv
-            if np.max(np.abs(col)) > _GROWTH_CAP:
-                raise ShiftHitsEigenvalue(f"factor growth at column {j}")
-            Lb[1 : kmax + 1, j] = col
-        d[j] = piv
-    return int(np.sum(d < 0.0))
-
-
-def _dense_neg_count(A, shift):
-    """Negatives via pivoted dense LDL^T (1x1 and 2x2 blocks)."""
-    n = A.shape[0]
-    _, D, _ = scipy.linalg.ldl(A - shift * np.eye(n))
-    scale = float(np.max(np.abs(A))) + abs(shift)
-    neg = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and D[i, i + 1] != 0.0:
-            det = D[i, i] * D[i + 1, i + 1] - D[i, i + 1] ** 2
-            if det == 0.0:
-                raise ShiftHitsEigenvalue(f"singular 2x2 block at {i}")
-            neg += 1 if det < 0 else (2 if D[i, i] + D[i + 1, i + 1] < 0 else 0)
-            i += 2
-        else:
-            if abs(D[i, i]) <= _PIVOT_FLOOR * scale:
-                raise ShiftHitsEigenvalue(f"zero pivot at {i}")
-            neg += 1 if D[i, i] < 0 else 0
-            i += 1
-    return neg
+    K, S = Kb - 1, shifts.size
+    R = np.zeros((n + Kb, Kb))  # R[p, K-k] = A[p, p-k], zero off the matrix
+    for k in range(Kb):
+        R[k:n, K - k] = bands[k, : n - k]
+    W, V = np.zeros((S, Kb, Kb)), np.zeros((S, Kb, Kb))
+    for m in range(Kb):
+        W[:, m, : m + 1] = R[m, K - m :]
+        W[:, m, m] -= shifts
+    D = np.empty((S, n))
+    l, grow = np.empty((S, K, 1)), np.zeros((S, K, 1))
+    with np.errstate(all="ignore"):  # a failed shift's slice may overflow
+        for j in range(n):
+            D[:, j] = W[:, 0, 0]
+            np.divide(W[:, 1:, :1], W[:, :1, :1], out=l)
+            np.maximum(grow, np.abs(l), out=grow)
+            np.subtract(W[:, 1:, 1:], l * W[:, None, 1:, 0], out=V[:, :K, :K])
+            V[:, K, :K] = R[j + Kb, :K]
+            np.subtract(R[j + Kb, K], shifts, out=V[:, K, K])
+            W, V = V, W
+        scale = float(np.max(np.abs(bands))) + np.abs(shifts)
+        ok = np.all(np.abs(D) > _PIVOT_FLOOR * scale[:, None], axis=1)
+        ok &= np.max(grow, axis=(1, 2), initial=0.0) <= _GROWTH_CAP
+    return np.sum(D < 0.0, axis=1), ok
 
 
 def _contiguous_bands(op):
@@ -258,43 +247,51 @@ def _contiguous_bands(op):
     return op.to_banded()
 
 
-def count_in_interval(op, a, b):
-    """Number of eigenvalues in (a, b] by Sylvester inertia.
+def count_at_most(op, shifts):
+    """#{lambda <= s} for every shift s, by one sweep over the operator.
 
-    Each bound s is evaluated as #{lambda <= s} = neg(A - (s + eps)I)
-    with eps = 1e-12 relative, so a bound that lands exactly on an
-    eigenvalue (up to roundoff) resolves to the half-open convention
-    instead of flapping. A further perturbation of the same size is
-    applied when the factorization itself flags the shift (3 retries).
-    Eigenvalue pairs closer than the nudge are not resolved.
+    Each shift is evaluated at s + eps, eps = 1e-12 * max(|shifts|, 1),
+    so a shift that lands on an eigenvalue (up to roundoff) resolves as
+    lambda <= s instead of flapping. Banded operators go through one
+    multi-shift banded LDL^T (Sylvester inertia); a shift it flags is
+    swept again alone, moved by a further eps, 2 eps, 3 eps, and
+    ShiftHitsEigenvalue is raised after those 3 retries. Densified
+    multiplier operators (N <= 2000) take one eigvalsh for all shifts.
+    Eigenvalue pairs closer than eps are not resolved.
     """
-    if not (a < b):
-        raise ConfigError(f"need a < b, got [{a}, {b}]")
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts.ndim != 1 or shifts.size == 0 or not np.all(np.isfinite(shifts)):
+        raise ConfigError(f"shifts must be a non-empty list of finite numbers, got {shifts}")
+    eps = _NUDGE * max(float(np.max(np.abs(shifts))), 1.0)
+    unique, where = np.unique(shifts, return_inverse=True)
     if isinstance(op, DiscreteOperator) and op.scheme == MULTIPLIER:
         if op.grid.size > 2000:
             raise ConfigError("densified multiplier counts are limited to N <= 2000")
-        bands, dense = None, op.to_dense()
-    else:
-        bands, dense = _contiguous_bands(op), None
+        ev = scipy.linalg.eigvalsh(op.to_dense())
+        counts = np.searchsorted(ev, unique + eps, side="right")
+        return ShiftCounts(shifts, counts[where], "eigvalsh-dense")
 
-    scale = max(abs(a), abs(b), 1.0)
+    bands = _contiguous_bands(op)
+    counts = np.empty(unique.size, dtype=int)
+    todo, nudged = np.arange(unique.size), unique + eps
     retries = 0
+    for attempt in range(_RETRIES + 1):
+        if attempt:
+            retries += todo.size
+            nudged[todo] += attempt * eps
+        neg, ok = _ldl_sweep(bands, nudged[todo])
+        counts[todo[ok]] = neg[ok]
+        todo = todo[~ok]
+        if todo.size == 0:
+            return ShiftCounts(shifts, counts[where], "inertia-banded", retries)
+    raise ShiftHitsEigenvalue(
+        f"shifts {unique[todo]} still hit eigenvalues after {_RETRIES} retries")
 
-    def at_most(s):
-        nonlocal retries
-        shift = s + 1e-12 * scale
-        for attempt in range(4):
-            try:
-                if bands is not None:
-                    return _banded_neg_count(bands, shift)
-                return _dense_neg_count(dense, shift)
-            except ShiftHitsEigenvalue:
-                if attempt == 3:
-                    raise
-                retries += 1
-                shift = shift + (attempt + 1) * 1e-12 * scale
-        raise AssertionError("unreachable")
 
-    count = at_most(b) - at_most(a)
-    method = "inertia-banded" if bands is not None else "inertia-dense"
-    return CountResult((float(a), float(b)), count, method, retries)
+def count_in_interval(op, a, b):
+    """Number of eigenvalues in (a, b], as count_at_most(op, [a, b])."""
+    if not (a < b):
+        raise ConfigError(f"need a < b, got [{a}, {b}]")
+    r = count_at_most(op, [a, b])
+    count = int(r.counts[1] - r.counts[0])
+    return CountResult((float(a), float(b)), count, r.method, r.retries)

@@ -183,6 +183,22 @@ def test_weyl_below_gap_counts_one(gauss_half):
     assert [n for _, _, n, _ in rep.rows] == [1]
 
 
+def test_weyl_one_abscissa_has_no_exponent(gauss_half):
+    # one point fixes no slope: the least-squares min-norm answer 0 is
+    # not a measured exponent and must not pass
+    rep = weyl_curve(gauss_half, [0.25], lambda_grid=[0.01])
+    assert math.isnan(rep.exponent)
+    assert not rep.passed
+
+
+def test_weyl_json(gauss_half):
+    rep = weyl_curve(gauss_half, [0.3])
+    blob = json.loads(rep.to_json())
+    assert blob["retries"] == rep.retries == 0
+    assert blob["passed"] is rep.passed
+    assert blob["rows"] == [[h, lam, n, s] for h, lam, n, s in rep.rows]
+
+
 def test_weyl_validation(gauss_half, tempered_unit):
     with pytest.raises(WrongDensityKind):
         weyl_curve(tempered_unit, [0.2])

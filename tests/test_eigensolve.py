@@ -11,14 +11,16 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ballwalk.analysis import LAMBDA_ZERO_TOL
+from ballwalk.analysis import LAMBDA_ZERO_TOL, _even_grid, weyl_curve
 from ballwalk.densities import make_density
 from ballwalk.eigensolve import (
     CLUSTER_RTOL,
     MAX_K,
     EigenResult,
     bottom_k,
+    count_at_most,
     count_in_interval,
     dense_reference,
     top_k,
@@ -42,6 +44,13 @@ def gauss_half():
 @pytest.fixture(scope="module")
 def banded_op(gauss_half):
     return build_conjugated(Grid(1, 9.0, 720), gauss_half, 0.25, scheme=BANDED)
+
+
+@pytest.fixture(scope="module")
+def weyl_op(gauss_half):
+    # the h = 0.3 operator weyl_curve factors with its default grid
+    return build_conjugated(Grid(1, 12.0, _even_grid(12.0, 0.3, 20)), gauss_half, 0.3,
+                            scheme=BANDED)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +241,70 @@ def test_count_densified_size_cap(gauss_half):
 def test_count_interval_validation(banded_op):
     with pytest.raises(ConfigError):
         count_in_interval(banded_op, 1.0, 1.0)
+
+
+def test_count_interval_rejects_infinite_bounds(banded_op):
+    with pytest.raises(ConfigError):
+        count_in_interval(banded_op, -np.inf, 1.0)
+    with pytest.raises(ConfigError):
+        count_in_interval(banded_op, 0.5, np.inf)
+    for bad in ([np.nan], [0.5, np.inf], []):
+        with pytest.raises(ConfigError):
+            count_at_most(banded_op, bad)
+
+
+# --- multi-shift counts ---------------------------------------------------------
+
+def test_count_at_most_weyl_grid_matches_eigvals_banded(weyl_op):
+    shifts = np.append(1.0 - np.linspace(0.10, 0.30, 9), 1.0)  # weyl_curve's
+    ev = scipy.linalg.eigvals_banded(weyl_op.to_banded(), lower=True)
+    r = count_at_most(weyl_op, shifts)
+    assert r.method == "inertia-banded" and r.retries == 0
+    assert list(r.counts) == [int(np.sum(ev <= s + 1e-12)) for s in shifts]
+
+
+def test_count_at_most_d2_schrodinger_matches_dense():
+    # d = 2 bands reach offset N, so the sweep's window is N + 1 wide
+    L = build_schrodinger(Grid(2, 7.0, 40), make_density("gaussian", 2, 0.5))
+    assert max(L.offsets) == 40
+    ev = np.linalg.eigvalsh(L.to_dense())
+    shifts = np.array([-1.0, 0.5, 2.5, 4.5, 10.0, 30.0])
+    assert np.min(np.abs(ev[:, None] - shifts)) > 1e-3
+    r = count_at_most(L, shifts)
+    assert list(r.counts) == [int(np.sum(ev <= s)) for s in shifts]
+
+
+@pytest.mark.parametrize("scheme", [BANDED, MULTIPLIER])
+def test_count_at_most_order_and_duplicates(gauss_half, scheme):
+    op = build_conjugated(Grid(1, 9.0, 360), gauss_half, 0.25, scheme=scheme)
+    shifts = [0.95, 0.5, 0.95, 0.7, 0.5]
+    sorted_unique = count_at_most(op, [0.5, 0.7, 0.95]).counts
+    lookup = dict(zip([0.5, 0.7, 0.95], sorted_unique))
+    assert list(count_at_most(op, shifts).counts) == [lookup[s] for s in shifts]
+    ev = np.linalg.eigvalsh(op.to_dense())
+    assert list(sorted_unique) == [int(np.sum(ev <= s)) for s in (0.5, 0.7, 0.95)]
+
+
+def test_count_at_most_forced_retry(banded_op):
+    # the nudged shift lands exactly on the first pivot A[0, 0]: that
+    # shift alone is swept again and its neighbours keep their counts
+    a00 = banded_op.to_banded()[0, 0]
+    s = a00 - 1e-12
+    assert s + 1e-12 == a00
+    r = count_at_most(banded_op, [0.5, s, 0.95])
+    assert r.retries >= 1
+    clean = count_at_most(banded_op, [0.5, 0.95])
+    assert clean.retries == 0
+    assert [r.counts[0], r.counts[2]] == list(clean.counts)
+    ev = np.linalg.eigvalsh(banded_op.to_dense())
+    assert r.counts[1] == int(np.sum(ev <= s))
+
+
+def test_weyl_rows_equal_per_interval_counts(gauss_half, weyl_op):
+    rep = weyl_curve(gauss_half, [0.3])
+    assert [n for _, _, n, _ in rep.rows] == [
+        count_in_interval(weyl_op, 1.0 - lam, 1.0).count for _, lam, _, _ in rep.rows
+    ]
 
 
 # --- serialization --------------------------------------------------------------
