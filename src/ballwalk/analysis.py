@@ -5,7 +5,6 @@ keeps the raw numbers, so a failed gate can be read off the report
 without rerunning anything.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ from .eigensolve import bottom_k, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
 from .operators import BANDED, MULTIPLIER, Grid, build_conjugated, build_schrodinger
+from .report import Report
 
 LAMBDA_ZERO_TOL = 1e-6  # lambda_0 must sit at 1 for every h
 ORDER_MIN = 3.5
@@ -78,8 +78,8 @@ def mu_reference(density, k_max, deltas=(4e-3, 2e-3), L=None):
 # eigenvalue asymptotics
 
 @dataclass
-class AsymptoticsReport:
-    h_values: np.ndarray
+class AsymptoticsReport(Report):
+    h_values: np.ndarray = field(metadata={"json": "h"})
     mu: np.ndarray  # reference levels, k = 0..k_max
     eigenvalues: np.ndarray  # shape (len(h), k_max+1)
     predicted: np.ndarray
@@ -89,23 +89,6 @@ class AsymptoticsReport:
     gaps: np.ndarray  # g(h) = 1 - lambda_1(h)
     passed: bool
     gamma: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "h": list(map(float, self.h_values)),
-                "mu": list(map(float, self.mu)),
-                "eigenvalues": [list(map(float, row)) for row in self.eigenvalues],
-                "predicted": [list(map(float, row)) for row in self.predicted],
-                "residuals": [list(map(float, row)) for row in self.residuals],
-                "orders": list(map(float, self.orders)),
-                "c_fits": list(map(float, self.c_fits)),
-                "gaps": list(map(float, self.gaps)),
-                "passed": bool(self.passed),
-                "gamma": self.gamma,
-            },
-            sort_keys=True,
-        )
 
 
 def verify_asymptotics(density, k_max, h_list, L=12.0, delta_rule=40):
@@ -166,7 +149,7 @@ def verify_asymptotics(density, k_max, h_list, L=12.0, delta_rule=40):
 # essential-spectrum band
 
 @dataclass
-class BandReport:
+class BandReport(Report):
     h: float
     compact: bool
     M: float
@@ -194,23 +177,6 @@ class BandReport:
         lo = self.band[0] - 5.0 * self.kappa * gh2
         hi = 1.0 - alpha_cfg * self.kappa * gh2
         return (ev >= lo) & (ev <= hi)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "h": self.h,
-                "compact": self.compact,
-                "M": self.M,
-                "A_h": self.A_h,
-                "A_h_probe": self.A_h_probe,
-                "band": list(self.band),
-                "kappa": self.kappa,
-                "lemma_residuals": {repr(k): v for k, v in sorted(self.lemma_residuals.items())},
-                "c_fit": self.c_fit,
-                "passed": bool(self.passed),
-            },
-            sort_keys=True,
-        )
 
 
 def essential_band(density, h, h_sweep=(0.4, 0.3, 0.2, 0.15), probe_radius=None):
@@ -260,26 +226,13 @@ def essential_band(density, h, h_sweep=(0.4, 0.3, 0.2, 0.15), probe_radius=None)
 # Weyl counting curve
 
 @dataclass
-class WeylReport:
+class WeylReport(Report):
     dim: int
     rows: list  # (h, lam, count, 1 + lam/h^2)
     exponent: float
     c_dominating: float
     passed: bool
     retries: int = 0  # inertia retries, summed over h
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "rows": [[float(h), float(l), int(n), float(s)] for h, l, n, s in self.rows],
-                "exponent": self.exponent,
-                "c_dominating": self.c_dominating,
-                "passed": bool(self.passed),
-                "retries": int(self.retries),
-            },
-            sort_keys=True,
-        )
 
 
 def weyl_curve(density, h_list, lambda_grid=None, L=12.0, delta_rule=20):
@@ -331,24 +284,12 @@ def weyl_curve(density, h_list, lambda_grid=None, L=12.0, delta_rule=20):
 # spectral gap
 
 @dataclass
-class GapReport:
+class GapReport(Report):
     h: float
     gap: float
     lambda_1: float
     comparison: float  # h^2 gamma_d min(mu_1, (1-alpha_cfg) kappa)
     alpha_cfg: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "h": self.h,
-                "gap": self.gap,
-                "lambda_1": self.lambda_1,
-                "comparison": self.comparison,
-                "alpha_cfg": self.alpha_cfg,
-            },
-            sort_keys=True,
-        )
 
 
 def spectral_gap(density, h, L=12.0, delta_rule=40, alpha_cfg=ALPHA_CFG_DEFAULT):

@@ -175,7 +175,8 @@ def ball_mass(density, x, h):
 
 
 def ball_mass_grid(density, x, h):
-    """Vectorized m_h over an array of d=1 points.
+    """Vectorized m_h over an array of points (d = 2: (n, 2) rows); a
+    single d = 1 point gives a scalar.
 
     Same values as ball_mass (tested against it); closed forms where they
     exist. Gaussian uses the erfc difference on |x|, which is cancellation
@@ -189,13 +190,13 @@ def ball_mass_grid(density, x, h):
     if density.kind == GAUSSIAN:
         sq = math.sqrt(a)
         return 0.5 * (erfc(sq * (r - h)) - erfc(sq * (r + h)))
+    r = r.ravel()
     out = np.empty_like(r)
     tail = r >= density.R + h
     out[tail] = eval_density(density, r[tail]) * 2.0 * math.sinh(a * h) / a
-    near = np.flatnonzero(~tail)
-    for i in near:
+    for i in np.flatnonzero(~tail):
         out[i] = ball_mass(density, r[i], h)
-    return out
+    return out.reshape(x.shape)[()]
 
 
 def weight_a_h(density, x, h):

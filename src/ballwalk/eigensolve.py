@@ -22,7 +22,6 @@ Three routes, matched to the operator shapes:
 Eigenvectors are returned with unit L^2(dx) norm (grid weight delta^d).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, NoConvergence, ShiftHitsEigenvalue
 from .operators import MULTIPLIER, DiscreteOperator, SchrodingerOperator
+from .report import Report
 
 CLUSTER_RTOL = 1e-8
 MAX_K = 50
@@ -40,25 +40,13 @@ _LANCZOS_SEED = 0x9E3779B97F4A7C15  # fixed: solves must be reproducible
 
 
 @dataclass
-class EigenResult:
+class EigenResult(Report):
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, unit L^2(dx) norm
+    eigenvectors: np.ndarray = field(metadata={"json": None})  # columns, unit L^2(dx) norm
     residuals: np.ndarray
     method: str  # DenseReference | ARPACK | SturmBisection
-    grid_meta: dict
+    grid_meta: dict = field(metadata={"json": "grid"})
     clusters: list = field(default_factory=list)  # (value, size) pairs
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "residuals": [float(r) for r in self.residuals],
-                "method": self.method,
-                "grid": self.grid_meta,
-                "clusters": [[float(v), int(s)] for v, s in self.clusters],
-            },
-            sort_keys=True,
-        )
 
 
 def _cluster(values):
@@ -168,22 +156,11 @@ def dense_reference(op, k=None):
 # inertia counts
 
 @dataclass
-class CountResult:
+class CountResult(Report):
     interval: tuple
     count: int
     method: str
     retries: int = 0
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "interval": [float(self.interval[0]), float(self.interval[1])],
-                "count": int(self.count),
-                "method": self.method,
-                "retries": int(self.retries),
-            },
-            sort_keys=True,
-        )
 
 
 _PIVOT_FLOOR = 1e-13

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import ball_mass, ball_mass_grid, eval_density, eval_potential
+from .densities import ball_mass_grid, eval_density, eval_potential
 from .errors import ConfigError, KernelUnderResolved, NumericalError
 from .multiplier import eval_Gd, unit_ball_volume
 
@@ -166,14 +166,9 @@ class DiscreteOperator:
     meta: dict = field(default_factory=dict)
 
     def matvec(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.grid.size,):
-            raise ValueError(f"expected vector of length {self.grid.size}")
         if self.scheme == BANDED:
-            w = u if self.rscale is None else self.rscale * u
-            full = np.concatenate([self.stencil[:0:-1], self.stencil])
-            y = np.convolve(w, full, mode="same")
-            return y if self.lscale is None else self.lscale * y
+            return self._banded(u, self.lscale, self.rscale)
+        u = self._vector(u)
         w = u if self.weight is None else self.weight * u
         if self.grid.dim == 1:
             y = np.fft.irfft(np.fft.rfft(w) * self.symbol, n=self.grid.N)
@@ -181,6 +176,27 @@ class DiscreteOperator:
             W = w.reshape(self.grid.N, self.grid.N)
             y = np.fft.irfft2(np.fft.rfft2(W) * self.symbol, s=(self.grid.N, self.grid.N)).ravel()
         return y if self.weight is None else self.weight * y
+
+    def rmatvec(self, u):
+        """Transpose action A^T u. The banded A = diag(lscale) C diag(rscale)
+        has C symmetric, so A^T swaps the scales; the multiplier scheme is
+        symmetric."""
+        if self.scheme == BANDED:
+            return self._banded(u, self.rscale, self.lscale)
+        return self.matvec(u)
+
+    def _vector(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.grid.size,):
+            raise ValueError(f"expected vector of length {self.grid.size}")
+        return u
+
+    def _banded(self, u, lscale, rscale):
+        u = self._vector(u)
+        w = u if rscale is None else rscale * u
+        full = np.concatenate([self.stencil[:0:-1], self.stencil])
+        y = np.convolve(w, full, mode="same")
+        return y if lscale is None else lscale * y
 
     def to_dense(self):
         n = self.grid.size
@@ -305,10 +321,7 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER, mass_mode="discrete"):
         return op
     if scheme != MULTIPLIER:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    if grid.dim == 1:
-        m = ball_mass_grid(density, x, h)
-    else:
-        m = np.array([ball_mass(density, p, h) for p in x])
+    m = ball_mass_grid(density, x, h)
     a = np.sqrt(vol * rho / m) * taper_profile(grid, h, density.alpha)
     sym = _multiplier_symbol(grid, h, grid.dim)
     op = DiscreteOperator(MULTIPLIER, "conjugated", grid, h, True,

@@ -7,25 +7,19 @@ witness lower bounds computed by quadrature, and gap-rate upper bounds
 with a fitted constant.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import ball_mass, ball_mass_grid, eval_density
-from .errors import (
-    ConfigError,
-    NumericalError,
-    RejectionBudgetExceeded,
-    WitnessHypothesisViolated,
-)
-from .multiplier import unit_ball_volume
-from .operators import BANDED, DiscreteOperator, Grid, build_markov
+from .densities import _adaptive_gl, ball_mass, ball_mass_grid, eval_density
+from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
+from .operators import build_markov
+from .report import Report
 
 RNG_ALGORITHM = "philox4x64"  # counter-based: reproducible and splittable
 REJECTION_BUDGET = 10**6
-_GL32 = np.polynomial.legendre.leggauss(32)
+_NU_RTOL = 1e-12
 
 
 def make_rng(seed):
@@ -122,20 +116,6 @@ def _rho_sample(density, rng, n):
 # ---------------------------------------------------------------------------
 # quadrature of nu_h
 
-def _panels(f, a, b, width=0.25):
-    """Fixed Gauss-Legendre panels; integrands here are smooth and the
-    0.25-wide 32-node panels leave errors far below 1e-12 relative."""
-    if b <= a:
-        return 0.0
-    nodes, weights = _GL32
-    n = max(int(math.ceil((b - a) / width)), 1)
-    edges = np.linspace(a, b, n + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
-    x = (mid[:, None] + half * nodes[None, :]).ravel()
-    return float(half * np.dot(f(x), np.tile(weights, n)))
-
-
 def _nu_density(density, h):
     def f(x):
         return ball_mass_grid(density, x, h) * eval_density(density, x)
@@ -153,12 +133,13 @@ def nu_h_tail(density, h, tau):
     """nu_h(|y| >= tau) by quadrature (d = 1)."""
     if density.dim != 1:
         raise ConfigError("nu_h quadrature is implemented for d = 1")
-    f = _nu_density(density, h)
     cut = _decay_cut(density, extra=h)
-    z = 2.0 * _panels(f, 0.0, cut)
     if tau >= cut:
         return 0.0
-    return 2.0 * _panels(f, tau, cut) / z
+    f = _nu_density(density, h)
+    splits = (density.R - h, density.R, density.R + h)  # joints of the tempered rho and m_h
+    z = _adaptive_gl(f, 0.0, cut, _NU_RTOL, splits)
+    return _adaptive_gl(f, tau, cut, _NU_RTOL, splits) / z
 
 
 def p_tau(density, h, tau):
@@ -168,50 +149,23 @@ def p_tau(density, h, tau):
     if density.kind == "gaussian":
         return math.exp(-2.0 * density.alpha * tau * (tau - h))
     rho2 = lambda x: eval_density(density, x) ** 2
-    return 2.0 * _panels(rho2, tau, _decay_cut(density))
+    return 2.0 * _adaptive_gl(rho2, tau, _decay_cut(density), _NU_RTOL, (density.R,))
 
 
 # ---------------------------------------------------------------------------
 # exact grid evolution
 
 @dataclass
-class TVCurve:
+class TVCurve(Report):
     h: float
     x0: float  # snapped start
     ns: np.ndarray
     tv: np.ndarray
-    stationary: np.ndarray
-    probabilities: np.ndarray  # final row measure, for chained diagnostics
+    stationary: np.ndarray = field(metadata={"json": None})
+    # final row measure, for chained diagnostics
+    probabilities: np.ndarray = field(metadata={"json": None})
     monotone: bool
-    grid_meta: dict
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "h": self.h,
-                "x0": self.x0,
-                "ns": [int(n) for n in self.ns],
-                "tv": [float(t) for t in self.tv],
-                "monotone": bool(self.monotone),
-                "grid": self.grid_meta,
-            },
-            sort_keys=True,
-        )
-
-
-def _transpose_markov(P):
-    # P = diag(1/m) K diag(rho) with K symmetric, so the row action is
-    # p -> rho * K(p/m); reuse the banded matvec with swapped scales
-    return DiscreteOperator(
-        BANDED,
-        "markov_t",
-        P.grid,
-        P.h,
-        False,
-        stencil=P.stencil,
-        lscale=P.meta["rho"],
-        rscale=1.0 / P.meta["mass"],
-    )
+    grid_meta: dict = field(metadata={"json": "grid"})
 
 
 def tv_exact_grid(density, h, x0, n_max, grid):
@@ -226,7 +180,6 @@ def tv_exact_grid(density, h, x0, n_max, grid):
     if grid.delta > h / 20.0 + 1e-15:
         raise ConfigError(f"TV grid needs delta <= h/20, got delta={grid.delta}")
     P = build_markov(grid, density, h)
-    Pt = _transpose_markov(P)
     nu = P.meta["stationary"]
     i0 = int(np.argmin(np.abs(grid.axis_nodes() - x0)))
     p = np.zeros(grid.size)
@@ -235,7 +188,7 @@ def tv_exact_grid(density, h, x0, n_max, grid):
     for n in range(n_max + 1):
         tv[n] = 0.5 * np.sum(np.abs(p - nu))
         if n < n_max:
-            p = Pt.matvec(p)
+            p = P.rmatvec(p)  # row measure: p <- p P
     monotone = bool(np.all(np.diff(tv) <= 1e-12))
     return TVCurve(
         h=h,
@@ -253,7 +206,7 @@ def tv_exact_grid(density, h, x0, n_max, grid):
 # witness lower bound
 
 @dataclass
-class WitnessReport:
+class WitnessReport(Report):
     value: float  # 1 - nu_h(|y| >= tau)
     nu_tail: float
     p_tau: float
@@ -262,21 +215,6 @@ class WitnessReport:
     tau: float
     n: int
     h: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "value": self.value,
-                "nu_tail": self.nu_tail,
-                "p_tau": self.p_tau,
-                "implied_C": self.implied_C,
-                "x": self.x,
-                "tau": self.tau,
-                "n": self.n,
-                "h": self.h,
-            },
-            sort_keys=True,
-        )
 
 
 def tv_lower_bound_witness(density, h, x, tau, n):
@@ -305,7 +243,7 @@ def tv_lower_bound_witness(density, h, x, tau, n):
 # gap-rate upper bound
 
 @dataclass
-class UpperBoundReport:
+class UpperBoundReport(Report):
     q: float
     gap: float
     c_fit: float
@@ -314,21 +252,6 @@ class UpperBoundReport:
     envelope: np.ndarray  # max over starts of the exact curves
     dominated: bool
     fit_horizon: int
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "q": self.q,
-                "gap": self.gap,
-                "c_fit": self.c_fit,
-                "ns": [int(n) for n in self.ns],
-                "bound": [float(b) for b in self.bound],
-                "envelope": [float(e) for e in self.envelope],
-                "dominated": bool(self.dominated),
-                "fit_horizon": self.fit_horizon,
-            },
-            sort_keys=True,
-        )
 
 
 def q_factor(density, h, tau):
@@ -397,28 +320,14 @@ class WalkConfig:
 
 
 @dataclass
-class PathReport:
-    config: WalkConfig
+class PathReport(Report):
+    config: WalkConfig = field(metadata={"json": ("paths", "seed")})
     ns: np.ndarray
     tv_mc: np.ndarray
     tv_mc_se: np.ndarray
     tv_exact: np.ndarray
-    final_positions: np.ndarray
-    rng_algorithm: str = RNG_ALGORITHM
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "ns": [int(n) for n in self.ns],
-                "tv_mc": [float(v) for v in self.tv_mc],
-                "tv_mc_se": [float(v) for v in self.tv_mc_se],
-                "tv_exact": [float(v) for v in self.tv_exact],
-                "paths": self.config.paths,
-                "seed": self.config.seed,
-                "rng": self.rng_algorithm,
-            },
-            sort_keys=True,
-        )
+    final_positions: np.ndarray = field(metadata={"json": None})
+    rng_algorithm: str = field(default=RNG_ALGORITHM, metadata={"json": "rng"})
 
 
 def _cell_index(grid, xs):
@@ -456,7 +365,6 @@ def simulate_paths(config, grid):
         raise ConfigError("path simulation is implemented for d = 1")
     rng = make_rng(config.seed)
     P = build_markov(grid, dens, config.h)
-    Pt = _transpose_markov(P)
     nu = P.meta["stationary"]
 
     if config.x0 is None:
@@ -486,7 +394,7 @@ def simulate_paths(config, grid):
         tv_se[n] = _agresti_coull_se(emp, config.paths)
         if n < config.n_max:
             xs = _step_batch(dens, config.h, xs, rng)
-            p = Pt.matvec(p)
+            p = P.rmatvec(p)
     return PathReport(
         config=config,
         ns=ns,

@@ -224,6 +224,22 @@ def test_grid_path_matches_pointwise(gauss_half, tempered_unit):
         assert np.max(np.abs(grid - point) / point) < 1e-12
 
 
+def test_grid_path_single_point_is_scalar(gauss_half, tempered_unit):
+    # a lone d = 1 point gives a scalar on both families, on either side
+    # of the tempered closed-form shell
+    for dens in (gauss_half, tempered_unit):
+        for x in (0.3, -0.1, 4.0):
+            m = ball_mass_grid(dens, x, 0.25)
+            assert np.ndim(m) == 0
+            assert m == pytest.approx(ball_mass(dens, x, 0.25), rel=1e-12)
+
+
+def test_grid_path_d2_rows_match_pointwise(gauss2d):
+    pts = np.array([[0.0, 0.0], [0.7, -0.2], [2.5, 1.0]])
+    point = [ball_mass(gauss2d, p, 0.4) for p in pts]
+    np.testing.assert_array_equal(ball_mass_grid(gauss2d, pts, 0.4), point)
+
+
 def test_quadrature_failure_raises():
     with pytest.raises(QuadratureNotConverged):
         _adaptive_gl(lambda t: 1.0 / np.sqrt(np.abs(t) + 1e-300), 0.0, 1.0, rel_tol=1e-14)

@@ -438,6 +438,22 @@ def test_to_dense_matches_matvec():
         np.testing.assert_allclose(T.to_dense() @ u, T.matvec(u), atol=1e-12)
 
 
+def test_rmatvec_matches_dense_transpose():
+    dens = make_density("gaussian", 1, 1.0)  # taper buffer 5 fits in L=6
+    g = Grid(1, 6.0, 240)
+    u = np.random.default_rng(7).standard_normal(g.size)
+    P = build_markov(g, dens, 0.25)
+    assert not np.allclose(P.rmatvec(u), P.matvec(u))  # P is not symmetric
+    for op in (
+        P,
+        build_conjugated(g, dens, 0.25, scheme=BANDED),
+        build_conjugated(g, dens, 0.25, scheme=MULTIPLIER),
+        build_ball_average(g, 0.25, scheme=MULTIPLIER),
+    ):
+        ref = op.to_dense().T @ u
+        np.testing.assert_allclose(op.rmatvec(u), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_to_banded_matches_dense(gauss_half):
     g = Grid(1, 6.0, 240)
     T = build_conjugated(g, gauss_half, 0.25, scheme=BANDED)

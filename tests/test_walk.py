@@ -1,24 +1,36 @@
-"""Ball-walk sampler and path-simulation tests.
+"""Ball-walk sampler, path-simulation and TV-bound tests.
 
 The oracle for the Monte-Carlo paths is the exact grid evolution that
 simulate_paths carries alongside them: the MC TV estimate must agree
-with it to within a z-score gate from the reported standard error.
+with it to within a z-score gate from the reported standard error. The
+exact evolution itself is checked against powers of the dense Markov
+matrix, the nu_h quadratures against scipy.integrate.quad, and the
+stationary sampler's moments against the grid chain's stationary vector.
 """
+
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.integrate import quad
 
 from ballwalk.densities import eval_density, make_density
-from ballwalk.errors import WitnessHypothesisViolated
-from ballwalk.operators import Grid
+from ballwalk.errors import ConfigError, WitnessHypothesisViolated
+from ballwalk.operators import BANDED, Grid, build_conjugated, build_markov
 from ballwalk.walk import (
     WalkConfig,
     _agresti_coull_se,
     _nearest_in_ball,
     make_rng,
+    nu_h_tail,
+    p_tau,
+    sample_stationary,
     simulate_paths,
     step_sample,
+    tv_exact_grid,
     tv_lower_bound_witness,
+    tv_upper_bound_curve,
 )
 
 # Bonferroni over <= 100 horizons at a family-wise level of 1e-4
@@ -28,6 +40,11 @@ Z_GATE = 5.0
 @pytest.fixture(scope="module")
 def gauss_half():
     return make_density("gaussian", 1, 0.5)
+
+
+@pytest.fixture(scope="module")
+def tempered_half():
+    return make_density("tempered", 1, 1.0, R=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +104,110 @@ def test_witness_hypothesis(gauss_half):
         tv_lower_bound_witness(gauss_half, h, edge - 0.01, tau, n)
     w = tv_lower_bound_witness(gauss_half, h, -edge, tau, n)
     assert 0.0 < w.value < 1.0
+
+
+# --- quadrature of nu_h -----------------------------------------------------
+
+def _quad(f, a, b, kinks=()):
+    pts = [p for p in kinks if a < p < b] or None
+    return quad(f, a, b, points=pts, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _nu_tail_by_quad(dens, h, tau, cut=60.0):
+    """nu_h(|y| >= tau) with the ball mass itself from an inner quad."""
+    rho = lambda y: float(eval_density(dens, y))
+    joints = (-dens.R, dens.R) if dens.kind == "tempered" else ()
+    f = lambda x: rho(x) * _quad(rho, x - h, x + h, joints)
+    kinks = (dens.R - h, dens.R, dens.R + h) if dens.kind == "tempered" else ()
+    return _quad(f, tau, cut, kinks) / _quad(f, 0.0, cut, kinks)
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.0])
+def test_nu_h_tail_against_quad(gauss_half, tempered_half, tau):
+    for dens in (gauss_half, tempered_half):
+        ref = _nu_tail_by_quad(dens, 0.25, tau)
+        assert nu_h_tail(dens, 0.25, tau) == pytest.approx(ref, rel=1e-11)
+
+
+def test_p_tau_tempered_against_quad(tempered_half):
+    rho2 = lambda y: float(eval_density(tempered_half, y)) ** 2
+    for tau in (0.3, 2.0):
+        ref = 2.0 * _quad(rho2, tau, 60.0, (tempered_half.R,))
+        assert p_tau(tempered_half, 0.25, tau) == pytest.approx(ref, rel=1e-11)
+
+
+# --- exact grid evolution and the gap-rate upper bound -----------------------
+
+H_DENSE = 0.5
+
+
+@pytest.fixture(scope="module")
+def dense_grid():
+    return Grid(1, 8.0, 800)  # delta = h/25, inside the dense-assembly cap
+
+
+def test_tv_exact_grid_matches_dense_powers(gauss_half, dense_grid):
+    P = build_markov(dense_grid, gauss_half, H_DENSE)
+    A, nu = P.to_dense(), P.meta["stationary"]
+    curve = tv_exact_grid(gauss_half, H_DENSE, 1.3, 40, dense_grid)
+    x = dense_grid.axis_nodes()
+    i0 = int(np.argmin(np.abs(x - 1.3)))
+    assert curve.x0 == x[i0]
+    p = np.zeros(dense_grid.size)
+    p[i0] = 1.0
+    ref = []
+    for _ in range(41):
+        ref.append(0.5 * np.sum(np.abs(p - nu)))
+        p = A.T @ p
+    np.testing.assert_allclose(curve.tv, ref, rtol=0, atol=1e-13)
+    assert curve.monotone
+    with pytest.raises(ConfigError):
+        tv_exact_grid(gauss_half, H_DENSE, 1.3, 5, Grid(1, 8.0, 200))  # delta = h/12.5
+
+
+@pytest.fixture(scope="module")
+def dense_gap(gauss_half, dense_grid):
+    """1 - lambda_1 of the grid chain, from LAPACK on the symmetric form."""
+    T = build_conjugated(dense_grid, gauss_half, H_DENSE, scheme=BANDED)
+    n = dense_grid.size
+    lam = scipy.linalg.eigvals_banded(T.to_banded(), lower=True, select="i",
+                                      select_range=(n - 2, n - 1))
+    return 1.0 - lam[0]
+
+
+def test_upper_bound_dominates_past_fit_window(gauss_half, dense_grid, dense_gap):
+    fit = 10
+    rep = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, dense_gap,
+                               fit_horizon=fit)
+    assert rep.dominated
+    assert np.all(rep.envelope[fit + 1 :] <= rep.bound[fit + 1 :])
+    # the constant is fitted on the window: the bound touches the envelope there
+    assert np.max(rep.envelope[: fit + 1] / rep.bound[: fit + 1]) == pytest.approx(1.0)
+    # a rate faster than the chain's own is caught past the window
+    fast = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, 3.0 * dense_gap,
+                                fit_horizon=fit)
+    assert not fast.dominated
+
+
+def test_upper_bound_validation(gauss_half, dense_grid):
+    for fit in (0, 21):
+        with pytest.raises(ConfigError):
+            tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 20, dense_grid, 0.05,
+                                 fit_horizon=fit)
+    with pytest.raises(ConfigError):  # nearest nodes sit at +-delta/2 = 0.01
+        tv_upper_bound_curve(gauss_half, H_DENSE, 0.005, 20, dense_grid, 0.05)
+
+
+# --- stationary sampler ---------------------------------------------------------
+
+def test_sample_stationary_moments(gauss_half, tempered_half):
+    # second and fourth moments of 20k exact draws against the grid chain's
+    # stationary vector (delta = h/25 on a box where rho is below 1e-12)
+    h, n = 0.25, 20_000
+    for dens, L in ((gauss_half, 12.0), (tempered_half, 30.0)):
+        g = Grid(1, L, int(round(2 * L / (h / 25))))
+        nu, x = build_markov(g, dens, h).meta["stationary"], g.axis_nodes()
+        draws = sample_stationary(dens, h, make_rng(4), size=n)
+        for k in (2, 4):
+            z = (np.mean(draws**k) - nu @ x**k) / (np.std(draws**k) / math.sqrt(n))
+            assert abs(z) <= Z_GATE
