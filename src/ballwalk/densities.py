@@ -176,7 +176,7 @@ def ball_mass(density, x, h):
 
 def ball_mass_grid(density, x, h):
     """Vectorized m_h over an array of points (d = 2: (n, 2) rows); a
-    single d = 1 point gives a scalar.
+    single point gives a scalar in either dimension.
 
     Same values as ball_mass (tested against it); closed forms where they
     exist. Gaussian uses the erfc difference on |x|, which is cancellation
@@ -184,7 +184,8 @@ def ball_mass_grid(density, x, h):
     """
     x = np.asarray(x, dtype=float)
     if density.dim != 1:
-        return np.array([ball_mass(density, p, h) for p in x])
+        rows = x.reshape(-1, density.dim)
+        return np.array([ball_mass(density, p, h) for p in rows]).reshape(x.shape[:-1])[()]
     r = np.abs(x)
     a = density.alpha
     if density.kind == GAUSSIAN:

@@ -142,15 +142,34 @@ def taper_profile(grid, h, alpha):
     return np.outer(prof, prof).ravel()
 
 
+# Rows per block of the banded product. On a 2400-node grid with 100
+# columns and one BLAS thread, 32 was the fastest of 24, 32, 40, 48 and 64
+# or within noise of it for every half-width K from 2 to 99.
+_BLOCK_ROWS = 32
+
+
+def _toeplitz_block(c):
+    """The B x (B + 2K) block T[r, r + K + m] = c[|m|], |m| <= K: the rows
+    of the symmetric band C for one block of B outputs, against that
+    block's window of the input padded with K zeros at each end."""
+    K = len(c) - 1
+    full = np.concatenate([c[:0:-1], c])
+    T = np.zeros((_BLOCK_ROWS, _BLOCK_ROWS + 2 * K))
+    for r in range(_BLOCK_ROWS):
+        T[r, r : r + 2 * K + 1] = full
+    return T
+
+
 @dataclass
 class DiscreteOperator:
     """Grid operator in one of the two schemes.
 
-    banded: y = lscale * conv(rscale * u, stencil); the stencil is the
-    one-sided c array mirrored, scale factors fold in 1/(alpha_d h^d) and
-    the conjugation weights.
+    banded: y = lscale * C (rscale * u), C the symmetric band with
+    C[i, j] = stencil[|i - j|] for |i - j| <= K; scale factors fold in
+    1/(alpha_d h^d) and the conjugation weights. u may be one vector (n,)
+    or a block (n, S) of S vectors.
     multiplier: y = weight * idft(symbol * dft(weight * u)) on the
-    periodic box (weight absent for the plain ball average).
+    periodic box (weight absent for the plain ball average); vectors only.
     """
 
     scheme: str
@@ -164,11 +183,16 @@ class DiscreteOperator:
     symbol: np.ndarray = None
     weight: np.ndarray = None
     meta: dict = field(default_factory=dict)
+    _block: np.ndarray = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.scheme == BANDED:
+            self._block = _toeplitz_block(self.stencil)
 
     def matvec(self, u):
         if self.scheme == BANDED:
             return self._banded(u, self.lscale, self.rscale)
-        u = self._vector(u)
+        u = self._operand(u)
         w = u if self.weight is None else self.weight * u
         if self.grid.dim == 1:
             y = np.fft.irfft(np.fft.rfft(w) * self.symbol, n=self.grid.N)
@@ -185,18 +209,37 @@ class DiscreteOperator:
             return self._banded(u, self.rscale, self.lscale)
         return self.matvec(u)
 
-    def _vector(self, u):
+    def _operand(self, u):
+        """u as floats: a vector (n,) for either scheme, or a block (n, S)
+        for the banded one."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.grid.size,):
-            raise ValueError(f"expected vector of length {self.grid.size}")
+        n = self.grid.size
+        ndims = (1, 2) if self.scheme == BANDED else (1,)
+        if u.ndim not in ndims or u.shape[0] != n:
+            blocks = f" or ({n}, S)" if self.scheme == BANDED else ""
+            raise ValueError(f"expected shape ({n},){blocks}, got {u.shape}")
         return u
 
     def _banded(self, u, lscale, rscale):
-        u = self._vector(u)
-        w = u if rscale is None else rscale * u
-        full = np.concatenate([self.stencil[:0:-1], self.stencil])
-        y = np.convolve(w, full, mode="same")
-        return y if lscale is None else lscale * y
+        """lscale * C (rscale * u). A vector is the S = 1 block. The input
+        is padded with K zero rows on each side, and each block of B output
+        rows is one product of the fixed B x (B + 2K) Toeplitz block with
+        that block's window of the padded input."""
+        u = self._operand(u)
+        n, K, B = self.grid.size, len(self.stencil) - 1, _BLOCK_ROWS
+        w = u.reshape(n, -1)
+        rows = -(-n // B) * B
+        pad = np.empty((rows + 2 * K, w.shape[1]))
+        pad[:K] = 0.0
+        pad[K + n :] = 0.0
+        np.multiply(w, 1.0 if rscale is None else rscale[:, None], out=pad[K : K + n])
+        y = np.empty((rows, w.shape[1]))
+        for i in range(0, rows, B):
+            np.matmul(self._block, pad[i : i + B + 2 * K], out=y[i : i + B])
+        y = y[:n]
+        if lscale is not None:
+            y *= lscale[:, None]
+        return y.reshape(u.shape)
 
     def to_dense(self):
         n = self.grid.size

@@ -240,6 +240,12 @@ def test_grid_path_d2_rows_match_pointwise(gauss2d):
     np.testing.assert_array_equal(ball_mass_grid(gauss2d, pts, 0.4), point)
 
 
+def test_grid_path_single_point_is_scalar_d2(gauss2d):
+    m = ball_mass_grid(gauss2d, [0.3, 0.1], 0.4)
+    assert np.ndim(m) == 0
+    assert m == ball_mass(gauss2d, np.array([0.3, 0.1]), 0.4)
+
+
 def test_quadrature_failure_raises():
     with pytest.raises(QuadratureNotConverged):
         _adaptive_gl(lambda t: 1.0 / np.sqrt(np.abs(t) + 1e-300), 0.0, 1.0, rel_tol=1e-14)

@@ -18,6 +18,7 @@ from ballwalk.eigensolve import top_k, bottom_k
 from ballwalk.errors import ConfigError, KernelUnderResolved, NumericalError
 from ballwalk.multiplier import eval_Gd, find_min_M
 from ballwalk.operators import (
+    _BLOCK_ROWS,
     BANDED,
     MULTIPLIER,
     DiscreteOperator,
@@ -452,6 +453,43 @@ def test_rmatvec_matches_dense_transpose():
     ):
         ref = op.to_dense().T @ u
         np.testing.assert_allclose(op.rmatvec(u), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+# (grid, h): K = 2 on n = 200 (h = 3 delta exactly, dyadic), K = 5 and
+# K = 41 > B on n = 250; neither n is a multiple of the block height
+@pytest.mark.parametrize("g, h, K", [(Grid(1, 6.25, 200), 0.1875, 2),
+                                     (Grid(1, 6.0, 250), 0.25, 5),
+                                     (Grid(1, 6.0, 250), 2.0, 41)],
+                         ids=["K2", "K5", "K41"])
+def test_banded_block_product_matches_dense(g, h, K):
+    assert g.size % _BLOCK_ROWS != 0
+    dens = make_density("gaussian", 1, 1.0)
+    U = np.random.default_rng(11).standard_normal((g.size, 5))
+    for op in (build_markov(g, dens, h), build_conjugated(g, dens, h, scheme=BANDED)):
+        assert len(op.stencil) - 1 == K
+        A = op.to_dense()
+        for act, M in ((op.matvec, A), (op.rmatvec, A.T)):
+            Y = act(U)
+            assert Y.shape == U.shape
+            for j in range(U.shape[1]):
+                ref = M @ U[:, j]
+                tol = 1e-12 * np.max(np.abs(ref))
+                np.testing.assert_allclose(Y[:, j], ref, rtol=0, atol=tol)
+                np.testing.assert_allclose(act(U[:, j]), ref, rtol=0, atol=tol)
+
+
+def test_operand_shapes_rejected(gauss_half):
+    g = Grid(1, 6.0, 240)
+    P = build_markov(g, gauss_half, 0.25)
+    n = g.size
+    for bad in (np.ones(n + 1), np.ones((n - 1, 3)), np.ones((n, 2, 2))):
+        for act in (P.matvec, P.rmatvec):
+            with pytest.raises(ValueError):
+                act(bad)
+    M = build_ball_average(g, 0.25, scheme=MULTIPLIER)
+    for act in (M.matvec, M.rmatvec):
+        with pytest.raises(ValueError):
+            act(np.ones((n, 2)))
 
 
 def test_to_banded_matches_dense(gauss_half):

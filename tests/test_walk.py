@@ -189,6 +189,27 @@ def test_upper_bound_dominates_past_fit_window(gauss_half, dense_grid, dense_gap
     assert not fast.dominated
 
 
+def test_upper_bound_envelope_matches_dense_powers(gauss_half, dense_grid, dense_gap):
+    P = build_markov(dense_grid, gauss_half, H_DENSE)
+    A, nu = P.to_dense(), P.meta["stationary"][:, None]
+    starts = np.flatnonzero(np.abs(dense_grid.axis_nodes()) < 1.0)[::4]
+    p = np.zeros((dense_grid.size, starts.size))
+    p[starts, np.arange(starts.size)] = 1.0
+    ref = []
+    for _ in range(61):
+        ref.append(np.max(0.5 * np.sum(np.abs(p - nu), axis=0)))
+        p = A.T @ p
+    rep = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, dense_gap)
+    np.testing.assert_allclose(rep.envelope, ref, rtol=0, atol=1e-13)
+
+
+def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
+    with pytest.raises(ConfigError, match="delta <= h/20"):
+        tv_upper_bound_curve(gauss_half, 0.25, 1.0, 20, Grid(1, 8.0, 200), 0.05)
+    with pytest.raises(ConfigError, match="d = 1"):
+        tv_upper_bound_curve(gauss_half, 0.25, 1.0, 20, Grid(2, 8.0, 40), 0.05)
+
+
 def test_upper_bound_validation(gauss_half, dense_grid):
     for fit in (0, 21):
         with pytest.raises(ConfigError):
