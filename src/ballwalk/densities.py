@@ -15,6 +15,9 @@ weight a_h = (alpha_d h^d rho / m_h)^{1/2}, and the tail constants kappa
 For the tempered tail the mass integral is elementary,
 m_h(x) = rho(x) * 2 sinh(alpha h)/alpha for |x| >= R + h, which makes
 A_h = alpha h / sinh(alpha h) exact rather than a probe estimate.
+Every other mass comes from one batched adaptive Gauss-Legendre
+quadrature over all requested points together; a scalar call is its
+one-row case.
 """
 
 import math
@@ -150,54 +153,70 @@ def ball_mass(density, x, h):
     """m_h(x), the rho-measure of the radius-h ball at x.
 
     Adaptive composite Gauss-Legendre to relative tolerance 1e-10, with
-    panel splits at the tempered transition radius. d=2 (gaussian) reduces
-    to a 1-D radial integral through the scaled Bessel i0e, which keeps
-    the integrand O(1) even far out in the tail.
+    panel splits at the tempered transition radius, and the closed form on
+    the tempered tail. This is the one-point case of the batched quadrature
+    in ball_mass_grid, so the two agree to the last bit except on the d = 1
+    gaussian, where the grid path uses erfc. d=2 (gaussian) reduces to a
+    1-D radial integral through the scaled Bessel i0e, which keeps the
+    integrand O(1) even far out in the tail.
     """
     if not (h > 0):
         raise ValueError("h must be positive")
     r = float(_radius(density, x))
-    a = density.alpha
-    if density.dim == 1:
-        if density.kind == TEMPERED and r >= density.R + h:
-            return eval_density(density, r) * 2.0 * math.sinh(a * h) / a
-        splits = () if density.kind == GAUSSIAN else (-density.R, density.R)
-        return _adaptive_gl(
-            lambda t: eval_density(density, t), r - h, r + h,
-            rel_tol=MASS_RTOL, splits=splits,
-        )
-    # d = 2 gaussian: rotate around x; the angular integral is
-    # 2 pi I_0(2 alpha r t), written with i0e to avoid overflow
-    def radial(t):
-        return 2.0 * a * t * np.exp(-a * (r - t) ** 2) * i0e(2.0 * a * r * t)
-
-    return _adaptive_gl(radial, 0.0, h, rel_tol=MASS_RTOL)
+    if density.kind == TEMPERED and r >= density.R + h:
+        return _tail_mass(density, r, h)
+    return float(_mass_quadrature(density, np.array([r]), h)[0])
 
 
 def ball_mass_grid(density, x, h):
     """Vectorized m_h over an array of points (d = 2: (n, 2) rows); a
     single point gives a scalar in either dimension.
 
-    Same values as ball_mass (tested against it); closed forms where they
-    exist. Gaussian uses the erfc difference on |x|, which is cancellation
-    safe because the two arguments sit 2*alpha*h*|x| apart in exponent.
+    Same values as ball_mass (tested against it): closed forms where they
+    exist, and one batched quadrature over all remaining points. Gaussian
+    d = 1 uses the erfc difference on |x|, which is cancellation safe
+    because the two arguments sit 2*alpha*h*|x| apart in exponent.
     """
-    x = np.asarray(x, dtype=float)
-    if density.dim != 1:
-        rows = x.reshape(-1, density.dim)
-        return np.array([ball_mass(density, p, h) for p in rows]).reshape(x.shape[:-1])[()]
-    r = np.abs(x)
-    a = density.alpha
-    if density.kind == GAUSSIAN:
-        sq = math.sqrt(a)
+    if not (h > 0):
+        raise ValueError("h must be positive")
+    r = _radius(density, x)
+    if density.kind == GAUSSIAN and density.dim == 1:
+        sq = math.sqrt(density.alpha)
         return 0.5 * (erfc(sq * (r - h)) - erfc(sq * (r + h)))
-    r = r.ravel()
-    out = np.empty_like(r)
-    tail = r >= density.R + h
-    out[tail] = eval_density(density, r[tail]) * 2.0 * math.sinh(a * h) / a
-    for i in np.flatnonzero(~tail):
-        out[i] = ball_mass(density, r[i], h)
-    return out.reshape(x.shape)[()]
+    flat = r.ravel()
+    out = np.empty_like(flat)
+    core = np.ones(flat.shape, dtype=bool)
+    if density.kind == TEMPERED:
+        core = flat < density.R + h
+        out[~core] = _tail_mass(density, flat[~core], h)
+    out[core] = _mass_quadrature(density, flat[core], h)
+    return out.reshape(r.shape)[()]
+
+
+def _tail_mass(density, r, h):
+    # the ball sits in the pure-exponential tail: rho(r) 2 sinh(alpha h)/alpha
+    a = density.alpha
+    return eval_density(density, r) * 2.0 * math.sinh(a * h) / a
+
+
+def _mass_quadrature(density, r, h):
+    """m_h at every radius of the 1-D array r, as one batched quadrature."""
+    a = density.alpha
+    if density.dim == 1:
+        splits = () if density.kind == GAUSSIAN else (-density.R, density.R)
+        return _adaptive_gl_batch(
+            lambda rows, t: eval_density(density, t), r - h, r + h,
+            rel_tol=MASS_RTOL, splits=splits,
+        )
+    # d = 2 gaussian: rotate around x; the angular integral is
+    # 2 pi I_0(2 alpha r t), written with i0e to avoid overflow
+    def radial(rows, t):
+        rr = r[rows, None]
+        return 2.0 * a * t * np.exp(-a * (rr - t) ** 2) * i0e(2.0 * a * rr * t)
+
+    return _adaptive_gl_batch(
+        radial, np.zeros_like(r), np.full_like(r, h), rel_tol=MASS_RTOL
+    )
 
 
 def weight_a_h(density, x, h):
@@ -259,27 +278,6 @@ def tempered_A_h(density, h):
 
 
 # ---------------------------------------------------------------------------
-# config round trip
-
-def density_to_config(density):
-    cfg = {"kind": density.kind, "dim": density.dim, "alpha": density.alpha}
-    if density.kind == TEMPERED:
-        cfg["R"] = density.R
-    return cfg
-
-
-def density_from_config(cfg):
-    allowed = {"kind", "dim", "alpha", "R"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown density config keys: {sorted(unknown)}")
-    for key in ("kind", "dim", "alpha"):
-        if key not in cfg:
-            raise ConfigError(f"density config missing {key!r}")
-    return make_density(cfg["kind"], cfg["dim"], cfg["alpha"], cfg.get("R"))
-
-
-# ---------------------------------------------------------------------------
 # quadrature
 
 _GL_LO = np.polynomial.legendre.leggauss(16)
@@ -287,36 +285,52 @@ _GL_HI = np.polynomial.legendre.leggauss(32)
 _MAX_PANEL_SPLITS = 48
 
 
-def _gl_panel(f, a, b, rule):
-    nodes, weights = rule
-    half = 0.5 * (b - a)
-    t = 0.5 * (a + b) + half * nodes
-    return half * float(np.dot(weights, f(t)))
-
-
 def _adaptive_gl(f, a, b, rel_tol, splits=()):
-    """Adaptive Gauss-Legendre for a nonnegative integrand.
+    """Integral of f(t) over [a, b]: the one-row case of _adaptive_gl_batch."""
+    return float(_adaptive_gl_batch(lambda rows, t: f(t), [a], [b], rel_tol, splits)[0])
 
-    Positivity means panel-local relative control implies global relative
-    control, so each panel is bisected until its 16/32-point estimates
-    agree. splits lists interior kink locations that seed panel edges.
+
+def _adaptive_gl_batch(f, a, b, rel_tol, splits=()):
+    """Adaptive Gauss-Legendre for many nonnegative integrals at once.
+
+    Row i integrates f over [a[i], b[i]] (a <= b); f(rows, t) evaluates
+    the integrand of row rows[j] at the nodes t[j, :]. Positivity means
+    panel-local relative control implies global relative control, so each
+    panel is bisected until its 16/32-point estimates agree. Every pass
+    evaluates both rules on all live panels of all rows together. Each
+    row's sum is reduced over that row's own panels only, in an order
+    fixed by the row, so a row's result does not depend on which other
+    rows share the batch. splits lists kink locations that seed panel
+    edges wherever they fall strictly inside a row's interval.
     """
-    edges = [a] + sorted(p for p in splits if a < p < b) + [b]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        stack = [(lo, hi, 0)]
-        while stack:
-            p, q, depth = stack.pop()
-            coarse = _gl_panel(f, p, q, _GL_LO)
-            fine = _gl_panel(f, p, q, _GL_HI)
-            if abs(fine - coarse) <= rel_tol * max(abs(fine), 1e-300):
-                total += fine
-            elif depth >= _MAX_PANEL_SPLITS:
-                raise QuadratureNotConverged(
-                    f"panel [{p}, {q}] failed to reach rel_tol={rel_tol}"
-                )
-            else:
-                mid = 0.5 * (p + q)
-                stack.append((p, mid, depth + 1))
-                stack.append((mid, q, depth + 1))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    edges = np.column_stack([a] + [np.clip(s, a, b) for s in sorted(splits)] + [b])
+    p, q = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    rows = np.repeat(np.arange(a.size), edges.shape[1] - 1)
+    live = p < q
+    p, q, rows = p[live], q[live], rows[live]
+    total = np.zeros(a.size)
+    depth = 0  # every live panel has been bisected depth times
+    while p.size:
+        centre = (0.5 * (p + q))[:, None]
+        half = 0.5 * (q - p)
+        coarse, fine = (
+            half * np.sum(f(rows, centre + half[:, None] * nodes) * weights, axis=-1)
+            for nodes, weights in (_GL_LO, _GL_HI)
+        )
+        ok = np.abs(fine - coarse) <= rel_tol * np.maximum(np.abs(fine), 1e-300)
+        total += np.bincount(rows[ok], weights=fine[ok], minlength=a.size)
+        if ok.all():
+            break
+        if depth >= _MAX_PANEL_SPLITS:
+            bad = np.flatnonzero(~ok)[0]
+            raise QuadratureNotConverged(
+                f"panel [{p[bad]}, {q[bad]}] failed to reach rel_tol={rel_tol}"
+            )
+        p, q, rows = p[~ok], q[~ok], rows[~ok]
+        mid = 0.5 * (p + q)
+        p, q = np.concatenate([p, mid]), np.concatenate([mid, q])
+        rows = np.concatenate([rows, rows])
+        depth += 1
     return total

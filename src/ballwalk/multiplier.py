@@ -188,9 +188,3 @@ def taylor_check(d, r_samples):
         "F_values": F,
         "F_positive": bool(np.all(F > 0)),
     }
-
-
-def multiplier_table(d, r_values):
-    """(r, G_d(r)) pairs as the rows of an (n, 2) array."""
-    r = np.asarray(r_values, dtype=float)
-    return np.column_stack([r, eval_Gd(d, r)])

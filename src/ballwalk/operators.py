@@ -454,48 +454,3 @@ def build_schrodinger(grid, density):
     bands[1, N - 1 :: N] = 0.0  # no coupling across row ends
     bands[2, : n - N] = -1.0 / d2
     return SchrodingerOperator(grid, V, bands, (0, 1, N))
-
-
-# ---------------------------------------------------------------------------
-# on-disk banded format
-
-_BANDED_MAGIC = "ballwalk-banded v1"
-
-
-def write_banded(op, path):
-    """Text export of a symmetric banded operator (regression format).
-
-    Header line with the geometry, then one line per band, %.17g entries
-    (lossless for binary64 round trips).
-    """
-    bands = op.to_banded() if isinstance(op, DiscreteOperator) else op.bands
-    grid, h = op.grid, getattr(op, "h", 0.0)
-    scheme = op.scheme if isinstance(op, DiscreteOperator) else "schrodinger"
-    with open(path, "w") as f:
-        f.write(
-            f"# {_BANDED_MAGIC} d={grid.dim} N={grid.N} L={grid.L!r} "
-            f"h={h!r} scheme={scheme} rows={bands.shape[0]}\n"
-        )
-        for row in bands:
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_banded(path):
-    with open(path) as f:
-        header = f.readline()
-        if _BANDED_MAGIC not in header:
-            raise ConfigError(f"{path}: not a banded operator file")
-        fields = dict(
-            kv.split("=", 1) for kv in header.split("#", 1)[1].split()[2:]
-        )
-        bands = np.loadtxt(f, ndmin=2)
-    meta = {
-        "d": int(fields["d"]),
-        "N": int(fields["N"]),
-        "L": float(fields["L"]),
-        "h": float(fields["h"]),
-        "scheme": fields["scheme"],
-    }
-    if bands.shape != (int(fields["rows"]), meta["N"] ** meta["d"]):
-        raise ConfigError(f"{path}: band shape mismatch")
-    return meta, bands

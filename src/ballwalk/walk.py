@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import _adaptive_gl, ball_mass, ball_mass_grid, eval_density
+from .densities import (
+    _adaptive_gl, _adaptive_gl_batch, ball_mass, ball_mass_grid, eval_density,
+)
 from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
 from .operators import build_markov
 from .report import Report
@@ -116,13 +118,6 @@ def _rho_sample(density, rng, n):
 # ---------------------------------------------------------------------------
 # quadrature of nu_h
 
-def _nu_density(density, h):
-    def f(x):
-        return ball_mass_grid(density, x, h) * eval_density(density, x)
-
-    return f
-
-
 def _decay_cut(density, extra=0.0):
     if density.kind == "gaussian":
         return math.sqrt(45.0 / density.alpha) + extra
@@ -136,10 +131,14 @@ def nu_h_tail(density, h, tau):
     cut = _decay_cut(density, extra=h)
     if tau >= cut:
         return 0.0
-    f = _nu_density(density, h)
+
+    def nu_density(rows, x):
+        return ball_mass_grid(density, x, h) * eval_density(density, x)
+
     splits = (density.R - h, density.R, density.R + h)  # joints of the tempered rho and m_h
-    z = _adaptive_gl(f, 0.0, cut, _NU_RTOL, splits)
-    return _adaptive_gl(f, tau, cut, _NU_RTOL, splits) / z
+    # the normalizer and the tail are two rows of one batch
+    z, tail = _adaptive_gl_batch(nu_density, [0.0, tau], [cut, cut], _NU_RTOL, splits)
+    return float(tail / z)
 
 
 def p_tau(density, h, tau):

@@ -1,5 +1,6 @@
 """Density-family tests against independent quadrature and finite-difference
-oracles (scipy.integrate.quad / dblquad, central differences)."""
+oracles (scipy.integrate.quad / dblquad, scipy.stats.ncx2, central
+differences)."""
 
 import math
 
@@ -7,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.stats import ncx2
 
 from ballwalk.densities import (
     Density,
     ball_mass,
     ball_mass_grid,
-    density_from_config,
-    density_to_config,
     eval_density,
     eval_potential,
     kappa_analytic,
@@ -22,9 +22,11 @@ from ballwalk.densities import (
     tempered_A_h,
     weight_a_h,
     _adaptive_gl,
+    _adaptive_gl_batch,
 )
 from ballwalk.errors import ConfigError, ProbeInsideCore, QuadratureNotConverged
 from ballwalk.multiplier import gamma_d
+from ballwalk.operators import Grid
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +251,52 @@ def test_grid_path_single_point_is_scalar_d2(gauss2d):
 def test_quadrature_failure_raises():
     with pytest.raises(QuadratureNotConverged):
         _adaptive_gl(lambda t: 1.0 / np.sqrt(np.abs(t) + 1e-300), 0.0, 1.0, rel_tol=1e-14)
+    # one row with the same endpoint singularity fails a batch of smooth rows
+    power = np.array([0.0, 0.5, 0.0])
+    with pytest.raises(QuadratureNotConverged):
+        _adaptive_gl_batch(
+            lambda rows, t: (np.abs(t) + 1e-300) ** -power[rows, None],
+            np.zeros(3), np.ones(3), rel_tol=1e-14,
+        )
+
+
+@pytest.mark.parametrize("L, N, alpha, h", [(8.0, 96, 1.0, 0.5), (12.0, 128, 0.5, 0.3)])
+def test_grid_path_d2_against_ncx2(L, N, alpha, h):
+    # 2 alpha |Y - x|^2 is noncentral chi^2_2 with noncentrality 2 alpha |x|^2
+    # for Y ~ rho, so m_h(x) is its CDF at 2 alpha h^2; ncx2 underflows to 0
+    # in the far corners, so compare where the mass is representable there
+    x = Grid(2, L, N).nodes()
+    m = ball_mass_grid(make_density("gaussian", 2, alpha), x, h)
+    oracle = ncx2.cdf(2.0 * alpha * h * h, 2, 2.0 * alpha * np.sum(x * x, axis=-1))
+    keep = m > 1e-40
+    assert keep.sum() > 0.8 * m.size
+    assert np.max(np.abs(m[keep] - oracle[keep]) / oracle[keep]) < 1e-12
+
+
+def test_grid_path_tempered_core_against_quad(tempered_unit):
+    # every ball that meets the smoothed core, many straddling |x| = R = 1
+    h = 0.3
+    xs = np.linspace(-1.29, 1.29, 44)
+    m = ball_mass_grid(tempered_unit, xs, h)
+    for x, mx in zip(xs, m):
+        lo, hi = x - h, x + h
+        oracle, _ = quad(
+            lambda y: eval_density(tempered_unit, y), lo, hi,
+            points=[p for p in (-1.0, 1.0) if lo < p < hi] or None,
+            epsabs=1e-14, epsrel=1e-13,
+        )
+        assert mx == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.25])
+def test_grid_path_rejects_nonpositive_h(gauss_half, tempered_unit, gauss2d, h):
+    for dens, x in (
+        (gauss_half, np.array([0.0, 1.0])),
+        (tempered_unit, np.array([0.0, 1.0, 4.0])),
+        (gauss2d, np.array([[0.0, 0.0], [1.0, 0.5]])),
+    ):
+        with pytest.raises(ValueError):
+            ball_mass_grid(dens, x, h)
 
 
 # --- weights and tail constants -------------------------------------------
@@ -349,22 +397,6 @@ def test_probe_inside_core_raises(tempered_unit):
 def test_exact_A_h_rejects_gaussian(gauss_half):
     with pytest.raises(ConfigError):
         tempered_A_h(gauss_half, 0.2)
-
-
-# --- config round trip ------------------------------------------------------
-
-def test_config_roundtrip_bit_exact(gauss_half, gauss2d, tempered_unit):
-    for dens in (gauss_half, gauss2d, tempered_unit):
-        cfg = density_to_config(dens)
-        back = density_from_config(cfg)
-        assert back == dens  # dataclass equality: every float bit-identical
-
-
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        density_from_config({"kind": "gaussian", "dim": 1, "alpha": 1.0, "mu": 0.0})
-    with pytest.raises(ConfigError):
-        density_from_config({"kind": "gaussian", "dim": 1})
 
 
 # --- properties --------------------------------------------------------------

@@ -23,7 +23,6 @@ from ballwalk.multiplier import (
     eval_Gd_prime,
     find_min_M,
     gamma_d,
-    multiplier_table,
     taylor_check,
     unit_ball_volume,
 )
@@ -143,12 +142,6 @@ def test_d2_decay_rate():
     # |G_2(r)| <= C r^{-3/2} with C near 2 sqrt(2/pi)
     r = np.linspace(30.0, 300.0, 120)
     assert np.max(np.abs(eval_Gd(2, r)) * r**1.5) < 1.7
-
-
-def test_multiplier_table_shape():
-    tab = multiplier_table(1, [0.0, 1.0, 2.0])
-    assert tab.shape == (3, 2)
-    assert np.allclose(tab[:, 1], eval_Gd(1, tab[:, 0]))
 
 
 @settings(max_examples=200, deadline=None)

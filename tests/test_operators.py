@@ -1,5 +1,5 @@
-"""Discretization tests: stencil moments, scheme cross-checks, Markov
-structure, and the on-disk banded format.
+"""Discretization tests: stencil moments, scheme cross-checks
+and Markov structure.
 
 Oracles: exact moment identities of the ball indicator, Fourier modes
 (the multiplier scheme diagonalizes on the rfft lattice), and dense
@@ -30,9 +30,7 @@ from ballwalk.operators import (
     build_markov,
     build_schrodinger,
     discrete_mass,
-    read_banded,
     taper_profile,
-    write_banded,
 )
 
 M_1 = find_min_M(1)[1]
@@ -509,41 +507,3 @@ def test_to_dense_refuses_large(gauss_half):
         T.to_dense()
     with pytest.raises(NumericalError):
         build_markov(Grid(1, 9.0, 720), gauss_half, 0.25).to_banded()  # not symmetric
-
-
-# --- on-disk banded format --------------------------------------------------------
-
-def test_banded_export_roundtrip(tmp_path, gauss_half):
-    g = Grid(1, 6.0, 240)
-    T = build_conjugated(g, gauss_half, 0.25, scheme=BANDED)
-    p = tmp_path / "op.bands"
-    write_banded(T, p)
-    meta, bands = read_banded(p)
-    assert meta == {"d": 1, "N": 240, "L": 6.0, "h": 0.25, "scheme": BANDED}
-    np.testing.assert_array_equal(bands, T.to_banded())  # %.17g is lossless
-
-
-def test_banded_export_deterministic(tmp_path, gauss_half):
-    g = Grid(1, 6.0, 240)
-    T = build_conjugated(g, gauss_half, 0.25, scheme=BANDED)
-    p1, p2 = tmp_path / "a.bands", tmp_path / "b.bands"
-    write_banded(T, p1)
-    write_banded(T, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_banded_export_schrodinger(tmp_path, gauss_half):
-    g = Grid(1, 6.0, 240)
-    L = build_schrodinger(g, gauss_half)
-    p = tmp_path / "schrod.bands"
-    write_banded(L, p)
-    meta, bands = read_banded(p)
-    assert meta["scheme"] == "schrodinger"
-    np.testing.assert_array_equal(bands, L.bands)
-
-
-def test_read_banded_rejects_garbage(tmp_path):
-    p = tmp_path / "junk.txt"
-    p.write_text("not a banded file\n1 2 3\n")
-    with pytest.raises(ConfigError):
-        read_banded(p)
