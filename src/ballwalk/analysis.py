@@ -19,8 +19,11 @@ from .report import Report
 
 LAMBDA_ZERO_TOL = 1e-6  # lambda_0 must sit at 1 for every h
 ORDER_MIN = 3.5
-ALPHA_CFG_DEFAULT = 0.9
+ALPHA_CFG = 0.9  # curvature levels mu < ALPHA_CFG * kappa are trusted as discrete
 WEYL_LAMBDA_MAX = 0.3  # delta_0 stand-in: the sweep stays inside [0, 0.3]
+MU_DELTAS = (4e-3, 2e-3)  # Richardson pair for the -Lap + V reference levels
+BAND_H_SWEEP = (0.4, 0.3, 0.2, 0.15)  # h values of the A_h residual fit
+LOCALIZATION_MASS_TOL = 1e-6
 
 
 def _even_grid(L, h, rule):
@@ -45,7 +48,7 @@ def _fit_through_origin(x, y):
 # ---------------------------------------------------------------------------
 # reference levels of the comparison operator
 
-def mu_reference(density, k_max, deltas=(4e-3, 2e-3), L=None):
+def mu_reference(density, k_max):
     """Bottom k_max+1 levels of -Lap + V, Richardson-extrapolated in delta.
 
     Gaussian densities in d=1,2 have the closed-form ladder spacing
@@ -62,15 +65,12 @@ def mu_reference(density, k_max, deltas=(4e-3, 2e-3), L=None):
             levels.extend([step * m] * (m + 1))
             m += 1
         return np.array(levels[: k_max + 1])
-    if L is None:
-        L = density.R + 25.0 / density.alpha
-    if len(deltas) != 2 or not deltas[0] > deltas[1]:
-        raise ConfigError("Richardson extrapolation wants two decreasing deltas")
+    L = density.R + 25.0 / density.alpha
     mus = []
-    for delta in deltas:
+    for delta in MU_DELTAS:
         g = Grid(1, L, _even_grid(L, 1.0, 1.0 / delta))
         mus.append(bottom_k(build_schrodinger(g, density), k_max + 1).eigenvalues)
-    r = (deltas[0] / deltas[1]) ** 2
+    r = (MU_DELTAS[0] / MU_DELTAS[1]) ** 2
     return (r * mus[1] - mus[0]) / (r - 1.0)
 
 
@@ -161,12 +161,12 @@ class BandReport(Report):
     c_fit: float = float("nan")
     passed: bool = True
 
-    def band_affected(self, eigenvalues, alpha_cfg=ALPHA_CFG_DEFAULT):
+    def band_affected(self, eigenvalues):
         """Mask of eigenvalues too close to [M A_h, A_h] to trust as discrete.
 
         Box modes of the truncated operator pile up near the band. The
-        asymptotics only control curvature levels mu < alpha_cfg * kappa,
-        i.e. values above 1 - alpha_cfg*kappa*gamma_d*h^2; everything from
+        asymptotics only control curvature levels mu < ALPHA_CFG * kappa,
+        i.e. values above 1 - ALPHA_CFG*kappa*gamma_d*h^2; everything from
         there down to 5 mu-units below the band floor is reported as
         band-affected instead of asserted against the continuum dichotomy.
         """
@@ -175,17 +175,17 @@ class BandReport(Report):
             return np.zeros(ev.shape, dtype=bool)
         gh2 = gamma_d(1) * self.h**2
         lo = self.band[0] - 5.0 * self.kappa * gh2
-        hi = 1.0 - alpha_cfg * self.kappa * gh2
+        hi = 1.0 - ALPHA_CFG * self.kappa * gh2
         return (ev >= lo) & (ev <= hi)
 
 
-def essential_band(density, h, h_sweep=(0.4, 0.3, 0.2, 0.15), probe_radius=None):
+def essential_band(density, h):
     """Band [M A_h, A_h] with the second-order residual check on A_h.
 
     Gaussian densities have no essential band (the operator is compact);
     the report says so instead of erroring. The residual gate fits one C
-    over the sweep and requires every |A_h - 1 + kappa gamma h^2| to stay
-    within 1.5x the common h^4 trend, matching how tightly the tail
+    over BAND_H_SWEEP plus h and requires every |A_h - 1 + kappa gamma h^2|
+    to stay within 1.5x the common h^4 trend, matching how tightly the tail
     expansion actually holds.
     """
     if density.kind not in ("gaussian", "tempered"):
@@ -197,12 +197,11 @@ def essential_band(density, h, h_sweep=(0.4, 0.3, 0.2, 0.15), probe_radius=None)
     gam = gamma_d(density.dim)
     kappa = kappa_analytic(density)
     A_h = tempered_A_h(density, h)
-    shell = density.R + 2.0 if probe_radius is None else probe_radius
-    probes = np.array([shell + 0.5 * j for j in range(4)]) + h
+    probes = density.R + 2.0 + 0.5 * np.arange(4) + h
     A_probe = float(tail_constants(density, h, probes).A_h_est)
 
     resid = {}
-    for hh in sorted(set(list(h_sweep) + [h]), reverse=True):
+    for hh in sorted(set(BAND_H_SWEEP + (h,)), reverse=True):
         resid[hh] = abs(tempered_A_h(density, hh) - (1.0 - kappa * gam * hh**2))
     hs = np.array(sorted(resid, reverse=True))
     rs = np.array([resid[hh] for hh in hs])
@@ -292,27 +291,30 @@ class GapReport(Report):
     alpha_cfg: float
 
 
-def spectral_gap(density, h, L=12.0, delta_rule=40, alpha_cfg=ALPHA_CFG_DEFAULT):
-    g = Grid(density.dim, L, _even_grid(L, h, delta_rule))
+def spectral_gap(density, h):
+    """Gap 1 - lambda_1 of the multiplier scheme on [-12, 12]^d at
+    delta <= h/40, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa)."""
+    g = Grid(density.dim, 12.0, _even_grid(12.0, h, 40))
     lam = top_k(build_conjugated(g, density, h, scheme=MULTIPLIER), 2).eigenvalues
     mu1 = float(mu_reference(density, 1)[1])
     kappa = kappa_analytic(density)
-    floor = (1.0 - alpha_cfg) * kappa if math.isfinite(kappa) else math.inf
+    floor = (1.0 - ALPHA_CFG) * kappa if math.isfinite(kappa) else math.inf
     comparison = h**2 * gamma_d(density.dim) * min(mu1, floor)
     return GapReport(
         h=h,
         gap=float(1.0 - lam[1]),
         lambda_1=float(lam[1]),
         comparison=float(comparison),
-        alpha_cfg=alpha_cfg,
+        alpha_cfg=ALPHA_CFG,
     )
 
 
 # ---------------------------------------------------------------------------
 # eigenvector localization
 
-def localization_radii(result, mass_tol=1e-6):
-    """Smallest axis radius holding all but mass_tol of each eigenvector.
+def localization_radii(result):
+    """Smallest axis radius holding all but LOCALIZATION_MASS_TOL of each
+    eigenvector.
 
     The reported radii are what make truncation-insensitivity claims
     checkable: enlarging the box beyond R_loc must not move the value.
@@ -329,6 +331,6 @@ def localization_radii(result, mass_tol=1e-6):
     for j in range(radii.size):
         m = result.eigenvectors[order, j] ** 2
         tail = np.cumsum(m[::-1])[::-1] / m.sum()
-        inside = tail <= mass_tol
+        inside = tail <= LOCALIZATION_MASS_TOL
         radii[j] = r[order][np.argmax(inside)] if inside.any() else math.inf
     return radii

@@ -5,25 +5,22 @@ multiplication by G_d(h*xi), where G_d is the normalized Fourier transform
 of the unit-ball indicator. G_d is radial; everything here works with
 r = |xi| >= 0.
 
-Two evaluation branches: a power series in r^2 near the origin, and for
-larger r the dimensional reduction
-
-    G_d(r) = (alpha_{d-1}/alpha_d) * integral_{-1}^{1} (1-u^2)^{(d-1)/2} cos(r u) du,
-
-which for d = 2 is integrated exactly in the weight by Gauss-Chebyshev
-(second kind) nodes. d = 1 has the closed form sin(r)/r.
+Both supported dimensions have closed forms: G_1(r) = sin(r)/r and
+G_2(r) = 2 J_1(r)/r, with G_2'(r) = -2 J_2(r)/r. Below r = 1e-3 the d = 2
+values come from the Taylor polynomial 1 - r^2/8 + r^4/192 instead, because
+j1 loses its last digits (and finally underflows) as r reaches the
+subnormal range.
 """
 
 import math
 
 import numpy as np
-
-# branch switch and series truncation; the two branches are required to
-# agree to 1e-9 in a window around R_SWITCH (tested)
-R_SWITCH = 2.0
-SERIES_RTOL = 1e-16
+from scipy.special import j1, jv
 
 _MAX_DIM = 2
+# below this radius d = 2 uses its Taylor polynomials; their first dropped
+# terms, r^6/9216 and r^5/1536, stay under 1e-18 there
+_R_TAYLOR = 1e-3
 
 
 def unit_ball_volume(d):
@@ -43,48 +40,18 @@ def _check_dim(d):
         raise ValueError(f"d={d} not supported (exact evaluation is d <= {_MAX_DIM})")
 
 
-def _series(d, r):
-    """Power series sum_m c_m r^{2m}, c_0 = 1,
-    c_{m+1}/c_m = -(1/4)/((m+1)(m+1+d/2)). Converges fast for r <= R_SWITCH."""
-    r2 = r * r
-    total = np.ones_like(r)
-    term = np.ones_like(r)
-    for m in range(200):
-        term = term * r2 * (-0.25 / ((m + 1.0) * (m + 1.0 + d / 2.0)))
-        total = total + term
-        if np.all(np.abs(term) <= SERIES_RTOL * np.abs(total)):
-            return total
-    # series converges factorially on r <= R_SWITCH; unreachable for valid input
-    raise RuntimeError("multiplier series did not converge")
-
-
-def _chebyshev_nodes(n):
-    i = np.arange(1, n + 1)
-    theta = i * math.pi / (n + 1)
-    return np.cos(theta), (math.pi / (n + 1)) * np.sin(theta) ** 2
-
-
-def _quadrature_d2(r, derivative=False):
-    """Gauss-Chebyshev (2nd kind) evaluation of the d=2 reduction integral.
-
-    Node count grows with the integrand bandwidth r; convergence is
-    spectral once n exceeds r by a margin.
-    """
-    rmax = float(np.max(r)) if np.size(r) else 0.0
-    n = int(rmax) + 60
-    u, w = _chebyshev_nodes(n)
-    ru = np.multiply.outer(r, u)
-    ratio = 2.0 / math.pi  # alpha_1 / alpha_2
-    if derivative:
-        return -ratio * np.sin(ru) @ (w * u)
-    return ratio * np.cos(ru) @ w
+def _piecewise(r, small, near, far):
+    out = np.empty_like(r)
+    out[small] = near(r[small])
+    out[~small] = far(r[~small])
+    return out
 
 
 def eval_Gd(d, r):
     """Radial multiplier value G_d(r) for r >= 0 (scalar or array).
 
-    Relative accuracy: series branch 1e-12 or better, quadrature branch
-    1e-10 or better (both tested against brute-force oracles).
+    Both dimensions use closed forms, accurate to a few ulps (tested against
+    an adaptive quadrature of the dimensional-reduction integral).
     """
     _check_dim(d)
     r_arr = np.asarray(r, dtype=float)
@@ -97,12 +64,9 @@ def eval_Gd(d, r):
         # sin(r)/r, stable at 0 through numpy's normalized sinc
         out = np.sinc(r_arr / math.pi)
     else:
-        out = np.empty_like(r_arr)
-        near = r_arr <= R_SWITCH
-        if np.any(near):
-            out[near] = _series(d, r_arr[near])
-        if np.any(~near):
-            out[~near] = _quadrature_d2(r_arr[~near])
+        out = _piecewise(r_arr, r_arr < _R_TAYLOR,
+                         lambda s: 1.0 - s * s / 8.0 + s**4 / 192.0,
+                         lambda s: 2.0 * j1(s) / s)
     return float(out[0]) if scalar else out
 
 
@@ -111,15 +75,14 @@ def eval_Gd_prime(d, r):
     _check_dim(d)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if d == 1:
-        out = np.empty_like(r_arr)
-        small = np.abs(r_arr) < 1e-4
-        rs = r_arr[small]
-        # odd series -r/3 + r^3/30 - r^5/840
-        out[small] = -rs / 3.0 + rs**3 / 30.0 - rs**5 / 840.0
-        rl = r_arr[~small]
-        out[~small] = (rl * np.cos(rl) - np.sin(rl)) / rl**2
+        # odd series -r/3 + r^3/30 - r^5/840 near 0
+        out = _piecewise(r_arr, np.abs(r_arr) < 1e-4,
+                         lambda s: -s / 3.0 + s**3 / 30.0 - s**5 / 840.0,
+                         lambda s: (s * np.cos(s) - np.sin(s)) / s**2)
     else:
-        out = _quadrature_d2(r_arr, derivative=True)
+        out = _piecewise(r_arr, r_arr < _R_TAYLOR,
+                         lambda s: -s / 4.0 + s**3 / 48.0,
+                         lambda s: -2.0 * jv(2, s) / s)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 

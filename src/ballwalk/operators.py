@@ -327,15 +327,13 @@ def discrete_mass(grid, density, h):
     return m
 
 
-def build_conjugated(grid, density, h, scheme=MULTIPLIER, mass_mode="discrete"):
+def build_conjugated(grid, density, h, scheme=MULTIPLIER):
     """Symmetric conjugated operator T-tilde = D_a T-bar D_a.
 
-    mass_mode picks the a_h samples for the banded scheme: "discrete" uses
-    the stencil-consistent mass (making the similarity to the Markov form
-    exact in floating point), "quadrature" uses the continuum ball mass
-    (used when comparing against the multiplier scheme, which has no
-    stencil). The multiplier scheme always uses quadrature mass and tapers
-    a to zero at the walls.
+    The banded scheme takes a_h from the stencil-consistent mass, which
+    makes its similarity to the Markov form exact in floating point. The
+    multiplier scheme has no stencil: it uses the quadrature ball mass and
+    tapers a to zero at the walls.
     """
     if density.dim != grid.dim:
         raise ConfigError("grid and density dimension mismatch")
@@ -346,12 +344,7 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER, mass_mode="discrete"):
     if scheme == BANDED:
         if grid.dim != 1:
             raise ConfigError("banded scheme is implemented for d = 1")
-        if mass_mode == "discrete":
-            m = discrete_mass(grid, density, h)
-        elif mass_mode == "quadrature":
-            m = ball_mass_grid(density, x, h)
-        else:
-            raise ConfigError(f"unknown mass_mode {mass_mode!r}")
+        m = discrete_mass(grid, density, h)
         a = np.sqrt(vol * rho / m)
         c = band_weights(h, grid.delta)
         s = a / math.sqrt(2.0 * h)  # split the 1/(2h) across both factors
@@ -360,7 +353,6 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER, mass_mode="discrete"):
         op.meta["a"] = a
         op.meta["mass"] = m
         op.meta["density"] = density
-        op.meta["mass_mode"] = mass_mode
         return op
     if scheme != MULTIPLIER:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -379,7 +371,7 @@ def build_markov(grid, density, h):
     """Markov form T (banded, non-symmetric): row i averages against
     rho over the ball, normalized by the stencil-consistent mass.
 
-    Exactly similar to the mass_mode="discrete" conjugated operator via
+    Exactly similar to the banded conjugated operator via
     the diagonal (rho * m)^{-1/2}, so their spectra coincide in floating
     point; nu proportional to rho * m is the stationary row vector.
     """

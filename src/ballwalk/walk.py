@@ -22,6 +22,7 @@ from .report import Report
 RNG_ALGORITHM = "philox4x64"  # counter-based: reproducible and splittable
 REJECTION_BUDGET = 10**6
 _NU_RTOL = 1e-12
+TV_START_STRIDE = 4  # every 4th node inside |x| < tau starts a TV curve
 
 
 def make_rng(seed):
@@ -280,12 +281,11 @@ def q_factor(density, h, tau):
     return sup_inv / math.sqrt(h) ** density.dim
 
 
-def tv_upper_bound_curve(density, h, tau, n_max, grid, gap, fit_horizon=None,
-                         start_stride=4):
+def tv_upper_bound_curve(density, h, tau, n_max, grid, gap, fit_horizon=None):
     """Envelope of exact TV curves over starts |x0| < tau against
     C q(tau,h) e^{-n g(h)}, with C fitted on the early window only.
 
-    Every start_stride-th node inside |x| < tau is a start; all of them
+    Every TV_START_STRIDE-th node inside |x| < tau is a start; all of them
     evolve together under one Markov operator.
 
     The fit window (default n <= n_max/2) keeps the domination check
@@ -297,7 +297,7 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap, fit_horizon=None,
         fit_horizon = n_max // 2
     if not 0 < fit_horizon <= n_max:
         raise ConfigError("fit horizon must land inside the curve")
-    starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::start_stride]
+    starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::TV_START_STRIDE]
     if starts.size == 0:
         raise ConfigError("no grid starts inside |x| < tau")
     tv, _ = _evolve_tv(build_markov(grid, density, h), starts, n_max)

@@ -58,13 +58,6 @@ def test_mu_reference_tempered_deep_well():
     assert np.all(mu < 1.0)
 
 
-def test_mu_reference_wants_two_deltas(tempered_unit):
-    with pytest.raises(ConfigError):
-        mu_reference(tempered_unit, 1, deltas=(2e-3,))
-    with pytest.raises(ConfigError):
-        mu_reference(tempered_unit, 1, deltas=(2e-3, 4e-3))
-
-
 # --- asymptotics report ---------------------------------------------------------
 
 def test_asymptotics_passes(asym):

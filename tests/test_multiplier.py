@@ -2,14 +2,20 @@
 
 Independent routes used here:
   * d=1 closed form sin(r)/r evaluated directly,
-  * d=2 adaptive 1-D quadrature of the reduction integral (scipy.integrate.quad,
-    nothing shared with the package's Gauss-Chebyshev rule),
-  * d=2 Bessel closed form 2 J_1(r)/r,
+  * d=2 adaptive 1-D quadrature (scipy.integrate.quad) of the dimensional
+    reduction integral
+        G_2(r) = (2/pi) * integral_{-1}^{1} sqrt(1-u^2) cos(r u) du
+    and of its r-derivative, which shares nothing with the package's
+    Bessel closed form or its small-r Taylor polynomial,
   * minimum locations against the classical characterizations
     (tan r = r for d=1, the first zero of J_2 for d=2).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +24,6 @@ from scipy.integrate import quad
 from scipy.special import j1, jn_zeros
 
 from ballwalk.multiplier import (
-    R_SWITCH,
     eval_Gd,
     eval_Gd_prime,
     find_min_M,
@@ -37,6 +42,14 @@ M_2 = -0.13227948739610004
 def _G2_reduction_oracle(r):
     val, _ = quad(
         lambda u: (2.0 / math.pi) * math.sqrt(1.0 - u * u) * math.cos(r * u),
+        -1.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-13,
+    )
+    return val
+
+
+def _G2_prime_reduction_oracle(r):
+    val, _ = quad(
+        lambda u: -(2.0 / math.pi) * u * math.sqrt(1.0 - u * u) * math.sin(r * u),
         -1.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-13,
     )
     return val
@@ -61,24 +74,26 @@ def test_G1_closed_form():
 
 
 def test_G2_against_reduction_quadrature():
-    r_values = np.linspace(0.05, 30.0, 50)
+    r_values = np.linspace(1e-3, 60.0, 200)
     errs = [abs(eval_Gd(2, r) - _G2_reduction_oracle(r)) for r in r_values]
     assert max(errs) < 1e-10
 
 
-def test_G2_against_bessel_closed_form():
-    r = np.linspace(1e-3, 60.0, 200)
-    expected = 2.0 * j1(r) / r
-    assert np.max(np.abs(eval_Gd(2, r) - expected)) < 1e-10
-
-
-def test_branch_agreement_window():
-    # series and quadrature branches must agree around the switch point
-    for d in (2,):
-        for r in np.linspace(R_SWITCH - 0.5, R_SWITCH + 0.5, 21):
-            lo = eval_Gd(d, r - 1e-9)
-            hi = eval_Gd(d, r + 1e-9)
-            assert abs(hi - lo) < 1e-8 * max(abs(lo), 1e-3)
+def test_G2_small_r_path():
+    # j1(r) loses its last digits and then underflows as r reaches the
+    # subnormals, so 2 j1(r)/r would read 0 or exceed 1 there
+    for r in (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-8):
+        g = eval_Gd(2, r)
+        assert g <= 1.0 + 1e-14
+        assert abs(g - _G2_reduction_oracle(r)) < 1e-13
+    # both sides of the switch to the closed form at r = 1e-3
+    below, above = np.nextafter(1e-3, 0.0), np.nextafter(1e-3, 1.0)
+    for r in (below, above):
+        assert abs(eval_Gd(2, r) - _G2_reduction_oracle(r)) < 1e-13
+        fp = _G2_prime_reduction_oracle(r)
+        assert abs(eval_Gd_prime(2, r) - fp) < 1e-14 * abs(fp)
+    assert abs(eval_Gd(2, below) - eval_Gd(2, above)) < 1e-15
+    assert abs(eval_Gd_prime(2, below) - eval_Gd_prime(2, above)) < 1e-17
 
 
 def test_scalar_and_array_shapes():
@@ -114,6 +129,19 @@ def test_min_d2_frozen():
     assert abs(r_star - j21) < 1e-9
     assert abs(M - M_2) < 1e-12
     assert abs(M - 2.0 * j1(j21) / j21) < 1e-12
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    # find_min_M bisects on G' itself: loading scipy.optimize for a root
+    # finder costs every process that imports the package ~0.16 s and ~12 MB.
+    # A fresh interpreter, because the oracles here (scipy.integrate) load it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, ballwalk.analysis, ballwalk.walk; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_derivative_consistency():

@@ -135,8 +135,6 @@ def test_scheme_validation(gauss_half):
         build_ball_average(Grid(2, 6.0, 48), 0.5, scheme=BANDED)
     with pytest.raises(ConfigError):
         build_conjugated(Grid(2, 6.0, 48), gauss_half, 0.5)  # dim mismatch
-    with pytest.raises(ConfigError):
-        build_conjugated(g, gauss_half, 0.25, scheme=BANDED, mass_mode="exact")
 
 
 # --- ball average: constants and Fourier modes ------------------------------
@@ -199,20 +197,13 @@ def test_cross_scheme_matvec_wave_packet():
 
 def test_cross_scheme_top_eigenvalues(gauss_half):
     # the binding agreement level: leading 5 eigenvalues of the conjugated
-    # operator from both schemes, quadrature mass on both sides
+    # operator from both schemes, each with its own mass (stencil-consistent
+    # for banded, quadrature for multiplier)
     h = 0.25
     g = Grid(1, 12.0, 3840)  # delta = h/40
-    lam_b = top_k(build_conjugated(g, gauss_half, h, scheme=BANDED, mass_mode="quadrature"), 5)
+    lam_b = top_k(build_conjugated(g, gauss_half, h, scheme=BANDED), 5)
     lam_m = top_k(build_conjugated(g, gauss_half, h, scheme=MULTIPLIER), 5)
     np.testing.assert_allclose(lam_b.eigenvalues, lam_m.eigenvalues, atol=1e-6)
-
-
-def test_mass_modes_agree_at_eigenvalue_level(gauss_half):
-    h = 0.25
-    g = Grid(1, 12.0, 3840)
-    lam_d = top_k(build_conjugated(g, gauss_half, h, scheme=BANDED), 5)
-    lam_q = top_k(build_conjugated(g, gauss_half, h, scheme=BANDED, mass_mode="quadrature"), 5)
-    np.testing.assert_allclose(lam_d.eigenvalues, lam_q.eigenvalues, atol=1e-6)
 
 
 # --- symmetry and form bounds ------------------------------------------------
