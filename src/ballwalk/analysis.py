@@ -234,11 +234,12 @@ class WeylReport(Report):
     retries: int = 0  # inertia retries, summed over h
 
 
-def weyl_curve(density, h_list, lambda_grid=None, L=12.0, delta_rule=20):
+def weyl_curve(density, h_list, lambda_grid=None):
     """Count N(lambda, h) = #{eigenvalues of T-tilde in [1-lambda, 1]} and
     fit the growth exponent against 1 + lambda h^{-2}.
 
-    All counts for one h come from one count_at_most call at the shifts
+    T-tilde is the banded scheme on [-12, 12]^d at delta <= h/20. All
+    counts for one h come from one count_at_most call at the shifts
     1 - lambda and 1. PASS iff the fitted exponent is <= d + 0.3; the
     dominating constant max N / (1 + lambda h^{-2})^d is reported
     alongside. Fewer than two distinct abscissae with N >= 1 leave the
@@ -255,7 +256,7 @@ def weyl_curve(density, h_list, lambda_grid=None, L=12.0, delta_rule=20):
     rows = []
     retries = 0
     for h in h_list:
-        g = Grid(density.dim, L, _even_grid(L, h, delta_rule))
+        g = Grid(density.dim, 12.0, _even_grid(12.0, h, 20))
         op = build_conjugated(g, density, h, scheme=BANDED)
         r = count_at_most(op, np.append(1.0 - lambda_grid, 1.0))
         retries += r.retries

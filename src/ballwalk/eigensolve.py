@@ -11,13 +11,11 @@ Three routes, matched to the operator shapes:
   * bottom_k: d=1 Schrodinger operators are tridiagonal, solved by the
     LAPACK Sturm bisection path; d=2 goes through ARPACK's smallest
     algebraic eigenvalues of L.
-  * count_at_most (and count_in_interval over it): Sylvester inertia.
-    Banded operators take one unpivoted banded LDL^T sweep that carries
-    every shift along at once (LAPACK has no banded symmetric indefinite
-    driver); a near-zero or exploding pivot means that shift essentially
-    hit an eigenvalue, and only it is swept again, nudged by a tiny
-    perturbation. Densified multiplier operators take one eigvalsh and
-    look every shift up in the sorted eigenvalues.
+  * count_at_most: Sylvester inertia of the symmetric banded scheme, by
+    one unpivoted banded LDL^T sweep that carries every shift along at
+    once (LAPACK has no banded symmetric indefinite driver); a near-zero
+    or exploding pivot means that shift essentially hit an eigenvalue,
+    and only it is swept again, nudged by a tiny perturbation.
 
 Eigenvectors are returned with unit L^2(dx) norm (grid weight delta^d).
 """
@@ -30,7 +28,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, NoConvergence, ShiftHitsEigenvalue
-from .operators import MULTIPLIER, DiscreteOperator, SchrodingerOperator
+from .operators import BANDED, DiscreteOperator, SchrodingerOperator
 from .report import Report
 
 CLUSTER_RTOL = 1e-8
@@ -111,10 +109,10 @@ def top_k(op, k, max_iter=None):
     return EigenResult(vals, vecs, resid, "ARPACK", meta, _cluster(vals))
 
 
-def bottom_k(op, k, max_iter=None):
+def bottom_k(op, k):
     """k smallest eigenvalues of a SchrodingerOperator, ascending. d = 1
-    is tridiagonal and goes through Sturm bisection (max_iter unused);
-    d = 2 goes through ARPACK with max_iter as in top_k."""
+    is tridiagonal and goes through Sturm bisection; d = 2 goes through
+    ARPACK with its default restart budget."""
     if not isinstance(op, SchrodingerOperator):
         raise ConfigError("bottom_k expects a SchrodingerOperator")
     n = op.grid.size
@@ -126,7 +124,7 @@ def bottom_k(op, k, max_iter=None):
         )
         method = "SturmBisection"
     else:
-        vals, vecs = _arpack(op.matvec, n, k, "SA", max_iter)
+        vals, vecs = _arpack(op.matvec, n, k, "SA", None)
         method = "ARPACK"
     # Gershgorin bound on the spectral radius sets the residual gate's scale
     specrad = float(
@@ -155,14 +153,6 @@ def dense_reference(op, k=None):
 # ---------------------------------------------------------------------------
 # inertia counts
 
-@dataclass
-class CountResult(Report):
-    interval: tuple
-    count: int
-    method: str
-    retries: int = 0
-
-
 _PIVOT_FLOOR = 1e-13
 _GROWTH_CAP = 1e10
 _NUDGE = 1e-12  # shifts move by this, relative, off computed eigenvalues
@@ -173,7 +163,6 @@ _RETRIES = 3
 class ShiftCounts:
     shifts: np.ndarray  # as passed, order and duplicates kept
     counts: np.ndarray  # #{lambda <= s} for each shift
-    method: str  # inertia-banded | eigvalsh-dense
     retries: int = 0
 
 
@@ -213,42 +202,25 @@ def _ldl_sweep(bands, shifts):
     return np.sum(D < 0.0, axis=1), ok
 
 
-def _contiguous_bands(op):
-    """Full bands[k, i] = A[i, i+k] array for banded-storage operators."""
-    if isinstance(op, SchrodingerOperator):
-        K = max(op.offsets)
-        full = np.zeros((K + 1, op.grid.size))
-        for row, k in zip(op.bands, op.offsets):
-            full[k] = row
-        return full
-    return op.to_banded()
-
-
 def count_at_most(op, shifts):
-    """#{lambda <= s} for every shift s, by one sweep over the operator.
+    """#{lambda <= s} for every shift s of a symmetric banded
+    DiscreteOperator, by one multi-shift banded LDL^T (Sylvester inertia).
 
     Each shift is evaluated at s + eps, eps = 1e-12 * max(|shifts|, 1),
     so a shift that lands on an eigenvalue (up to roundoff) resolves as
-    lambda <= s instead of flapping. Banded operators go through one
-    multi-shift banded LDL^T (Sylvester inertia); a shift it flags is
-    swept again alone, moved by a further eps, 2 eps, 3 eps, and
-    ShiftHitsEigenvalue is raised after those 3 retries. Densified
-    multiplier operators (N <= 2000) take one eigvalsh for all shifts.
-    Eigenvalue pairs closer than eps are not resolved.
+    lambda <= s instead of flapping. A shift the sweep flags is swept
+    again alone, moved by a further eps, 2 eps, 3 eps, and
+    ShiftHitsEigenvalue is raised after those 3 retries. Eigenvalue
+    pairs closer than eps are not resolved.
     """
+    if not isinstance(op, DiscreteOperator) or op.scheme != BANDED or not op.symmetric:
+        raise ConfigError("count_at_most needs a symmetric banded DiscreteOperator")
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size == 0 or not np.all(np.isfinite(shifts)):
         raise ConfigError(f"shifts must be a non-empty list of finite numbers, got {shifts}")
     eps = _NUDGE * max(float(np.max(np.abs(shifts))), 1.0)
     unique, where = np.unique(shifts, return_inverse=True)
-    if isinstance(op, DiscreteOperator) and op.scheme == MULTIPLIER:
-        if op.grid.size > 2000:
-            raise ConfigError("densified multiplier counts are limited to N <= 2000")
-        ev = scipy.linalg.eigvalsh(op.to_dense())
-        counts = np.searchsorted(ev, unique + eps, side="right")
-        return ShiftCounts(shifts, counts[where], "eigvalsh-dense")
-
-    bands = _contiguous_bands(op)
+    bands = op.to_banded()
     counts = np.empty(unique.size, dtype=int)
     todo, nudged = np.arange(unique.size), unique + eps
     retries = 0
@@ -260,15 +232,7 @@ def count_at_most(op, shifts):
         counts[todo[ok]] = neg[ok]
         todo = todo[~ok]
         if todo.size == 0:
-            return ShiftCounts(shifts, counts[where], "inertia-banded", retries)
+            return ShiftCounts(shifts, counts[where], retries)
     raise ShiftHitsEigenvalue(
         f"shifts {unique[todo]} still hit eigenvalues after {_RETRIES} retries")
 
-
-def count_in_interval(op, a, b):
-    """Number of eigenvalues in (a, b], as count_at_most(op, [a, b])."""
-    if not (a < b):
-        raise ConfigError(f"need a < b, got [{a}, {b}]")
-    r = count_at_most(op, [a, b])
-    count = int(r.counts[1] - r.counts[0])
-    return CountResult((float(a), float(b)), count, r.method, r.retries)

@@ -17,6 +17,8 @@ import math
 import numpy as np
 from scipy.special import j1, jv
 
+from .errors import NumericalError
+
 _MAX_DIM = 2
 # below this radius d = 2 uses its Taylor polynomials; their first dropped
 # terms, r^6/9216 and r^5/1536, stay under 1e-18 there
@@ -103,7 +105,7 @@ def find_min_M(d):
     vals = eval_Gd(d, grid)
     i0 = int(np.argmax(vals < 0))  # first sign change
     if vals[i0] >= 0:
-        raise RuntimeError("no negative lobe found in scan range")
+        raise NumericalError("no negative lobe found in scan range")
     # bracket the derivative sign change: G' < 0 entering the lobe,
     # > 0 leaving it
     i = i0
@@ -124,7 +126,7 @@ def find_min_M(d):
     M = eval_Gd(d, r_star)
     deeper = vals.min()
     if deeper < M - 1e-12:
-        raise RuntimeError(
+        raise NumericalError(
             f"safety scan found a deeper value {deeper} at "
             f"r={grid[int(np.argmin(vals))]}; first-lobe assumption violated"
         )

@@ -173,7 +173,6 @@ class DiscreteOperator:
     """
 
     scheme: str
-    kind: str  # ball_average | conjugated | markov
     grid: Grid
     h: float
     symmetric: bool
@@ -299,12 +298,11 @@ def build_ball_average(grid, h, scheme=MULTIPLIER):
             raise ConfigError("banded scheme is implemented for d = 1")
         c = band_weights(h, grid.delta)
         s = np.full(grid.size, 1.0 / math.sqrt(2.0 * h))
-        return DiscreteOperator(BANDED, "ball_average", grid, h, True,
-                                stencil=c, lscale=s, rscale=s)
+        return DiscreteOperator(BANDED, grid, h, True, stencil=c, lscale=s, rscale=s)
     if scheme != MULTIPLIER:
         raise ConfigError(f"unknown scheme {scheme!r}")
     sym = _multiplier_symbol(grid, h, grid.dim)
-    return DiscreteOperator(MULTIPLIER, "ball_average", grid, h, True, symbol=sym)
+    return DiscreteOperator(MULTIPLIER, grid, h, True, symbol=sym)
 
 
 def discrete_mass(grid, density, h):
@@ -348,23 +346,13 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER):
         a = np.sqrt(vol * rho / m)
         c = band_weights(h, grid.delta)
         s = a / math.sqrt(2.0 * h)  # split the 1/(2h) across both factors
-        op = DiscreteOperator(BANDED, "conjugated", grid, h, True,
-                              stencil=c, lscale=s, rscale=s)
-        op.meta["a"] = a
-        op.meta["mass"] = m
-        op.meta["density"] = density
-        return op
+        return DiscreteOperator(BANDED, grid, h, True, stencil=c, lscale=s, rscale=s)
     if scheme != MULTIPLIER:
         raise ConfigError(f"unknown scheme {scheme!r}")
     m = ball_mass_grid(density, x, h)
     a = np.sqrt(vol * rho / m) * taper_profile(grid, h, density.alpha)
     sym = _multiplier_symbol(grid, h, grid.dim)
-    op = DiscreteOperator(MULTIPLIER, "conjugated", grid, h, True,
-                          symbol=sym, weight=a)
-    op.meta["a"] = a
-    op.meta["mass"] = m
-    op.meta["density"] = density
-    return op
+    return DiscreteOperator(MULTIPLIER, grid, h, True, symbol=sym, weight=a)
 
 
 def build_markov(grid, density, h):
@@ -382,12 +370,10 @@ def build_markov(grid, density, h):
     x = grid.axis_nodes()
     rho = eval_density(density, x)
     m = discrete_mass(grid, density, h)
-    op = DiscreteOperator(BANDED, "markov", grid, h, False,
-                          stencil=c, lscale=1.0 / m, rscale=rho)
+    op = DiscreteOperator(BANDED, grid, h, False, stencil=c, lscale=1.0 / m, rscale=rho)
     op.meta["mass"] = m
     op.meta["rho"] = rho
     op.meta["stationary"] = rho * m / np.sum(rho * m)
-    op.meta["density"] = density
     return op
 
 

@@ -2,9 +2,9 @@
 
 Sampling is exact rejection against closed-form envelopes (radially
 nonincreasing densities put the in-ball supremum at the point nearest
-the origin). TV curves come in three flavors: the exact grid evolution,
-witness lower bounds computed by quadrature, and gap-rate upper bounds
-with a fitted constant.
+the origin). TV bounds come in two flavors: witness lower bounds computed
+by quadrature, and gap-rate upper bounds with a constant fitted to the
+exact grid evolution from many starts.
 """
 
 import math
@@ -38,25 +38,25 @@ def _nearest_in_ball(x, h):
 # ---------------------------------------------------------------------------
 # exact samplers
 
-def step_sample(density, h, x, rng, budget=REJECTION_BUDGET):
+def step_sample(density, h, x, rng):
     """One exact draw from t_h(x, .) by rejection in the ball."""
     if h <= 0:
         raise ConfigError("step radius must be positive")
     if density.dim == 1:
-        return float(_step_batch(density, h, np.array([float(x)]), rng, budget)[0])
+        return float(_step_batch(density, h, np.array([float(x)]), rng)[0])
     x = np.asarray(x, dtype=float).reshape(2)
     sup = eval_density(density, _nearest_in_ball(x, h))
-    for _ in range(budget):
+    for _ in range(REJECTION_BUDGET):
         u = rng.uniform(-1.0, 1.0, size=2)
         if u @ u > 1.0:
             continue  # counts toward the budget like any rejected trial
         y = x + h * u
         if rng.uniform() * sup <= eval_density(density, y):
             return y
-    raise RejectionBudgetExceeded(f"no acceptance in {budget} trials at x={x}")
+    raise RejectionBudgetExceeded(f"no acceptance in {REJECTION_BUDGET} trials at x={x}")
 
 
-def _step_batch(density, h, xs, rng, budget=REJECTION_BUDGET):
+def _step_batch(density, h, xs, rng):
     """Advance every path one step (d = 1), vectorized rejection."""
     xs = np.asarray(xs, dtype=float)
     out = xs.copy()
@@ -71,12 +71,12 @@ def _step_batch(density, h, xs, rng, budget=REJECTION_BUDGET):
         out[idx[ok]] = y[ok]
         alive[idx[ok]] = False
         trials[idx] += 1
-        if np.any(trials[alive] >= budget):
-            raise RejectionBudgetExceeded(f"path stuck after {budget} trials")
+        if np.any(trials[alive] >= REJECTION_BUDGET):
+            raise RejectionBudgetExceeded(f"path stuck after {REJECTION_BUDGET} trials")
     return out
 
 
-def sample_stationary(density, h, rng, size=None, budget=REJECTION_BUDGET):
+def sample_stationary(density, h, rng, size=None):
     """Exact draws from nu_h by rejection with envelope m_h(0) rho(x).
 
     Both families are symmetric and unimodal, so the ball mass peaks at
@@ -92,7 +92,7 @@ def sample_stationary(density, h, rng, size=None, budget=REJECTION_BUDGET):
     while got.size < n:
         chunk = max(2 * (n - got.size), 64)
         trials += chunk
-        if trials > budget * max(n, 1):
+        if trials > REJECTION_BUDGET * max(n, 1):
             raise RejectionBudgetExceeded("stationary sampler starved")
         x = _rho_sample(density, rng, chunk)
         keep = rng.uniform(size=chunk) * m0 <= ball_mass_grid(density, x, h)
@@ -155,19 +155,6 @@ def p_tau(density, h, tau):
 # ---------------------------------------------------------------------------
 # exact grid evolution
 
-@dataclass
-class TVCurve(Report):
-    h: float
-    x0: float  # snapped start
-    ns: np.ndarray
-    tv: np.ndarray
-    stationary: np.ndarray = field(metadata={"json": None})
-    # final row measure, for chained diagnostics
-    probabilities: np.ndarray = field(metadata={"json": None})
-    monotone: bool
-    grid_meta: dict = field(metadata={"json": "grid"})
-
-
 def _require_tv_grid(grid, h):
     if grid.dim != 1:
         raise ConfigError("the exact TV evolution is implemented for d = 1")
@@ -195,31 +182,6 @@ def _evolve_tv(P, starts, n_max):
             p = P.rmatvec(p)
     tv *= 0.5
     return tv, p
-
-
-def tv_exact_grid(density, h, x0, n_max, grid):
-    """Exact TV curve of the grid chain started at the node nearest x0.
-
-    TV is against the chain's own stationary measure (rho * m normalized),
-    which the continuum nu_h converges to as delta -> 0; this is the
-    documented bin-projection estimator of d_TV(T^n(x,.), nu_h).
-    """
-    _require_tv_grid(grid, h)
-    P = build_markov(grid, density, h)
-    i0 = int(np.argmin(np.abs(grid.axis_nodes() - x0)))
-    tv, p = _evolve_tv(P, [i0], n_max)
-    tv = tv[:, 0]
-    monotone = bool(np.all(np.diff(tv) <= 1e-12))
-    return TVCurve(
-        h=h,
-        x0=float(grid.axis_nodes()[i0]),
-        ns=np.arange(n_max + 1),
-        tv=tv,
-        stationary=P.meta["stationary"],
-        probabilities=p[:, 0],
-        monotone=monotone,
-        grid_meta={"dim": 1, "L": grid.L, "N": grid.N},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +248,10 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap, fit_horizon=None):
     C q(tau,h) e^{-n g(h)}, with C fitted on the early window only.
 
     Every TV_START_STRIDE-th node inside |x| < tau is a start; all of them
-    evolve together under one Markov operator.
+    evolve together under one Markov operator. TV is against the grid
+    chain's own stationary measure (rho * m normalized), which the
+    continuum nu_h approaches as delta -> 0: the bin-projection estimator
+    of d_TV(T^n(x, .), nu_h).
 
     The fit window (default n <= n_max/2) keeps the domination check
     honest: the fitted constant has to keep dominating beyond the data

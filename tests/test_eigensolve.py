@@ -21,7 +21,6 @@ from ballwalk.eigensolve import (
     EigenResult,
     bottom_k,
     count_at_most,
-    count_in_interval,
     dense_reference,
     top_k,
 )
@@ -32,6 +31,7 @@ from ballwalk.operators import (
     DiscreteOperator,
     Grid,
     build_conjugated,
+    build_markov,
     build_schrodinger,
 )
 
@@ -56,8 +56,7 @@ def weyl_op(gauss_half):
 @pytest.fixture(scope="module")
 def identity_op():
     g = Grid(1, 4.0, 64)
-    return DiscreteOperator(MULTIPLIER, "ball_average", g, 0.5, True,
-                            symbol=np.ones(g.N // 2 + 1))
+    return DiscreteOperator(MULTIPLIER, g, 0.5, True, symbol=np.ones(g.N // 2 + 1))
 
 
 @pytest.fixture(scope="module")
@@ -195,25 +194,23 @@ def test_no_convergence_on_tiny_budget(banded_op):
 
 # --- inertia counts -----------------------------------------------------------
 
-def test_count_matches_dense(gauss_half):
-    g = Grid(1, 6.0, 600)
-    L = build_schrodinger(g, gauss_half)
-    lam = np.linalg.eigvalsh(L.to_dense())
-    r = count_in_interval(L, 1.0, 5.0)
-    assert r.count == int(np.sum((lam > 1.0) & (lam <= 5.0)))
+def _interval_count(op, a, b):
+    """Eigenvalues in (a, b], as a difference of two inertia counts."""
+    lo, hi = count_at_most(op, [a, b]).counts
+    return int(hi - lo)
 
 
-def test_count_half_open_at_exact_hits(gauss_half):
+def test_count_matches_dense(banded_op):
+    lam = np.linalg.eigvalsh(banded_op.to_dense())
+    assert _interval_count(banded_op, 0.5, 0.95) == int(np.sum((lam > 0.5) & (lam <= 0.95)))
+
+
+def test_count_half_open_at_exact_hits(banded_op):
     # a computed eigenvalue placed on a bound must resolve as (a, b]
-    g = Grid(1, 6.0, 600)
-    L = build_schrodinger(g, gauss_half)
-    lam = np.linalg.eigvalsh(L.to_dense())
-    assert count_in_interval(L, lam[2], 7.0).count == int(
-        np.sum((lam > lam[2]) & (lam <= 7.0))
-    )
-    assert count_in_interval(L, -1.0, lam[2]).count == int(
-        np.sum((lam > -1.0) & (lam <= lam[2]))
-    )
+    lam = np.linalg.eigvalsh(banded_op.to_dense())
+    hit = lam[-3]
+    assert _interval_count(banded_op, hit, 1.0) == int(np.sum((lam > hit) & (lam <= 1.0)))
+    assert _interval_count(banded_op, 0.5, hit) == int(np.sum((lam > 0.5) & (lam <= hit)))
 
 
 def test_count_catches_top_eigenvalue_at_one(banded_op):
@@ -221,36 +218,22 @@ def test_count_catches_top_eigenvalue_at_one(banded_op):
     # at 1.0 must still contain it
     r = top_k(banded_op, 2)
     mid = 0.5 * (1.0 + r.eigenvalues[1])
-    assert count_in_interval(banded_op, mid, 1.0).count == 1
-
-
-def test_count_densified_multiplier(gauss_half):
-    g = Grid(1, 9.0, 1200)
-    T = build_conjugated(g, gauss_half, 0.25, scheme=MULTIPLIER)
-    lam = np.linalg.eigvalsh(T.to_dense())
-    r = count_in_interval(T, 0.9, 1.0)
-    assert r.count == int(np.sum((lam > 0.9) & (lam <= 1.0)))
-
-
-def test_count_densified_size_cap(gauss_half):
-    T = build_conjugated(Grid(1, 9.0, 2400), gauss_half, 0.25, scheme=MULTIPLIER)
-    with pytest.raises(ConfigError):
-        count_in_interval(T, 0.9, 1.0)
-
-
-def test_count_interval_validation(banded_op):
-    with pytest.raises(ConfigError):
-        count_in_interval(banded_op, 1.0, 1.0)
+    assert _interval_count(banded_op, mid, 1.0) == 1
 
 
 def test_count_interval_rejects_infinite_bounds(banded_op):
-    with pytest.raises(ConfigError):
-        count_in_interval(banded_op, -np.inf, 1.0)
-    with pytest.raises(ConfigError):
-        count_in_interval(banded_op, 0.5, np.inf)
-    for bad in ([np.nan], [0.5, np.inf], []):
+    for bad in ([-np.inf, 1.0], [0.5, np.inf], [np.nan], []):
         with pytest.raises(ConfigError):
             count_at_most(banded_op, bad)
+
+
+def test_count_at_most_rejects_non_banded_operators(gauss_half):
+    g = Grid(1, 9.0, 360)
+    for op in (build_conjugated(g, gauss_half, 0.25, scheme=MULTIPLIER),
+               build_markov(g, gauss_half, 0.25),
+               build_schrodinger(g, gauss_half)):
+        with pytest.raises(ConfigError, match="symmetric banded"):
+            count_at_most(op, [0.5])
 
 
 # --- multi-shift counts ---------------------------------------------------------
@@ -259,24 +242,12 @@ def test_count_at_most_weyl_grid_matches_eigvals_banded(weyl_op):
     shifts = np.append(1.0 - np.linspace(0.10, 0.30, 9), 1.0)  # weyl_curve's
     ev = scipy.linalg.eigvals_banded(weyl_op.to_banded(), lower=True)
     r = count_at_most(weyl_op, shifts)
-    assert r.method == "inertia-banded" and r.retries == 0
+    assert r.retries == 0
     assert list(r.counts) == [int(np.sum(ev <= s + 1e-12)) for s in shifts]
 
 
-def test_count_at_most_d2_schrodinger_matches_dense():
-    # d = 2 bands reach offset N, so the sweep's window is N + 1 wide
-    L = build_schrodinger(Grid(2, 7.0, 40), make_density("gaussian", 2, 0.5))
-    assert max(L.offsets) == 40
-    ev = np.linalg.eigvalsh(L.to_dense())
-    shifts = np.array([-1.0, 0.5, 2.5, 4.5, 10.0, 30.0])
-    assert np.min(np.abs(ev[:, None] - shifts)) > 1e-3
-    r = count_at_most(L, shifts)
-    assert list(r.counts) == [int(np.sum(ev <= s)) for s in shifts]
-
-
-@pytest.mark.parametrize("scheme", [BANDED, MULTIPLIER])
-def test_count_at_most_order_and_duplicates(gauss_half, scheme):
-    op = build_conjugated(Grid(1, 9.0, 360), gauss_half, 0.25, scheme=scheme)
+def test_count_at_most_order_and_duplicates(gauss_half):
+    op = build_conjugated(Grid(1, 9.0, 360), gauss_half, 0.25, scheme=BANDED)
     shifts = [0.95, 0.5, 0.95, 0.7, 0.5]
     sorted_unique = count_at_most(op, [0.5, 0.7, 0.95]).counts
     lookup = dict(zip([0.5, 0.7, 0.95], sorted_unique))
@@ -303,7 +274,7 @@ def test_count_at_most_forced_retry(banded_op):
 def test_weyl_rows_equal_per_interval_counts(gauss_half, weyl_op):
     rep = weyl_curve(gauss_half, [0.3])
     assert [n for _, _, n, _ in rep.rows] == [
-        count_in_interval(weyl_op, 1.0 - lam, 1.0).count for _, lam, _, _ in rep.rows
+        _interval_count(weyl_op, 1.0 - lam, 1.0) for _, lam, _, _ in rep.rows
     ]
 
 
@@ -320,9 +291,3 @@ def test_eigen_result_json(banded_op):
         (pytest.approx(v), s) for v, s in r.clusters
     ]
 
-
-def test_count_result_json(banded_op):
-    r = count_in_interval(banded_op, 0.9, 1.0)
-    blob = json.loads(r.to_json())
-    assert blob["count"] == r.count
-    assert blob["interval"] == [0.9, 1.0]

@@ -23,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import j1, jn_zeros
 
+import ballwalk.multiplier as multiplier
+from ballwalk.errors import NumericalError
 from ballwalk.multiplier import (
     eval_Gd,
     eval_Gd_prime,
@@ -129,6 +131,15 @@ def test_min_d2_frozen():
     assert abs(r_star - j21) < 1e-9
     assert abs(M - M_2) < 1e-12
     assert abs(M - 2.0 * j1(j21) / j21) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_min_scan_without_negative_lobe_raises(d, monkeypatch):
+    # the first zeros are pi (d=1) and 3.83 (d=2): a scan ending at 3 sees
+    # no negative lobe
+    monkeypatch.setattr(multiplier, "_SCAN_RMAX", 3.0)
+    with pytest.raises(NumericalError, match="no negative lobe"):
+        find_min_M(d)
 
 
 def test_package_import_leaves_scipy_optimize_out():

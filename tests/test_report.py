@@ -14,8 +14,8 @@ import pytest
 
 from ballwalk.analysis import AsymptoticsReport, BandReport, GapReport, WeylReport
 from ballwalk.densities import make_density
-from ballwalk.eigensolve import CountResult, EigenResult
-from ballwalk.walk import PathReport, TVCurve, UpperBoundReport, WalkConfig, WitnessReport
+from ballwalk.eigensolve import EigenResult
+from ballwalk.walk import PathReport, UpperBoundReport, WalkConfig, WitnessReport
 
 
 def _reports():
@@ -61,12 +61,6 @@ def _reports():
         ),
         "gap": GapReport(h=0.1, gap=np.float64(0.0016658), lambda_1=0.9983342,
                          comparison=third, alpha_cfg=0.9),
-        "tv_curve": TVCurve(
-            h=0.25, x0=2.0049999999999955, ns=np.arange(4),
-            tv=np.array([1.0, 0.9, third, 1e-17]), stationary=np.full(3, third),
-            probabilities=np.array([0.5, 0.25, 0.25]), monotone=np.bool_(True),
-            grid_meta={"dim": 1, "L": 12.0, "N": 2400},
-        ),
         "witness": WitnessReport(value=0.9999, nu_tail=1e-4, p_tau=0.0, implied_C=math.inf,
                                  x=6.0, tau=2.0, n=10, h=0.25),
         "upper_bound": UpperBoundReport(
@@ -86,7 +80,6 @@ def _reports():
             "ARPACK", {"dim": 1, "L": 12.0, "N": 720, "h": 0.3},
             [(1.0, 1), (0.9916666666666667, np.int64(1))],
         ),
-        "count": CountResult((0.9, 1.0), np.int64(4), "inertia-banded", 0),
     }
 
 
@@ -94,11 +87,9 @@ GOLDEN = {
     'asymptotics': '{"c_fits": [0.0104], "eigenvalues": [[1.0, 0.9466666666666667], [1.0, 0.3333333333333333], [1.0, 0.9866]], "gamma": 0.16666666666666666, "gaps": [0.0533, 0.03, 0.0134], "h": [0.4, 0.3, 0.2], "mu": [0.0, 2.0], "orders": [3.97], "passed": true, "predicted": [[1.0, 0.9466], [1.0, 0.97], [1.0, 0.9866666666666667]], "residuals": [[0.0, 6.66e-05], [0.0, NaN], [0.0, 2.1e-06]]}',
     'band_gaussian': '{"A_h": NaN, "A_h_probe": NaN, "M": -0.21723362821122166, "band": [], "c_fit": NaN, "compact": true, "h": 0.25, "kappa": NaN, "lemma_residuals": {}, "passed": true}',
     'band_tempered': '{"A_h": 0.9933554817275746, "A_h_probe": 0.99335548172757, "M": -0.21723362821122166, "band": [-0.2157902, 0.9933554817275746], "c_fit": 0.0027, "compact": false, "h": 0.2, "kappa": 1.0, "lemma_residuals": {"0.2": 4.4e-06, "10.0": 0.3333333333333333, "2.0": 1.5e-05}, "passed": false}',
-    'count': '{"count": 4, "interval": [0.9, 1.0], "method": "inertia-banded", "retries": 0}',
     'eigen': '{"clusters": [[1.0, 1], [0.9916666666666667, 1]], "eigenvalues": [1.0, 0.9916666666666667], "grid": {"L": 12.0, "N": 720, "dim": 1, "h": 0.3}, "method": "ARPACK", "residuals": [1e-15, 2.5e-15]}',
     'gap': '{"alpha_cfg": 0.9, "comparison": 0.3333333333333333, "gap": 0.0016658, "h": 0.1, "lambda_1": 0.9983342}',
     'paths': '{"ns": [0, 1, 2], "paths": 1000, "rng": "philox4x64", "seed": 7, "tv_exact": [1.0, 0.97, 0.94], "tv_mc": [1.0, 0.98, 0.95], "tv_mc_se": [0.0019, 0.3333333333333333, 0.0068]}',
-    'tv_curve': '{"grid": {"L": 12.0, "N": 2400, "dim": 1}, "h": 0.25, "monotone": true, "ns": [0, 1, 2, 3], "tv": [1.0, 0.9, 0.3333333333333333, 1e-17], "x0": 2.0049999999999955}',
     'upper_bound': '{"bound": [1.5, 1.2, 0.9], "c_fit": 0.3333333333333333, "dominated": true, "envelope": [1.0, 0.8, 0.6], "fit_horizon": 1, "gap": 0.0154, "ns": [0, 1, 2], "q": 54.59815003314423}',
     'weyl': '{"c_dominating": 0.3333333333333333, "dim": 1, "exponent": 1.24, "passed": true, "retries": 2, "rows": [[0.3, 0.1, 3, 2.111111111111111], [0.3, 0.3, 5, 4.333333333333333]]}',
     'weyl_one_abscissa': '{"c_dominating": 0.47368421052631576, "dim": 1, "exponent": NaN, "passed": false, "retries": 0, "rows": [[0.3, 0.1, 1, 2.111111111111111]]}',

@@ -19,8 +19,10 @@ from ballwalk.densities import eval_density, make_density
 from ballwalk.errors import ConfigError, WitnessHypothesisViolated
 from ballwalk.operators import BANDED, Grid, build_conjugated, build_markov
 from ballwalk.walk import (
+    TV_START_STRIDE,
     WalkConfig,
     _agresti_coull_se,
+    _evolve_tv,
     _nearest_in_ball,
     make_rng,
     nu_h_tail,
@@ -28,7 +30,6 @@ from ballwalk.walk import (
     sample_stationary,
     simulate_paths,
     step_sample,
-    tv_exact_grid,
     tv_lower_bound_witness,
     tv_upper_bound_curve,
 )
@@ -146,25 +147,6 @@ def dense_grid():
     return Grid(1, 8.0, 800)  # delta = h/25, inside the dense-assembly cap
 
 
-def test_tv_exact_grid_matches_dense_powers(gauss_half, dense_grid):
-    P = build_markov(dense_grid, gauss_half, H_DENSE)
-    A, nu = P.to_dense(), P.meta["stationary"]
-    curve = tv_exact_grid(gauss_half, H_DENSE, 1.3, 40, dense_grid)
-    x = dense_grid.axis_nodes()
-    i0 = int(np.argmin(np.abs(x - 1.3)))
-    assert curve.x0 == x[i0]
-    p = np.zeros(dense_grid.size)
-    p[i0] = 1.0
-    ref = []
-    for _ in range(41):
-        ref.append(0.5 * np.sum(np.abs(p - nu)))
-        p = A.T @ p
-    np.testing.assert_allclose(curve.tv, ref, rtol=0, atol=1e-13)
-    assert curve.monotone
-    with pytest.raises(ConfigError):
-        tv_exact_grid(gauss_half, H_DENSE, 1.3, 5, Grid(1, 8.0, 200))  # delta = h/12.5
-
-
 @pytest.fixture(scope="module")
 def dense_gap(gauss_half, dense_grid):
     """1 - lambda_1 of the grid chain, from LAPACK on the symmetric form."""
@@ -192,15 +174,20 @@ def test_upper_bound_dominates_past_fit_window(gauss_half, dense_grid, dense_gap
 def test_upper_bound_envelope_matches_dense_powers(gauss_half, dense_grid, dense_gap):
     P = build_markov(dense_grid, gauss_half, H_DENSE)
     A, nu = P.to_dense(), P.meta["stationary"][:, None]
-    starts = np.flatnonzero(np.abs(dense_grid.axis_nodes()) < 1.0)[::4]
+    starts = np.flatnonzero(np.abs(dense_grid.axis_nodes()) < 1.0)[::TV_START_STRIDE]
     p = np.zeros((dense_grid.size, starts.size))
     p[starts, np.arange(starts.size)] = 1.0
     ref = []
     for _ in range(61):
-        ref.append(np.max(0.5 * np.sum(np.abs(p - nu), axis=0)))
+        ref.append(0.5 * np.sum(np.abs(p - nu), axis=0))
         p = A.T @ p
+    ref = np.array(ref)
+    # every start's curve, not only the envelope over them
+    tv, _ = _evolve_tv(P, starts, 60)
+    np.testing.assert_allclose(tv, ref, rtol=0, atol=1e-13)
+    assert np.all(np.diff(tv, axis=0) <= 1e-12)  # TV to stationarity never grows
     rep = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, dense_gap)
-    np.testing.assert_allclose(rep.envelope, ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rep.envelope, ref.max(axis=1), rtol=0, atol=1e-13)
 
 
 def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
