@@ -147,6 +147,24 @@ def dense_grid():
     return Grid(1, 8.0, 800)  # delta = h/25, inside the dense-assembly cap
 
 
+def test_tv_exact_grid_matches_dense_powers(gauss_half, dense_grid):
+    # one start off the envelope's |x| < 1 window, evolved by _evolve_tv
+    P = build_markov(dense_grid, gauss_half, H_DENSE)
+    A, nu = P.to_dense(), P.meta["stationary"]
+    i0 = int(np.argmin(np.abs(dense_grid.axis_nodes() - 1.3)))
+    tv, _ = _evolve_tv(P, [i0], 40)
+    p = np.zeros(dense_grid.size)
+    p[i0] = 1.0
+    ref = []
+    for _ in range(41):
+        ref.append(0.5 * np.sum(np.abs(p - nu)))
+        p = A.T @ p
+    np.testing.assert_allclose(tv[:, 0], ref, rtol=0, atol=1e-13)
+    assert np.all(np.diff(tv[:, 0]) <= 1e-12)  # TV to stationarity never grows
+    with pytest.raises(ConfigError):  # delta = h/6.25
+        tv_upper_bound_curve(gauss_half, H_DENSE, 1.3, 5, Grid(1, 8.0, 200), 0.05)
+
+
 @pytest.fixture(scope="module")
 def dense_gap(gauss_half, dense_grid):
     """1 - lambda_1 of the grid chain, from LAPACK on the symmetric form."""
