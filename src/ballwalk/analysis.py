@@ -96,8 +96,11 @@ def verify_asymptotics(density, k_max, h_list, L=12.0, delta_rule=40):
 
     PASS means every k = 1..k_max fits order >= 3.5 and the smallest-h
     residual stays within twice its own h^4 trend line (so the last point
-    is on the curve, not an outlier the slope fit smoothed over).
+    is on the curve, not an outlier the slope fit smoothed over). k_max
+    < 1 leaves no level to fit and raises ConfigError.
     """
+    if k_max < 1:
+        raise ConfigError(f"k_max must be at least 1, got {k_max}")
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise InsufficientHPoints(f"order fit needs >= 3 h values, got {len(h_list)}")
@@ -243,13 +246,17 @@ def weyl_curve(density, h_list, lambda_grid=None):
     1 - lambda and 1. PASS iff the fitted exponent is <= d + 0.3; the
     dominating constant max N / (1 + lambda h^{-2})^d is reported
     alongside. Fewer than two distinct abscissae with N >= 1 leave the
-    exponent undetermined: it is reported as nan and the check fails.
+    exponent undetermined: it is reported as nan and the check fails;
+    with none, c_dominating is nan too. An empty h_list or lambda_grid
+    raises ConfigError.
     """
     if density.kind != "gaussian":
         raise WrongDensityKind("the counting bound is checked on Gaussian densities")
     if lambda_grid is None:
         lambda_grid = np.linspace(0.10, 0.30, 9)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
+    if len(h_list) == 0 or lambda_grid.size == 0:
+        raise ConfigError("the Weyl sweep needs at least one h and one lambda")
     if lambda_grid.max() > WEYL_LAMBDA_MAX + 1e-12:
         raise ConfigError(f"lambda sweep exceeds the configured ceiling {WEYL_LAMBDA_MAX}")
 
@@ -269,7 +276,7 @@ def weyl_curve(density, h_list, lambda_grid=None):
         exponent = _fit_loglog_slope([s for s, _ in pts], [n for _, n in pts])
     else:
         exponent = math.nan
-    c_dom = max(n / s**density.dim for s, n in pts)
+    c_dom = max((n / s**density.dim for s, n in pts), default=math.nan)
     return WeylReport(
         dim=density.dim,
         rows=rows,

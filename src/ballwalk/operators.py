@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .densities import ball_mass_grid, eval_density, eval_potential
 from .errors import ConfigError, KernelUnderResolved, NumericalError
@@ -142,10 +143,13 @@ def taper_profile(grid, h, alpha):
     return np.outer(prof, prof).ravel()
 
 
-# Rows per block of the banded product. On a 2400-node grid with 100
-# columns and one BLAS thread, 32 was the fastest of 24, 32, 40, 48 and 64
-# or within noise of it for every half-width K from 2 to 99.
-_BLOCK_ROWS = 32
+# Rows per block of the banded product. Interleaved timings of the batched
+# product on a 2400-node grid with one BLAS thread, over 4, 8, 12, 16, 24
+# and 32 rows: with 100 columns, 8 and 12 tie at K = 24 (0.42-0.43 ms, and
+# 0.51 ms at 32), 8 is up to 12% faster for K <= 41 and 12 up to 3% faster
+# at K = 48; a single vector takes 18 us at 12 and 22 us at 8. 12 also
+# leaves the 200- and 250-node test grids with a ragged last block.
+_BLOCK_ROWS = 12
 
 
 def _toeplitz_block(c):
@@ -167,7 +171,8 @@ class DiscreteOperator:
     banded: y = lscale * C (rscale * u), C the symmetric band with
     C[i, j] = stencil[|i - j|] for |i - j| <= K; scale factors fold in
     1/(alpha_d h^d) and the conjugation weights. u may be one vector (n,)
-    or a block (n, S) of S vectors.
+    or a block (n, S) of S vectors. Every product with C is one batched
+    GEMM (_band_product) on a zero-padded operand from _padded.
     multiplier: y = weight * idft(symbol * dft(weight * u)) on the
     periodic box (weight absent for the plain ball average); vectors only.
     """
@@ -220,25 +225,41 @@ class DiscreteOperator:
         return u
 
     def _banded(self, u, lscale, rscale):
-        """lscale * C (rscale * u). A vector is the S = 1 block. The input
-        is padded with K zero rows on each side, and each block of B output
-        rows is one product of the fixed B x (B + 2K) Toeplitz block with
-        that block's window of the padded input."""
+        """lscale * C (rscale * u). A vector is the S = 1 block: the scaled
+        input goes into the interior of a _padded buffer and one
+        _band_product writes C of it into a fresh output, so the result
+        never shares memory with u."""
         u = self._operand(u)
-        n, K, B = self.grid.size, len(self.stencil) - 1, _BLOCK_ROWS
+        n, K = self.grid.size, len(self.stencil) - 1
         w = u.reshape(n, -1)
-        rows = -(-n // B) * B
-        pad = np.empty((rows + 2 * K, w.shape[1]))
-        pad[:K] = 0.0
-        pad[K + n :] = 0.0
+        pad = self._padded(w.shape[1])
         np.multiply(w, 1.0 if rscale is None else rscale[:, None], out=pad[K : K + n])
-        y = np.empty((rows, w.shape[1]))
-        for i in range(0, rows, B):
-            np.matmul(self._block, pad[i : i + B + 2 * K], out=y[i : i + B])
+        y = np.empty((pad.shape[0] - 2 * K, w.shape[1]))
+        self._band_product(pad, y)
         y = y[:n]
         if lscale is not None:
             y *= lscale[:, None]
         return y.reshape(u.shape)
+
+    def _padded(self, S):
+        """Zero (K + rows + K, S) operand of _band_product: rows is the grid
+        size rounded up to a multiple of _BLOCK_ROWS, so the band's input
+        sits in rows K .. K + n with zeros on both sides of it."""
+        K = len(self.stencil) - 1
+        rows = -(-self.grid.size // _BLOCK_ROWS) * _BLOCK_ROWS
+        return np.zeros((rows + 2 * K, S))
+
+    def _band_product(self, pad, out):
+        """out[:n] = C u for the operand u = pad[K : K + n] of a _padded
+        pad whose other rows are zero. out is (rows, S) and C-contiguous;
+        its rows past n come out nonzero and are not part of C u. All
+        rows / B output blocks are one np.matmul of the fixed
+        B x (B + 2K) Toeplitz block against the read-only overlapping
+        (B + 2K) x S windows of pad, B rows apart: no copy of the operand
+        and no Python loop over blocks."""
+        K, B = len(self.stencil) - 1, _BLOCK_ROWS
+        windows = sliding_window_view(pad, B + 2 * K, axis=0)[::B].swapaxes(1, 2)
+        np.matmul(self._block, windows, out=out.reshape(-1, B, pad.shape[1]))
 
     def to_dense(self):
         n = self.grid.size

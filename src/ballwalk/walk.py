@@ -163,25 +163,39 @@ def _require_tv_grid(grid, h):
 
 
 def _evolve_tv(P, starts, n_max):
-    """Row measures p <- p P from point masses at the nodes `starts`,
-    evolved together as the columns of one (n, S) block.
+    """TV distances to P's stationary measure nu of the row measures
+    p_n = p_0 P^n from point masses at the nodes `starts`, evolved together
+    as the columns of one (n, S) block; returns the (n_max + 1, S) table.
 
-    Returns the (n_max + 1, S) table of TV distances to P's stationary
-    measure and the final block.
+    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m), and the block
+    evolved is q = p / m, which takes one scaling per step:
+    q <- (rho / m) * C q. q lives in the interior of two _padded buffers
+    that swap every step; the banded product writes straight into the
+    other buffer's interior and the zero factor past node n clears the
+    rows the last output block spills into, so no step allocates or pads.
+    TV_n = m . |q_n - nu / m| / 2.
     """
-    nu = P.meta["stationary"][:, None]
-    p = np.zeros((nu.size, len(starts)))
-    p[starts, np.arange(len(starts))] = 1.0
-    diff = np.empty_like(p)
-    tv = np.empty((n_max + 1, len(starts)))
-    for n in range(n_max + 1):
-        np.subtract(p, nu, out=diff)
+    m, nu = P.meta["mass"], P.meta["stationary"]
+    n, S, K = nu.size, len(starts), len(P.stencil) - 1
+    q, q_next = P._padded(S), P._padded(S)
+    rows = q.shape[0] - 2 * K
+    scale = np.zeros((rows, 1))
+    scale[:n, 0] = P.meta["rho"] / m
+    q[K + np.asarray(starts), np.arange(S)] = 1.0 / m[starts]
+    target = (nu / m)[:, None]
+    diff = np.empty((n, S))
+    tv = np.empty((n_max + 1, S))
+    for k in range(n_max + 1):
+        np.subtract(q[K : K + n], target, out=diff)
         np.abs(diff, out=diff)
-        np.sum(diff, axis=0, out=tv[n])
-        if n < n_max:
-            p = P.rmatvec(p)
+        np.matmul(m, diff, out=tv[k])
+        if k < n_max:
+            inner = q_next[K : K + rows]
+            P._band_product(q, inner)
+            inner *= scale
+            q, q_next = q_next, q
     tv *= 0.5
-    return tv, p
+    return tv
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +279,7 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap, fit_horizon=None):
     starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::TV_START_STRIDE]
     if starts.size == 0:
         raise ConfigError("no grid starts inside |x| < tau")
-    tv, _ = _evolve_tv(build_markov(grid, density, h), starts, n_max)
+    tv = _evolve_tv(build_markov(grid, density, h), starts, n_max)
     env = tv.max(axis=1)
     q = q_factor(density, h, tau)
     ns = np.arange(n_max + 1)

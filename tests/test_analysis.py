@@ -102,6 +102,12 @@ def test_asymptotics_validation(gauss_half):
         verify_asymptotics(gauss_half, 2, H_SWEEP, delta_rule=20)
 
 
+def test_asymptotics_needs_a_level_to_fit(gauss_half):
+    # k_max = 0 leaves only lambda_0: no order to fit and no gap column
+    with pytest.raises(ConfigError, match="k_max"):
+        verify_asymptotics(gauss_half, 0, H_SWEEP)
+
+
 def test_asymptotics_guards_lambda_zero(gauss_half):
     # box barely wider than the taper buffer: ground value degrades and
     # the report must refuse rather than fit garbage
@@ -197,6 +203,25 @@ def test_weyl_validation(gauss_half, tempered_unit):
         weyl_curve(tempered_unit, [0.2])
     with pytest.raises(ConfigError):
         weyl_curve(gauss_half, [0.2], lambda_grid=[0.5])
+
+
+def test_weyl_needs_an_h(gauss_half):
+    with pytest.raises(ConfigError, match="at least one h"):
+        weyl_curve(gauss_half, [])
+
+
+def test_weyl_needs_a_lambda(gauss_half):
+    with pytest.raises(ConfigError, match="one lambda"):
+        weyl_curve(gauss_half, [0.3], lambda_grid=[])
+
+
+def test_weyl_nothing_counted_reports_nan(gauss_half):
+    # lambda = 0 counts the empty window (1, 1]: no abscissa has N >= 1, so
+    # neither the exponent nor the dominating constant is measured
+    rep = weyl_curve(gauss_half, [0.3], lambda_grid=[0.0])
+    assert [n for _, _, n, _ in rep.rows] == [0]
+    assert math.isnan(rep.exponent) and math.isnan(rep.c_dominating)
+    assert not rep.passed
 
 
 # --- spectral gap -----------------------------------------------------------------

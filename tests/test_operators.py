@@ -467,6 +467,22 @@ def test_banded_block_product_matches_dense(g, h, K):
                 np.testing.assert_allclose(act(U[:, j]), ref, rtol=0, atol=tol)
 
 
+def test_products_leave_operand_alone(gauss_half):
+    # ARPACK keeps reading the work vector it hands to matvec: a product
+    # that wrote into its operand, or returned memory shared with it,
+    # would corrupt the Krylov basis
+    g = Grid(1, 6.0, 250)
+    P = build_markov(g, gauss_half, 0.25)
+    rng = np.random.default_rng(5)
+    for u in (rng.standard_normal(g.size), rng.standard_normal((g.size, 4))):
+        before = u.copy()
+        for act in (P.matvec, P.rmatvec):
+            y = act(u)
+            assert y.shape == u.shape
+            assert not np.shares_memory(y, u)
+            np.testing.assert_array_equal(u, before)
+
+
 def test_operand_shapes_rejected(gauss_half):
     g = Grid(1, 6.0, 240)
     P = build_markov(g, gauss_half, 0.25)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from ballwalk.densities import eval_density, make_density
 from ballwalk.errors import ConfigError, WitnessHypothesisViolated
-from ballwalk.operators import BANDED, Grid, build_conjugated, build_markov
+from ballwalk.operators import _BLOCK_ROWS, BANDED, Grid, build_conjugated, build_markov
 from ballwalk.walk import (
     TV_START_STRIDE,
     WalkConfig,
@@ -152,7 +152,7 @@ def test_tv_exact_grid_matches_dense_powers(gauss_half, dense_grid):
     P = build_markov(dense_grid, gauss_half, H_DENSE)
     A, nu = P.to_dense(), P.meta["stationary"]
     i0 = int(np.argmin(np.abs(dense_grid.axis_nodes() - 1.3)))
-    tv, _ = _evolve_tv(P, [i0], 40)
+    tv = _evolve_tv(P, [i0], 40)
     p = np.zeros(dense_grid.size)
     p[i0] = 1.0
     ref = []
@@ -201,11 +201,29 @@ def test_upper_bound_envelope_matches_dense_powers(gauss_half, dense_grid, dense
         p = A.T @ p
     ref = np.array(ref)
     # every start's curve, not only the envelope over them
-    tv, _ = _evolve_tv(P, starts, 60)
+    tv = _evolve_tv(P, starts, 60)
     np.testing.assert_allclose(tv, ref, rtol=0, atol=1e-13)
     assert np.all(np.diff(tv, axis=0) <= 1e-12)  # TV to stationarity never grows
     rep = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, dense_gap)
     np.testing.assert_allclose(rep.envelope, ref.max(axis=1), rtol=0, atol=1e-13)
+
+
+def test_tempered_tv_matches_dense_powers(tempered_half):
+    # the evolution runs in q = p / m; the tempered mass falls from the
+    # core to e^-8 at the walls, and 810 nodes leave a ragged last block
+    g = Grid(1, 8.0, 810)  # delta = h/25.3
+    assert g.size % _BLOCK_ROWS != 0
+    P = build_markov(g, tempered_half, H_DENSE)
+    A, nu = P.to_dense(), P.meta["stationary"][:, None]
+    starts = np.arange(0, g.size, 45)  # from the wall at -8 across the core to 7.1
+    p = np.zeros((g.size, starts.size))
+    p[starts, np.arange(starts.size)] = 1.0
+    ref = []
+    for _ in range(41):
+        ref.append(0.5 * np.sum(np.abs(p - nu), axis=0))
+        p = A.T @ p
+    tv = _evolve_tv(P, starts, 40)
+    np.testing.assert_allclose(tv, np.array(ref), rtol=0, atol=1e-13)
 
 
 def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
