@@ -20,7 +20,8 @@ from .report import Report
 LAMBDA_ZERO_TOL = 1e-6  # lambda_0 must sit at 1 for every h
 ORDER_MIN = 3.5
 ALPHA_CFG = 0.9  # curvature levels mu < ALPHA_CFG * kappa are trusted as discrete
-WEYL_LAMBDA_MAX = 0.3  # delta_0 stand-in: the sweep stays inside [0, 0.3]
+BOX_L = 12.0  # verify_asymptotics, weyl_curve and spectral_gap run on [-BOX_L, BOX_L]^d
+WEYL_LAMBDAS = tuple(np.linspace(0.10, 0.30, 9))  # weyl_curve's sweep; 0.3 stands in for delta_0
 MU_DELTAS = (4e-3, 2e-3)  # Richardson pair for the -Lap + V reference levels
 BAND_H_SWEEP = (0.4, 0.3, 0.2, 0.15)  # h values of the A_h residual fit
 LOCALIZATION_MASS_TOL = 1e-6
@@ -91,8 +92,10 @@ class AsymptoticsReport(Report):
     gamma: float
 
 
-def verify_asymptotics(density, k_max, h_list, L=12.0, delta_rule=40):
-    """Fit the order of |1 - gamma_d mu_k h^2 - lambda_k(h)| against h.
+def verify_asymptotics(density, k_max, h_list):
+    """Fit the order of |1 - gamma_d mu_k h^2 - lambda_k(h)| against h,
+    with lambda_k(h) from the multiplier scheme on [-BOX_L, BOX_L]^d at
+    delta <= h/40.
 
     PASS means every k = 1..k_max fits order >= 3.5 and the smallest-h
     residual stays within twice its own h^4 trend line (so the last point
@@ -106,14 +109,12 @@ def verify_asymptotics(density, k_max, h_list, L=12.0, delta_rule=40):
         raise InsufficientHPoints(f"order fit needs >= 3 h values, got {len(h_list)}")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ConfigError("h_list must be strictly decreasing")
-    if delta_rule < 40:
-        raise ConfigError("grid policy requires delta <= h/40")
     gam = gamma_d(density.dim)
     mu = mu_reference(density, k_max)
 
     lams = np.empty((len(h_list), k_max + 1))
     for i, h in enumerate(h_list):
-        g = Grid(density.dim, L, _even_grid(L, h, delta_rule))
+        g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 40))
         op = build_conjugated(g, density, h, scheme=MULTIPLIER)
         lams[i] = top_k(op, k_max + 1).eigenvalues
         if abs(lams[i, 0] - 1.0) > LAMBDA_ZERO_TOL:
@@ -237,37 +238,33 @@ class WeylReport(Report):
     retries: int = 0  # inertia retries, summed over h
 
 
-def weyl_curve(density, h_list, lambda_grid=None):
-    """Count N(lambda, h) = #{eigenvalues of T-tilde in [1-lambda, 1]} and
-    fit the growth exponent against 1 + lambda h^{-2}.
+def weyl_curve(density, h_list):
+    """Count N(lambda, h) = #{eigenvalues of T-tilde in [1-lambda, 1]} for
+    lambda in WEYL_LAMBDAS (0.10 to 0.30 in steps of 0.025) and fit the
+    growth exponent against 1 + lambda h^{-2}.
 
-    T-tilde is the banded scheme on [-12, 12]^d at delta <= h/20. All
-    counts for one h come from one count_at_most call at the shifts
+    T-tilde is the banded scheme on [-BOX_L, BOX_L]^d at delta <= h/20.
+    All counts for one h come from one count_at_most call at the shifts
     1 - lambda and 1. PASS iff the fitted exponent is <= d + 0.3; the
     dominating constant max N / (1 + lambda h^{-2})^d is reported
     alongside. Fewer than two distinct abscissae with N >= 1 leave the
     exponent undetermined: it is reported as nan and the check fails;
-    with none, c_dominating is nan too. An empty h_list or lambda_grid
-    raises ConfigError.
+    with none, c_dominating is nan too. An empty h_list raises
+    ConfigError.
     """
     if density.kind != "gaussian":
         raise WrongDensityKind("the counting bound is checked on Gaussian densities")
-    if lambda_grid is None:
-        lambda_grid = np.linspace(0.10, 0.30, 9)
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if len(h_list) == 0 or lambda_grid.size == 0:
-        raise ConfigError("the Weyl sweep needs at least one h and one lambda")
-    if lambda_grid.max() > WEYL_LAMBDA_MAX + 1e-12:
-        raise ConfigError(f"lambda sweep exceeds the configured ceiling {WEYL_LAMBDA_MAX}")
+    if len(h_list) == 0:
+        raise ConfigError("the Weyl sweep needs at least one h")
 
     rows = []
     retries = 0
     for h in h_list:
-        g = Grid(density.dim, 12.0, _even_grid(12.0, h, 20))
+        g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 20))
         op = build_conjugated(g, density, h, scheme=BANDED)
-        r = count_at_most(op, np.append(1.0 - lambda_grid, 1.0))
+        r = count_at_most(op, np.append(1.0 - np.array(WEYL_LAMBDAS), 1.0))
         retries += r.retries
-        for lam, below in zip(lambda_grid, r.counts[:-1]):
+        for lam, below in zip(WEYL_LAMBDAS, r.counts[:-1]):
             n = r.counts[-1] - below
             rows.append((float(h), float(lam), int(n), 1.0 + lam / h**2))
 
@@ -300,9 +297,9 @@ class GapReport(Report):
 
 
 def spectral_gap(density, h):
-    """Gap 1 - lambda_1 of the multiplier scheme on [-12, 12]^d at
+    """Gap 1 - lambda_1 of the multiplier scheme on [-BOX_L, BOX_L]^d at
     delta <= h/40, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa)."""
-    g = Grid(density.dim, 12.0, _even_grid(12.0, h, 40))
+    g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 40))
     lam = top_k(build_conjugated(g, density, h, scheme=MULTIPLIER), 2).eigenvalues
     mu1 = float(mu_reference(density, 1)[1])
     kappa = kappa_analytic(density)

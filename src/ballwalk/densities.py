@@ -12,12 +12,10 @@ mass m_h(x) = integral of rho over the radius-h ball at x, the conjugation
 weight a_h = (alpha_d h^d rho / m_h)^{1/2}, and the tail constants kappa
 (liminf of V) and A_h (limsup of a_h^2).
 
-For the tempered tail the mass integral is elementary,
+Every mass, for one point or many, comes from ball_mass_grid. For the
+tempered tail the mass integral is elementary,
 m_h(x) = rho(x) * 2 sinh(alpha h)/alpha for |x| >= R + h, which makes
 A_h = alpha h / sinh(alpha h) exact rather than a probe estimate.
-Every other mass comes from one batched adaptive Gauss-Legendre
-quadrature over all requested points together; a scalar call is its
-one-row case.
 """
 
 import math
@@ -149,33 +147,15 @@ def _radius(density, x):
 # ---------------------------------------------------------------------------
 # ball mass
 
-def ball_mass(density, x, h):
-    """m_h(x), the rho-measure of the radius-h ball at x.
-
-    Adaptive composite Gauss-Legendre to relative tolerance 1e-10, with
-    panel splits at the tempered transition radius, and the closed form on
-    the tempered tail. This is the one-point case of the batched quadrature
-    in ball_mass_grid, so the two agree to the last bit except on the d = 1
-    gaussian, where the grid path uses erfc. d=2 (gaussian) reduces to a
-    1-D radial integral through the scaled Bessel i0e, which keeps the
-    integrand O(1) even far out in the tail.
-    """
-    if not (h > 0):
-        raise ValueError("h must be positive")
-    r = float(_radius(density, x))
-    if density.kind == TEMPERED and r >= density.R + h:
-        return _tail_mass(density, r, h)
-    return float(_mass_quadrature(density, np.array([r]), h)[0])
-
-
 def ball_mass_grid(density, x, h):
-    """Vectorized m_h over an array of points (d = 2: (n, 2) rows); a
-    single point gives a scalar in either dimension.
+    """m_h(x), the rho-measure of the radius-h ball at x, at one point (a
+    scalar) or over an array of points (d = 2: (n, 2) rows).
 
-    Same values as ball_mass (tested against it): closed forms where they
-    exist, and one batched quadrature over all remaining points. Gaussian
-    d = 1 uses the erfc difference on |x|, which is cancellation safe
-    because the two arguments sit 2*alpha*h*|x| apart in exponent.
+    Gaussian d = 1 uses the erfc difference on |x|, which is cancellation
+    safe because the two arguments sit 2*alpha*h*|x| apart in exponent;
+    the tempered tail uses its closed form. All other points go into one
+    batched quadrature to MASS_RTOL whose rows do not depend on each
+    other; d = 2 is a radial integral through the scaled Bessel i0e.
     """
     if not (h > 0):
         raise ValueError("h must be positive")
@@ -220,10 +200,9 @@ def _mass_quadrature(density, r, h):
 
 
 def weight_a_h(density, x, h):
-    """Conjugation weight a_h(x) = (alpha_d h^d rho(x) / m_h(x))^{1/2}."""
+    """Conjugation weight a_h = (alpha_d h^d rho / m_h)^{1/2}, elementwise in x."""
     vol = unit_ball_volume(density.dim) * h**density.dim
-    m = ball_mass(density, x, h)
-    return math.sqrt(vol * float(eval_density(density, x)) / m)
+    return np.sqrt(vol * eval_density(density, x) / ball_mass_grid(density, x, h))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +234,7 @@ def tail_constants(density, h, probe_radii):
     else:
         pts = radii
     kappa_est = float(np.min(eval_potential(density, pts)))
-    a_sq = np.array([weight_a_h(density, p, h) ** 2 for p in np.atleast_1d(pts)])
-    A_h_est = float(np.max(a_sq))
+    A_h_est = float(np.max(weight_a_h(density, pts, h) ** 2))
     if density.kind == TEMPERED:
         resid = abs(A_h_est - 1.0 + kappa_analytic(density) * h * h * gamma_d(density.dim))
     else:

@@ -63,7 +63,7 @@ def _cluster(values):
     return out
 
 
-def _finish(vals, vecs, matvec, grid, method, h=None, ascending=False):
+def _finish(vals, vecs, matvec, grid, h=None, ascending=False):
     """Sort, L^2(dx)-normalize, attach true matvec residuals."""
     order = np.argsort(np.asarray(vals, dtype=float))
     if not ascending:
@@ -82,28 +82,29 @@ def _finish(vals, vecs, matvec, grid, method, h=None, ascending=False):
     return vals, vecs, resid, meta
 
 
-def _arpack(matvec, n, k, which, max_iter):
+def _arpack(matvec, n, k, which):
     """k extreme eigenpairs of a symmetric matvec by ARPACK's implicitly
-    restarted Lanczos, from a start vector fixed by _LANCZOS_SEED."""
+    restarted Lanczos with its default restart budget, from a start
+    vector fixed by _LANCZOS_SEED."""
     A = LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     try:
-        return eigsh(A, k=k, which=which, v0=v0, maxiter=max_iter)
+        return eigsh(A, k=k, which=which, v0=v0)
     except ArpackNoConvergence as exc:
         raise NoConvergence(str(exc)) from exc
 
 
-def top_k(op, k, max_iter=None):
+def top_k(op, k):
     """k largest eigenvalues (descending, with multiplicities) of a
-    symmetric DiscreteOperator, by ARPACK on the matvec. max_iter is
-    ARPACK's restart budget; None leaves ARPACK's default."""
+    symmetric DiscreteOperator, by ARPACK on the matvec with its default
+    restart budget."""
     if not isinstance(op, DiscreteOperator) or not op.symmetric:
         raise ConfigError("top_k needs a symmetric DiscreteOperator")
     n = op.grid.size
     if not (1 <= k <= min(MAX_K, n - 1)):
         raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
-    vals, vecs = _arpack(op.matvec, n, k, "LA", max_iter)
-    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, "ARPACK", h=op.h)
+    vals, vecs = _arpack(op.matvec, n, k, "LA")
+    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, h=op.h)
     if np.any(resid > 1e-9 * np.max(np.abs(vals))):
         raise NoConvergence("Ritz residuals above budget", residuals=resid)
     return EigenResult(vals, vecs, resid, "ARPACK", meta, _cluster(vals))
@@ -124,13 +125,13 @@ def bottom_k(op, k):
         )
         method = "SturmBisection"
     else:
-        vals, vecs = _arpack(op.matvec, n, k, "SA", None)
+        vals, vecs = _arpack(op.matvec, n, k, "SA")
         method = "ARPACK"
     # Gershgorin bound on the spectral radius sets the residual gate's scale
     specrad = float(
         np.max(np.abs(op.bands[0])) + 2.0 * sum(np.max(np.abs(b)) for b in op.bands[1:])
     )
-    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, method, ascending=True)
+    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, ascending=True)
     if np.any(resid > 1e-9 * specrad):
         raise NoConvergence("residuals above budget", residuals=resid)
     return EigenResult(vals, vecs, resid, method, meta, _cluster(vals))
@@ -144,9 +145,7 @@ def dense_reference(op, k=None):
     schrod = isinstance(op, SchrodingerOperator)
     if k is not None:
         vals, vecs = (vals[:k], vecs[:, :k]) if schrod else (vals[-k:], vecs[:, -k:])
-    vals, vecs, resid, meta = _finish(
-        vals, vecs, op.matvec, op.grid, "DenseReference", ascending=schrod
-    )
+    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, ascending=schrod)
     return EigenResult(vals, vecs, resid, "DenseReference", meta, _cluster(vals))
 
 

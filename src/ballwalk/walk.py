@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import (
-    _adaptive_gl, _adaptive_gl_batch, ball_mass, ball_mass_grid, eval_density,
-)
+from .densities import _adaptive_gl, _adaptive_gl_batch, _radius, ball_mass_grid, eval_density
 from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
 from .operators import build_markov
 from .report import Report
@@ -29,45 +27,39 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _nearest_in_ball(x, h):
-    """Point of the closed disc B_h(x) nearest the origin (= argmax of rho), d = 2."""
-    r = float(np.linalg.norm(x))
-    return x * max(1.0 - h / max(r, 1e-300), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # exact samplers
 
 def step_sample(density, h, x, rng):
-    """One exact draw from t_h(x, .) by rejection in the ball."""
+    """One exact draw from t_h(x, .): the one-point case of _step_batch
+    (a float for d = 1, a length-2 array for d = 2)."""
     if h <= 0:
         raise ConfigError("step radius must be positive")
-    if density.dim == 1:
-        return float(_step_batch(density, h, np.array([float(x)]), rng)[0])
-    x = np.asarray(x, dtype=float).reshape(2)
-    sup = eval_density(density, _nearest_in_ball(x, h))
-    for _ in range(REJECTION_BUDGET):
-        u = rng.uniform(-1.0, 1.0, size=2)
-        if u @ u > 1.0:
-            continue  # counts toward the budget like any rejected trial
-        y = x + h * u
-        if rng.uniform() * sup <= eval_density(density, y):
-            return y
-    raise RejectionBudgetExceeded(f"no acceptance in {REJECTION_BUDGET} trials at x={x}")
+    row = np.reshape(np.asarray(x, dtype=float), (1, 2) if density.dim == 2 else (1,))
+    y = _step_batch(density, h, row, rng)[0]
+    return float(y) if density.dim == 1 else y
 
 
 def _step_batch(density, h, xs, rng):
-    """Advance every path one step (d = 1), vectorized rejection."""
+    """Advance every point of xs ((n,) for d = 1, (n, 2) for d = 2) one
+    step by vectorized rejection: proposals x + h u, u uniform in [-1, 1]^d
+    (outside the unit ball: rejected), under the envelope rho at radius
+    max(|x| - h, 0), where rho peaks over the ball."""
     xs = np.asarray(xs, dtype=float)
     out = xs.copy()
-    alive = np.ones(xs.shape, dtype=bool)
-    trials = np.zeros(xs.shape, dtype=np.int64)
+    alive = np.ones(xs.shape[0], dtype=bool)
+    trials = np.zeros(xs.shape[0], dtype=np.int64)
     while alive.any():
         idx = np.nonzero(alive)[0]
         x = out[idx]
-        y = x + h * rng.uniform(-1.0, 1.0, size=idx.size)
-        sup = eval_density(density, x - np.clip(x, -h, h))  # rho at the point nearest 0
+        u = rng.uniform(-1.0, 1.0, size=x.shape)
+        y = x + h * u
+        near = np.maximum(_radius(density, x) - h, 0.0)
+        if density.dim == 2:
+            near = np.column_stack([near, np.zeros_like(near)])
+        sup = eval_density(density, near)
         ok = rng.uniform(size=idx.size) * sup <= eval_density(density, y)
+        ok &= _radius(density, u) <= 1.0  # always true for d = 1
         out[idx[ok]] = y[ok]
         alive[idx[ok]] = False
         trials[idx] += 1
@@ -86,7 +78,7 @@ def sample_stationary(density, h, rng, size=None):
     if density.dim != 1:
         raise ConfigError("stationary sampling is implemented for d = 1")
     n = 1 if size is None else int(size)
-    m0 = ball_mass(density, 0.0, h)
+    m0 = ball_mass_grid(density, 0.0, h)
     got = np.empty(0)
     trials = 0
     while got.size < n:
@@ -257,9 +249,9 @@ def q_factor(density, h, tau):
     return sup_inv / math.sqrt(h) ** density.dim
 
 
-def tv_upper_bound_curve(density, h, tau, n_max, grid, gap, fit_horizon=None):
+def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     """Envelope of exact TV curves over starts |x0| < tau against
-    C q(tau,h) e^{-n g(h)}, with C fitted on the early window only.
+    C q(tau,h) e^{-n g(h)}, with C fitted on the window n <= n_max // 2.
 
     Every TV_START_STRIDE-th node inside |x| < tau is a start; all of them
     evolve together under one Markov operator. TV is against the grid
@@ -267,15 +259,14 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap, fit_horizon=None):
     continuum nu_h approaches as delta -> 0: the bin-projection estimator
     of d_TV(T^n(x, .), nu_h).
 
-    The fit window (default n <= n_max/2) keeps the domination check
-    honest: the fitted constant has to keep dominating beyond the data
-    that produced it.
+    The fit window keeps the domination check honest: the fitted constant
+    has to keep dominating beyond the data that produced it (n_max < 2
+    leaves no step in the window: ConfigError).
     """
     _require_tv_grid(grid, h)
-    if fit_horizon is None:
-        fit_horizon = n_max // 2
-    if not 0 < fit_horizon <= n_max:
-        raise ConfigError("fit horizon must land inside the curve")
+    if n_max < 2:
+        raise ConfigError(f"the TV curve needs n_max >= 2, got {n_max}")
+    fit_horizon = n_max // 2
     starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::TV_START_STRIDE]
     if starts.size == 0:
         raise ConfigError("no grid starts inside |x| < tau")

@@ -1,8 +1,7 @@
-"""Spectral-analysis report tests.
-
-The quantitative gates these reports implement are exercised again in
-test_acceptance with the pinned configurations; here the focus is the
-report logic itself: fits, flags, guards, and the reference levels.
+"""Spectral-analysis report tests: the report logic itself (fits, flags,
+guards) and the reference levels. The fixed box and lambda sweep of
+the reports are module constants; the guard tests move them with
+monkeypatch.
 """
 
 import json
@@ -11,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from ballwalk import analysis
 from ballwalk.analysis import (
     essential_band,
     localization_radii,
@@ -98,8 +98,6 @@ def test_asymptotics_validation(gauss_half):
         verify_asymptotics(gauss_half, 2, [0.5, 0.25])
     with pytest.raises(ConfigError):
         verify_asymptotics(gauss_half, 2, [0.25, 0.35, 0.5])  # ascending
-    with pytest.raises(ConfigError):
-        verify_asymptotics(gauss_half, 2, H_SWEEP, delta_rule=20)
 
 
 def test_asymptotics_needs_a_level_to_fit(gauss_half):
@@ -108,11 +106,12 @@ def test_asymptotics_needs_a_level_to_fit(gauss_half):
         verify_asymptotics(gauss_half, 0, H_SWEEP)
 
 
-def test_asymptotics_guards_lambda_zero(gauss_half):
+def test_asymptotics_guards_lambda_zero(gauss_half, monkeypatch):
     # box barely wider than the taper buffer: ground value degrades and
     # the report must refuse rather than fit garbage
+    monkeypatch.setattr(analysis, "BOX_L", 7.5)
     with pytest.raises(ConfigError):
-        verify_asymptotics(gauss_half, 1, [0.5, 0.35, 0.25], L=7.5)
+        verify_asymptotics(gauss_half, 1, [0.5, 0.35, 0.25])
 
 
 def test_asymptotics_json_roundtrip(asym):
@@ -177,15 +176,17 @@ def test_weyl_curve_exponent(gauss_half):
         assert ns == sorted(ns)
 
 
-def test_weyl_below_gap_counts_one(gauss_half):
-    rep = weyl_curve(gauss_half, [0.25], lambda_grid=[0.01])
+def test_weyl_below_gap_counts_one(gauss_half, monkeypatch):
+    monkeypatch.setattr(analysis, "WEYL_LAMBDAS", (0.01,))
+    rep = weyl_curve(gauss_half, [0.25])
     assert [n for _, _, n, _ in rep.rows] == [1]
 
 
-def test_weyl_one_abscissa_has_no_exponent(gauss_half):
+def test_weyl_one_abscissa_has_no_exponent(gauss_half, monkeypatch):
     # one point fixes no slope: the least-squares min-norm answer 0 is
     # not a measured exponent and must not pass
-    rep = weyl_curve(gauss_half, [0.25], lambda_grid=[0.01])
+    monkeypatch.setattr(analysis, "WEYL_LAMBDAS", (0.01,))
+    rep = weyl_curve(gauss_half, [0.25])
     assert math.isnan(rep.exponent)
     assert not rep.passed
 
@@ -201,8 +202,6 @@ def test_weyl_json(gauss_half):
 def test_weyl_validation(gauss_half, tempered_unit):
     with pytest.raises(WrongDensityKind):
         weyl_curve(tempered_unit, [0.2])
-    with pytest.raises(ConfigError):
-        weyl_curve(gauss_half, [0.2], lambda_grid=[0.5])
 
 
 def test_weyl_needs_an_h(gauss_half):
@@ -210,15 +209,11 @@ def test_weyl_needs_an_h(gauss_half):
         weyl_curve(gauss_half, [])
 
 
-def test_weyl_needs_a_lambda(gauss_half):
-    with pytest.raises(ConfigError, match="one lambda"):
-        weyl_curve(gauss_half, [0.3], lambda_grid=[])
-
-
-def test_weyl_nothing_counted_reports_nan(gauss_half):
+def test_weyl_nothing_counted_reports_nan(gauss_half, monkeypatch):
     # lambda = 0 counts the empty window (1, 1]: no abscissa has N >= 1, so
     # neither the exponent nor the dominating constant is measured
-    rep = weyl_curve(gauss_half, [0.3], lambda_grid=[0.0])
+    monkeypatch.setattr(analysis, "WEYL_LAMBDAS", (0.0,))
+    rep = weyl_curve(gauss_half, [0.3])
     assert [n for _, _, n, _ in rep.rows] == [0]
     assert math.isnan(rep.exponent) and math.isnan(rep.c_dominating)
     assert not rep.passed

@@ -12,7 +12,6 @@ from scipy.stats import ncx2
 
 from ballwalk.densities import (
     Density,
-    ball_mass,
     ball_mass_grid,
     eval_density,
     eval_potential,
@@ -149,7 +148,7 @@ def test_tempered_log_derivative_bound(tempered_unit):
 
 def test_ball_mass_frozen_example(gauss_half):
     # integral of (2 pi)^{-1/2} e^{-y^2/2} over [-0.25, 0.25]
-    m = ball_mass(gauss_half, 0.0, 0.25)
+    m = ball_mass_grid(gauss_half, 0.0, 0.25)
     assert m == pytest.approx(0.19741265136584746, rel=1e-12)
     oracle, _ = quad(
         lambda y: eval_density(gauss_half, y), -0.25, 0.25, epsabs=1e-14, epsrel=1e-14
@@ -159,7 +158,7 @@ def test_ball_mass_frozen_example(gauss_half):
 
 def test_ball_mass_tempered_against_quad(tempered_unit):
     for x, h in ((0.0, 0.3), (0.9, 0.25), (1.05, 0.2), (4.0, 0.5)):
-        m = ball_mass(tempered_unit, x, h)
+        m = ball_mass_grid(tempered_unit, x, h)
         oracle, _ = quad(
             lambda y: eval_density(tempered_unit, y), x - h, x + h,
             points=[-1.0, 1.0] if x - h < 1.0 < x + h else None,
@@ -172,13 +171,13 @@ def test_ball_mass_tempered_tail_identity(tempered_unit):
     # pure-tail mass is rho * 2 sinh(alpha h)/alpha exactly
     for x, h in ((1.3, 0.3), (5.0, 0.2), (9.0, 0.4)):
         expected = eval_density(tempered_unit, x) * 2.0 * math.sinh(h) / 1.0
-        assert ball_mass(tempered_unit, x, h) == pytest.approx(expected, rel=1e-13)
+        assert ball_mass_grid(tempered_unit, x, h) == pytest.approx(expected, rel=1e-13)
 
 
 def test_ball_mass_2d_against_disk_quadrature(gauss2d):
     h = 0.4
     for r0 in (0.0, 0.7, 1.3, 2.5):
-        m = ball_mass(gauss2d, [r0, 0.0], h)
+        m = ball_mass_grid(gauss2d, [r0, 0.0], h)
         oracle, _ = dblquad(
             lambda y, x: eval_density(gauss2d, [x, y]),
             r0 - h, r0 + h,
@@ -194,7 +193,7 @@ def test_ball_mass_small_h_limit(gauss_half, tempered_unit):
     for dens, x in ((gauss_half, 0.6), (tempered_unit, 0.3)):
         ratios = []
         for h in (0.1, 0.05, 0.025):
-            ratios.append(ball_mass(dens, x, h) / (2 * h * float(eval_density(dens, x))))
+            ratios.append(ball_mass_grid(dens, x, h) / (2 * h * float(eval_density(dens, x))))
         assert abs(ratios[-1] - 1.0) < 1e-3
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
 
@@ -202,7 +201,7 @@ def test_ball_mass_small_h_limit(gauss_half, tempered_unit):
 def test_gauss_mass_ratio_grows(gauss_half):
     # m_h/(h rho) grows without bound in the tail
     vals = [
-        ball_mass(gauss_half, x, 0.25) / (0.25 * float(eval_density(gauss_half, x)))
+        ball_mass_grid(gauss_half, x, 0.25) / (0.25 * float(eval_density(gauss_half, x)))
         for x in (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
     ]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -222,7 +221,7 @@ def test_grid_path_matches_pointwise(gauss_half, tempered_unit):
     xs = np.linspace(-11.0, 11.0, 57)
     for dens in (gauss_half, tempered_unit):
         grid = ball_mass_grid(dens, xs, h)
-        point = np.array([ball_mass(dens, x, h) for x in xs])
+        point = np.array([ball_mass_grid(dens, x, h) for x in xs])
         assert np.max(np.abs(grid - point) / point) < 1e-12
 
 
@@ -233,19 +232,19 @@ def test_grid_path_single_point_is_scalar(gauss_half, tempered_unit):
         for x in (0.3, -0.1, 4.0):
             m = ball_mass_grid(dens, x, 0.25)
             assert np.ndim(m) == 0
-            assert m == pytest.approx(ball_mass(dens, x, 0.25), rel=1e-12)
+            assert m == pytest.approx(ball_mass_grid(dens, np.array([x]), 0.25)[0], rel=1e-12)
 
 
 def test_grid_path_d2_rows_match_pointwise(gauss2d):
     pts = np.array([[0.0, 0.0], [0.7, -0.2], [2.5, 1.0]])
-    point = [ball_mass(gauss2d, p, 0.4) for p in pts]
+    point = [ball_mass_grid(gauss2d, p, 0.4) for p in pts]
     np.testing.assert_array_equal(ball_mass_grid(gauss2d, pts, 0.4), point)
 
 
 def test_grid_path_single_point_is_scalar_d2(gauss2d):
     m = ball_mass_grid(gauss2d, [0.3, 0.1], 0.4)
     assert np.ndim(m) == 0
-    assert m == ball_mass(gauss2d, np.array([0.3, 0.1]), 0.4)
+    assert m == ball_mass_grid(gauss2d, np.array([[0.3, 0.1]]), 0.4)[0]
 
 
 def test_quadrature_failure_raises():
@@ -308,9 +307,23 @@ def test_weight_on_plateau():
 
 
 def test_weight_frozen_example(gauss_half):
-    m = ball_mass(gauss_half, 0.0, 0.25)
+    m = ball_mass_grid(gauss_half, 0.0, 0.25)
     expected = math.sqrt(2 * 0.25 * float(eval_density(gauss_half, 0.0)) / m)
     assert weight_a_h(gauss_half, 0.0, 0.25) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("dens, x", [
+    (make_density("gaussian", 1, 0.5), np.linspace(-10.0, 10.0, 41)),
+    (make_density("tempered", 1, 1.0, R=1.0), np.linspace(-4.0, 4.0, 33)),
+    (make_density("gaussian", 2, 1.0), np.array([[0.0, 0.0], [0.7, -0.2], [2.5, 1.0], [-4.0, 3.0]])),
+], ids=["gaussian", "tempered", "gaussian_d2"])
+def test_weight_on_arrays_matches_points(dens, x):
+    # one batched call gives each point's own value, bit for bit, across
+    # the erfc, tempered closed-form/core and d = 2 quadrature mass routes
+    h = 0.25
+    batch = weight_a_h(dens, x, h)
+    assert batch.shape == (len(x),)
+    np.testing.assert_array_equal(batch, [weight_a_h(dens, p, h) for p in x])
 
 
 def test_gaussian_weight_decays_monotonically(gauss_half):
@@ -408,7 +421,7 @@ def test_exact_A_h_rejects_gaussian(gauss_half):
 )
 def test_mass_in_unit_interval(x, h):
     dens = make_density("tempered", 1, 1.0, R=1.0)
-    m = ball_mass(dens, x, h)
+    m = ball_mass_grid(dens, x, h)
     assert 0.0 < m <= 1.0
     assert weight_a_h(dens, x, h) > 0.0
 

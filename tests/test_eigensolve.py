@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ballwalk import eigensolve
 from ballwalk.analysis import LAMBDA_ZERO_TOL, _even_grid, weyl_curve
 from ballwalk.densities import make_density
 from ballwalk.eigensolve import (
@@ -187,9 +188,12 @@ def test_k_validation(banded_op):
         top_k(banded_op, MAX_K + 1)
 
 
-def test_no_convergence_on_tiny_budget(banded_op):
+def test_no_convergence_on_tiny_budget(banded_op, monkeypatch):
+    # top_k runs on ARPACK's default restart budget; cut it to 4 restarts
+    arpack = eigensolve.eigsh
+    monkeypatch.setattr(eigensolve, "eigsh", lambda *a, **kw: arpack(*a, maxiter=4, **kw))
     with pytest.raises(NoConvergence):
-        top_k(banded_op, 5, max_iter=4)
+        top_k(banded_op, 5)
 
 
 # --- inertia counts -----------------------------------------------------------

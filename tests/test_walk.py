@@ -4,8 +4,9 @@ The oracle for the Monte-Carlo paths is the exact grid evolution that
 simulate_paths carries alongside them: the MC TV estimate must agree
 with it to within a z-score gate from the reported standard error. The
 exact evolution itself is checked against powers of the dense Markov
-matrix, the nu_h quadratures against scipy.integrate.quad, and the
-stationary sampler's moments against the grid chain's stationary vector.
+matrix, the nu_h quadratures against scipy.integrate.quad, the d = 2
+one-step law's mean displacement against dblquad, and the stationary
+sampler's moments against the grid chain's stationary vector.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from ballwalk.densities import eval_density, make_density
 from ballwalk.errors import ConfigError, WitnessHypothesisViolated
@@ -23,7 +24,7 @@ from ballwalk.walk import (
     WalkConfig,
     _agresti_coull_se,
     _evolve_tv,
-    _nearest_in_ball,
+    _step_batch,
     make_rng,
     nu_h_tail,
     p_tau,
@@ -57,7 +58,7 @@ def grid():
 # nearest node, and one step of the grid chain covers slightly fewer cells
 # than the continuum ball: a discretisation offset of the estimator, large
 # at n = 1 and a few SE at n = 2 with 20k paths. 10k paths keep n = 2
-# clear of the gate while the biased sampler still misses it by far.
+# clear of the gate; a sampler with a biased envelope misses it by far.
 @pytest.mark.parametrize("x0, paths", [(2.0, 10_000), (None, 20_000)])
 def test_mc_tv_matches_exact(gauss_half, grid, x0, paths):
     cfg = WalkConfig(gauss_half, 0.25, x0=x0, paths=paths, n_max=100, seed=1)
@@ -90,12 +91,35 @@ def test_same_seed_bit_identical(gauss_half, grid):
 def test_step_sample_d2_stays_in_ball():
     dens = make_density("gaussian", 2, 0.5)
     x, h = np.array([1.0, -0.5]), 0.4
-    top = eval_density(dens, _nearest_in_ball(x, h))
+    # rho peaks over the ball at radius |x| - h, the point nearest 0
+    top = eval_density(dens, [np.linalg.norm(x) - h, 0.0])
     rng = make_rng(3)
     for _ in range(50):
         assert np.linalg.norm(step_sample(dens, h, x, rng) - x) <= h
         u = rng.uniform(-1.0, 1.0, size=2)
         assert eval_density(dens, x + h * u / max(1.0, np.linalg.norm(u))) <= top
+
+
+def test_step_batch_d2_mean_displacement():
+    # the one-step law t_h(x, dy) = 1_{|y-x|<h} rho(y) dy / m_h(x): its mean
+    # displacement by dblquad against 20k batched draws from one point
+    dens = make_density("gaussian", 2, 0.5)
+    x, h, n = np.array([1.0, -0.5]), 0.4, 20_000
+    y = _step_batch(dens, h, np.tile(x, (n, 1)), make_rng(11))
+    d = y - x
+    assert np.all(np.sum(d * d, axis=1) <= h * h)
+
+    def ball(f):
+        return dblquad(
+            lambda v, u: f(u, v) * eval_density(dens, [x[0] + u, x[1] + v]),
+            -h, h, lambda u: -math.sqrt(h * h - u * u), lambda u: math.sqrt(h * h - u * u),
+            epsabs=0.0, epsrel=1e-10,
+        )[0]
+
+    m = ball(lambda u, v: 1.0)
+    drift = [ball(lambda u, v: u) / m, ball(lambda u, v: v) / m]
+    z = (d.mean(axis=0) - drift) / (d.std(axis=0) / math.sqrt(n))
+    assert np.all(np.abs(z) <= Z_GATE)
 
 
 def test_witness_hypothesis(gauss_half):
@@ -176,16 +200,15 @@ def dense_gap(gauss_half, dense_grid):
 
 
 def test_upper_bound_dominates_past_fit_window(gauss_half, dense_grid, dense_gap):
-    fit = 10
-    rep = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, dense_gap,
-                               fit_horizon=fit)
+    rep = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, dense_gap)
+    fit = rep.fit_horizon
+    assert fit == 30  # the early window n <= n_max // 2
     assert rep.dominated
     assert np.all(rep.envelope[fit + 1 :] <= rep.bound[fit + 1 :])
     # the constant is fitted on the window: the bound touches the envelope there
     assert np.max(rep.envelope[: fit + 1] / rep.bound[: fit + 1]) == pytest.approx(1.0)
     # a rate faster than the chain's own is caught past the window
-    fast = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, 3.0 * dense_gap,
-                                fit_horizon=fit)
+    fast = tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 60, dense_grid, 3.0 * dense_gap)
     assert not fast.dominated
 
 
@@ -234,10 +257,8 @@ def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
 
 
 def test_upper_bound_validation(gauss_half, dense_grid):
-    for fit in (0, 21):
-        with pytest.raises(ConfigError):
-            tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 20, dense_grid, 0.05,
-                                 fit_horizon=fit)
+    with pytest.raises(ConfigError, match="n_max"):  # window n <= 0: no step to fit
+        tv_upper_bound_curve(gauss_half, H_DENSE, 1.0, 1, dense_grid, 0.05)
     with pytest.raises(ConfigError):  # nearest nodes sit at +-delta/2 = 0.01
         tv_upper_bound_curve(gauss_half, H_DENSE, 0.005, 20, dense_grid, 0.05)
 
