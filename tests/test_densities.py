@@ -11,6 +11,7 @@ from scipy.integrate import dblquad, quad
 from scipy.stats import ncx2
 
 from ballwalk.densities import (
+    MASS_RTOL,
     Density,
     ball_mass_grid,
     eval_density,
@@ -22,6 +23,8 @@ from ballwalk.densities import (
     weight_a_h,
     _adaptive_gl,
     _adaptive_gl_batch,
+    _mass_quadrature,
+    _radius,
 )
 from ballwalk.errors import ConfigError, ProbeInsideCore, QuadratureNotConverged
 from ballwalk.multiplier import gamma_d
@@ -156,6 +159,19 @@ def test_ball_mass_frozen_example(gauss_half):
     assert m == pytest.approx(oracle, rel=1e-11)
 
 
+@pytest.mark.parametrize("h", [1e-4, 1e-3, 1e-2])
+def test_ball_mass_gaussian_erfc_small_h(gauss_half, h):
+    # rounding sqrt(alpha)(|x| -+ h) costs about eps |x| / (2h) relative in
+    # the erfc difference; at h = 1e-4 that is ~1e-11, inside MASS_RTOL
+    xs = np.linspace(0.0, 10.0, 81)
+    m = ball_mass_grid(gauss_half, xs, h)
+    for x, mx in zip(xs, m):
+        oracle, _ = quad(
+            lambda y: eval_density(gauss_half, y), x - h, x + h, epsabs=0.0, epsrel=1e-13
+        )
+        assert abs(mx - oracle) <= MASS_RTOL * oracle
+
+
 def test_ball_mass_tempered_against_quad(tempered_unit):
     for x, h in ((0.0, 0.3), (0.9, 0.25), (1.05, 0.2), (4.0, 0.5)):
         m = ball_mass_grid(tempered_unit, x, h)
@@ -245,6 +261,33 @@ def test_grid_path_single_point_is_scalar_d2(gauss2d):
     m = ball_mass_grid(gauss2d, [0.3, 0.1], 0.4)
     assert np.ndim(m) == 0
     assert m == ball_mass_grid(gauss2d, np.array([[0.3, 0.1]]), 0.4)[0]
+
+
+def test_grid_path_dedup_is_exact(gauss2d, tempered_unit):
+    # one quadrature row per distinct radius gives the same bits as one
+    # row per point, since the rows of the batch are independent
+    x = Grid(2, 8.0, 96).nodes()
+    r = _radius(gauss2d, x)
+    assert np.unique(r).size < r.size // 4
+    np.testing.assert_array_equal(
+        ball_mass_grid(gauss2d, x, 0.5), _mass_quadrature(gauss2d, r, 0.5)
+    )
+    # d = 1 tempered core: repeats and +-x pairs, some straddling |x| = R
+    xs = np.array([0.0, 0.3, -0.3, 0.3, 1.1, -1.1, 0.0, -0.7, 0.7, 1.1])
+    h = 0.25
+    assert np.all(np.abs(xs) < tempered_unit.R + h)
+    np.testing.assert_array_equal(
+        ball_mass_grid(tempered_unit, xs, h), _mass_quadrature(tempered_unit, np.abs(xs), h)
+    )
+
+
+def test_grid_path_output_shapes(gauss_half, tempered_unit, gauss2d):
+    x1 = np.linspace(-3.0, 3.0, 12).reshape(4, 3)
+    for dens in (gauss_half, tempered_unit):
+        assert ball_mass_grid(dens, x1, 0.25).shape == (4, 3)
+        assert np.ndim(ball_mass_grid(dens, 0.5, 0.25)) == 0
+    x2 = np.random.default_rng(0).uniform(-2.0, 2.0, (5, 7, 2))
+    assert ball_mass_grid(gauss2d, x2, 0.4).shape == (5, 7)
 
 
 def test_quadrature_failure_raises():

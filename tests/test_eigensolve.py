@@ -19,6 +19,7 @@ from ballwalk.densities import make_density
 from ballwalk.eigensolve import (
     CLUSTER_RTOL,
     MAX_K,
+    RESIDUAL_RTOL,
     EigenResult,
     bottom_k,
     count_at_most,
@@ -87,6 +88,9 @@ def test_dense_reference_agrees(banded_op):
     s = top_k(banded_op, 6)
     np.testing.assert_allclose(r.eigenvalues, s.eigenvalues, atol=1e-9)
     assert r.method == "DenseReference"
+    # the k-pair subset solve agrees with the top of the full spectrum
+    full = dense_reference(banded_op)
+    np.testing.assert_allclose(r.eigenvalues, full.eigenvalues[:6], atol=1e-12)
 
 
 # the identity operator makes every start vector an eigenvector, so
@@ -145,6 +149,33 @@ def test_top_k_degenerate_levels_d2(conjugated_d2):
     assert abs(r.eigenvalues[0] - 1.0) <= LAMBDA_ZERO_TOL
     assert [s for _, s in r.clusters] == [1, 2, 2, 1]
     assert r.method == "ARPACK"
+    assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
+
+
+# ARPACK stops at RESIDUAL_RTOL / 100, not machine precision, and repeated
+# eigenvalues still come out of it only through rounding; these pin the
+# multiplicities and the residual margin that the earlier stop must keep
+
+def test_bottom_k_d2_multiplicities_match_dense():
+    # 4,096 nodes, the dense-assembly cap
+    op = build_schrodinger(Grid(2, 7.0, 64), make_density("gaussian", 2, 0.5))
+    r = bottom_k(op, 6)
+    ref = dense_reference(op, 6)
+    assert r.method == "ARPACK"
+    np.testing.assert_allclose(r.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-9)
+    sizes = [s for _, s in r.clusters]
+    assert sizes == [s for _, s in ref.clusters] == [1, 2, 2, 1]
+    assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
+
+
+# the same operator as conjugated_d2 (N = 96) on finer grids; the kernel
+# needs h >= 3 delta, so N = 96 is the coarsest grid this box allows
+@pytest.mark.parametrize("N", [112, 128])
+def test_top_k_d2_multiplicities_across_resolutions(N):
+    op = build_conjugated(Grid(2, 8.0, N), make_density("gaussian", 2, 1.0), 0.5)
+    r = top_k(op, 6)
+    assert [s for _, s in r.clusters] == [1, 2, 2, 1]
+    assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
 
 
 def test_bottom_k_d1_is_sturm(gauss_half):
