@@ -168,13 +168,14 @@ def _toeplitz_block(c):
 class DiscreteOperator:
     """Grid operator in one of the two schemes.
 
+    matvec takes one vector (n,) in either scheme.
     banded: y = lscale * C (rscale * u), C the symmetric band with
     C[i, j] = stencil[|i - j|] for |i - j| <= K; scale factors fold in
-    1/(alpha_d h^d) and the conjugation weights. u may be one vector (n,)
-    or a block (n, S) of S vectors. Every product with C is one batched
-    GEMM (_band_product) on a zero-padded operand from _padded.
+    1/(alpha_d h^d) and the conjugation weights. Every product with C is
+    one batched GEMM (_band_product) on a zero-padded operand from
+    _padded: one column here, an (n, S) block in walk._evolve.
     multiplier: y = weight * idft(symbol * dft(weight * u)) on the
-    periodic box (weight absent for the plain ball average); vectors only.
+    periodic box (weight absent for the plain ball average).
     """
 
     scheme: str
@@ -194,9 +195,11 @@ class DiscreteOperator:
             self._block = _toeplitz_block(self.stencil)
 
     def matvec(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.grid.size,):
+            raise ValueError(f"expected shape ({self.grid.size},), got {u.shape}")
         if self.scheme == BANDED:
-            return self._banded(u, self.lscale, self.rscale)
-        u = self._operand(u)
+            return self._banded(u)
         w = u if self.weight is None else self.weight * u
         if self.grid.dim == 1:
             y = np.fft.irfft(np.fft.rfft(w) * self.symbol, n=self.grid.N)
@@ -205,41 +208,17 @@ class DiscreteOperator:
             y = np.fft.irfft2(np.fft.rfft2(W) * self.symbol, s=(self.grid.N, self.grid.N)).ravel()
         return y if self.weight is None else self.weight * y
 
-    def rmatvec(self, u):
-        """Transpose action A^T u. The banded A = diag(lscale) C diag(rscale)
-        has C symmetric, so A^T swaps the scales; the multiplier scheme is
-        symmetric."""
-        if self.scheme == BANDED:
-            return self._banded(u, self.rscale, self.lscale)
-        return self.matvec(u)
-
-    def _operand(self, u):
-        """u as floats: a vector (n,) for either scheme, or a block (n, S)
-        for the banded one."""
-        u = np.asarray(u, dtype=float)
-        n = self.grid.size
-        ndims = (1, 2) if self.scheme == BANDED else (1,)
-        if u.ndim not in ndims or u.shape[0] != n:
-            blocks = f" or ({n}, S)" if self.scheme == BANDED else ""
-            raise ValueError(f"expected shape ({n},){blocks}, got {u.shape}")
-        return u
-
-    def _banded(self, u, lscale, rscale):
-        """lscale * C (rscale * u). A vector is the S = 1 block: the scaled
-        input goes into the interior of a _padded buffer and one
+    def _banded(self, u):
+        """lscale * C (rscale * u) for one vector u: the scaled input goes
+        into the interior of a one-column _padded buffer and one
         _band_product writes C of it into a fresh output, so the result
         never shares memory with u."""
-        u = self._operand(u)
         n, K = self.grid.size, len(self.stencil) - 1
-        w = u.reshape(n, -1)
-        pad = self._padded(w.shape[1])
-        np.multiply(w, 1.0 if rscale is None else rscale[:, None], out=pad[K : K + n])
-        y = np.empty((pad.shape[0] - 2 * K, w.shape[1]))
+        pad = self._padded(1)
+        np.multiply(u, self.rscale, out=pad[K : K + n, 0])
+        y = np.empty((pad.shape[0] - 2 * K, 1))
         self._band_product(pad, y)
-        y = y[:n]
-        if lscale is not None:
-            y *= lscale[:, None]
-        return y.reshape(u.shape)
+        return y[:n, 0] * self.lscale
 
     def _padded(self, S):
         """Zero (K + rows + K, S) operand of _band_product: rows is the grid

@@ -2,9 +2,10 @@
 
 Sampling is exact rejection against closed-form envelopes (radially
 nonincreasing densities put the in-ball supremum at the point nearest
-the origin). TV bounds come in two flavors: witness lower bounds computed
-by quadrature, and gap-rate upper bounds with a constant fitted to the
-exact grid evolution from many starts.
+the origin). Witness lower bounds on TV come from quadrature. The exact
+grid evolution, _evolve, has two consumers: gap-rate upper bounds fitted
+to the curves from many starts, and Monte-Carlo paths checked against
+the curve from their own start.
 """
 
 import math
@@ -154,38 +155,52 @@ def _require_tv_grid(grid, h):
         raise ConfigError(f"TV grid needs delta <= h/20, got delta={grid.delta}")
 
 
-def _evolve_tv(P, starts, n_max):
-    """TV distances to P's stationary measure nu of the row measures
-    p_n = p_0 P^n from point masses at the nodes `starts`, evolved together
-    as the columns of one (n, S) block; returns the (n_max + 1, S) table.
+def _evolve(P, q0, n_max):
+    """Yield q_n = p_n / m, n = 0 .. n_max, for the row measures
+    p_n = p_0 P^n evolved together from the (n, S) block q0 = p_0 / m.
 
-    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m), and the block
-    evolved is q = p / m, which takes one scaling per step:
-    q <- (rho / m) * C q. q lives in the interior of two _padded buffers
-    that swap every step; the banded product writes straight into the
-    other buffer's interior and the zero factor past node n clears the
-    rows the last output block spills into, so no step allocates or pads.
-    TV_n = m . |q_n - nu / m| / 2.
+    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m), and q takes
+    one scaling per step: q <- (rho / m) * C q. q lives in the interior
+    of two _padded buffers that swap every step; the banded product
+    writes straight into the other buffer's interior and the zero factor
+    past node n clears the rows the last output block spills into, so no
+    step allocates or pads. Each q_n is an (n, S) view of one buffer,
+    which the step to q_{n+2} overwrites: a caller must be done with q_n
+    (or copy it) before it asks for q_{n+2}.
     """
-    m, nu = P.meta["mass"], P.meta["stationary"]
-    n, S, K = nu.size, len(starts), len(P.stencil) - 1
+    m = P.meta["mass"]
+    n, S, K = m.size, q0.shape[1], len(P.stencil) - 1
     q, q_next = P._padded(S), P._padded(S)
     rows = q.shape[0] - 2 * K
     scale = np.zeros((rows, 1))
     scale[:n, 0] = P.meta["rho"] / m
-    q[K + np.asarray(starts), np.arange(S)] = 1.0 / m[starts]
-    target = (nu / m)[:, None]
-    diff = np.empty((n, S))
-    tv = np.empty((n_max + 1, S))
+    q[K : K + n] = q0
     for k in range(n_max + 1):
-        np.subtract(q[K : K + n], target, out=diff)
-        np.abs(diff, out=diff)
-        np.matmul(m, diff, out=tv[k])
+        yield q[K : K + n]
         if k < n_max:
             inner = q_next[K : K + rows]
             P._band_product(q, inner)
             inner *= scale
             q, q_next = q_next, q
+
+
+def _evolve_tv(P, starts, n_max):
+    """TV distances to P's stationary measure nu of the row measures
+    p_n = p_0 P^n from point masses at the nodes `starts`, evolved together
+    by _evolve as the columns of one (n, S) block; returns the
+    (n_max + 1, S) table TV_n = m . |q_n - nu / m| / 2.
+    """
+    m, nu = P.meta["mass"], P.meta["stationary"]
+    n, S = nu.size, len(starts)
+    q0 = np.zeros((n, S))
+    q0[starts, np.arange(S)] = 1.0 / m[starts]
+    target = (nu / m)[:, None]
+    diff = np.empty((n, S))
+    tv = np.empty((n_max + 1, S))
+    for k, q in enumerate(_evolve(P, q0, n_max)):
+        np.subtract(q, target, out=diff)
+        np.abs(diff, out=diff)
+        np.matmul(m, diff, out=tv[k])
     tv *= 0.5
     return tv
 
@@ -336,6 +351,11 @@ def _agresti_coull_se(emp, n):
 def simulate_paths(config, grid):
     """Run the ensemble and estimate TV against the exact evolution.
 
+    The exact curve is one column of _evolve: q_0 = e_i / m_i at the node
+    nearest x0, or nu / m from stationarity, and p_n = m * q_n. The grid
+    must pass _require_tv_grid, and x0 must be None or finite inside the
+    box, |x0| < grid.L (ConfigError otherwise).
+
     The per-n estimator is the signed measure difference on the exact
     curve's maximizing set A*_n = {p_n > nu}: a binomial proportion, so it
     is unbiased with an exact standard error, unlike the plug-in half-l1
@@ -351,20 +371,21 @@ def simulate_paths(config, grid):
     is largest at n = 1 (about 15 SE with 20k paths from x0 = 2 at
     delta = 0.01), a few SE at n = 2, and it shrinks with delta.
     """
+    _require_tv_grid(grid, config.h)
+    if config.x0 is not None and not abs(float(config.x0)) < grid.L:
+        raise ConfigError(f"x0 must be None or finite with |x0| < L = {grid.L}, got {config.x0}")
     dens = config.density
-    if dens.dim != 1:
-        raise ConfigError("path simulation is implemented for d = 1")
     rng = make_rng(config.seed)
     P = build_markov(grid, dens, config.h)
-    nu = P.meta["stationary"]
+    m, nu = P.meta["mass"], P.meta["stationary"]
 
     if config.x0 is None:
         xs = sample_stationary(dens, config.h, rng, size=config.paths)
-        p = nu.copy()
+        q0 = nu / m
     else:
         xs = np.full(config.paths, float(config.x0))
-        p = np.zeros(grid.size)
-        p[int(np.argmin(np.abs(grid.axis_nodes() - config.x0)))] = 1.0
+        i0 = np.argmin(np.abs(grid.axis_nodes() - config.x0))
+        q0 = (np.arange(grid.size) == i0) / m
 
     # fallback witness set: a centered interval holding half the mass
     half = np.searchsorted(np.cumsum(nu), 0.5)
@@ -376,8 +397,8 @@ def simulate_paths(config, grid):
     tv_mc = np.empty(ns.size)
     tv_se = np.empty(ns.size)
     tv_exact = np.empty(ns.size)
-    for n in ns:
-        diff = p - nu
+    for n, q in enumerate(_evolve(P, q0[:, None], config.n_max)):
+        diff = m * q[:, 0] - nu
         tv_exact[n] = 0.5 * np.sum(np.abs(diff))
         mask = diff > 0 if np.max(np.abs(diff)) > 1e-12 else fixed_set
         emp = np.mean(mask[_cell_index(grid, xs)])
@@ -385,7 +406,6 @@ def simulate_paths(config, grid):
         tv_se[n] = _agresti_coull_se(emp, config.paths)
         if n < config.n_max:
             xs = _step_batch(dens, config.h, xs, rng)
-            p = P.rmatvec(p)
     return PathReport(
         config=config,
         ns=ns,

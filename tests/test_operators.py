@@ -32,6 +32,7 @@ from ballwalk.operators import (
     discrete_mass,
     taper_profile,
 )
+from ballwalk.walk import _evolve_tv
 
 M_1 = find_min_M(1)[1]
 
@@ -428,22 +429,6 @@ def test_to_dense_matches_matvec():
         np.testing.assert_allclose(T.to_dense() @ u, T.matvec(u), atol=1e-12)
 
 
-def test_rmatvec_matches_dense_transpose():
-    dens = make_density("gaussian", 1, 1.0)  # taper buffer 5 fits in L=6
-    g = Grid(1, 6.0, 240)
-    u = np.random.default_rng(7).standard_normal(g.size)
-    P = build_markov(g, dens, 0.25)
-    assert not np.allclose(P.rmatvec(u), P.matvec(u))  # P is not symmetric
-    for op in (
-        P,
-        build_conjugated(g, dens, 0.25, scheme=BANDED),
-        build_conjugated(g, dens, 0.25, scheme=MULTIPLIER),
-        build_ball_average(g, 0.25, scheme=MULTIPLIER),
-    ):
-        ref = op.to_dense().T @ u
-        np.testing.assert_allclose(op.rmatvec(u), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
-
-
 # (grid, h): K = 2 on n = 200 (h = 3 delta exactly, dyadic), K = 5 and
 # K = 41 > B on n = 250; neither n is a multiple of the block height
 @pytest.mark.parametrize("g, h, K", [(Grid(1, 6.25, 200), 0.1875, 2),
@@ -453,18 +438,27 @@ def test_rmatvec_matches_dense_transpose():
 def test_banded_block_product_matches_dense(g, h, K):
     assert g.size % _BLOCK_ROWS != 0
     dens = make_density("gaussian", 1, 1.0)
-    U = np.random.default_rng(11).standard_normal((g.size, 5))
-    for op in (build_markov(g, dens, h), build_conjugated(g, dens, h, scheme=BANDED)):
+    rng = np.random.default_rng(11)
+    P = build_markov(g, dens, h)
+    for op in (P, build_conjugated(g, dens, h, scheme=BANDED)):
         assert len(op.stencil) - 1 == K
         A = op.to_dense()
-        for act, M in ((op.matvec, A), (op.rmatvec, A.T)):
-            Y = act(U)
-            assert Y.shape == U.shape
-            for j in range(U.shape[1]):
-                ref = M @ U[:, j]
-                tol = 1e-12 * np.max(np.abs(ref))
-                np.testing.assert_allclose(Y[:, j], ref, rtol=0, atol=tol)
-                np.testing.assert_allclose(act(U[:, j]), ref, rtol=0, atol=tol)
+        for u in rng.standard_normal((3, g.size)):
+            ref = A @ u
+            np.testing.assert_allclose(op.matvec(u), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+    # the block path of the kernel: the exact TV evolution carries its
+    # starts as the columns of one (n, S) block, checked against dense
+    # powers of the Markov matrix's transpose
+    A, nu = P.to_dense(), P.meta["stationary"][:, None]
+    starts = np.linspace(0, g.size - 1, 6).astype(int)  # both walls and between
+    p = np.zeros((g.size, starts.size))
+    p[starts, np.arange(starts.size)] = 1.0
+    ref = []
+    for _ in range(16):
+        ref.append(0.5 * np.sum(np.abs(p - nu), axis=0))
+        p = A.T @ p
+    np.testing.assert_allclose(_evolve_tv(P, starts, 15), np.array(ref), rtol=0, atol=1e-13)
 
 
 def test_products_leave_operand_alone(gauss_half):
@@ -473,28 +467,23 @@ def test_products_leave_operand_alone(gauss_half):
     # would corrupt the Krylov basis
     g = Grid(1, 6.0, 250)
     P = build_markov(g, gauss_half, 0.25)
-    rng = np.random.default_rng(5)
-    for u in (rng.standard_normal(g.size), rng.standard_normal((g.size, 4))):
-        before = u.copy()
-        for act in (P.matvec, P.rmatvec):
-            y = act(u)
-            assert y.shape == u.shape
-            assert not np.shares_memory(y, u)
-            np.testing.assert_array_equal(u, before)
+    u = np.random.default_rng(5).standard_normal(g.size)
+    before = u.copy()
+    y = P.matvec(u)
+    assert y.shape == u.shape
+    assert not np.shares_memory(y, u)
+    np.testing.assert_array_equal(u, before)
 
 
 def test_operand_shapes_rejected(gauss_half):
     g = Grid(1, 6.0, 240)
     P = build_markov(g, gauss_half, 0.25)
     n = g.size
-    for bad in (np.ones(n + 1), np.ones((n - 1, 3)), np.ones((n, 2, 2))):
-        for act in (P.matvec, P.rmatvec):
-            with pytest.raises(ValueError):
-                act(bad)
-    M = build_ball_average(g, 0.25, scheme=MULTIPLIER)
-    for act in (M.matvec, M.rmatvec):
+    for bad in (np.ones(n + 1), np.ones((n, 3)), np.ones((n - 1, 3)), np.ones((n, 2, 2))):
         with pytest.raises(ValueError):
-            act(np.ones((n, 2)))
+            P.matvec(bad)
+    with pytest.raises(ValueError):
+        build_ball_average(g, 0.25, scheme=MULTIPLIER).matvec(np.ones((n, 2)))
 
 
 def test_to_banded_matches_dense(gauss_half):

@@ -79,6 +79,21 @@ def test_tv_mc_se_at_the_edges(gauss_half, grid):
     assert r.tv_mc_se[0] == pytest.approx(_agresti_coull_se(1.0, n), rel=1e-12)
 
 
+def test_paths_reject_grids_the_exact_curve_cannot_use(gauss_half):
+    with pytest.raises(ConfigError, match="delta <= h/20"):
+        simulate_paths(WalkConfig(gauss_half, 0.25, x0=1.0, paths=10, n_max=2), Grid(1, 8.0, 200))
+    with pytest.raises(ConfigError, match="d = 1"):
+        simulate_paths(WalkConfig(gauss_half, 0.25, x0=1.0, paths=10, n_max=2), Grid(2, 8.0, 40))
+
+
+@pytest.mark.parametrize("x0", [20.0, -12.0, math.nan, math.inf])
+def test_paths_reject_starts_off_the_box(gauss_half, grid, x0):
+    # the chain lives on |x| < L: a start outside would pair paths from x0
+    # with a chain from the wall node, and a NaN start never gets accepted
+    with pytest.raises(ConfigError, match="x0"):
+        simulate_paths(WalkConfig(gauss_half, 0.25, x0=x0, paths=10, n_max=2), grid)
+
+
 def test_same_seed_bit_identical(gauss_half, grid):
     cfg = WalkConfig(gauss_half, 0.25, x0=None, paths=2000, n_max=10, seed=5)
     a, b = simulate_paths(cfg, grid), simulate_paths(cfg, grid)
@@ -171,8 +186,9 @@ def dense_grid():
     return Grid(1, 8.0, 800)  # delta = h/25, inside the dense-assembly cap
 
 
-def test_tv_exact_grid_matches_dense_powers(gauss_half, dense_grid):
+def test_exact_tv_matches_dense_powers(gauss_half, dense_grid):
     # one start off the envelope's |x| < 1 window, evolved by _evolve_tv
+    # and by simulate_paths, the two consumers of _evolve
     P = build_markov(dense_grid, gauss_half, H_DENSE)
     A, nu = P.to_dense(), P.meta["stationary"]
     i0 = int(np.argmin(np.abs(dense_grid.axis_nodes() - 1.3)))
@@ -185,6 +201,10 @@ def test_tv_exact_grid_matches_dense_powers(gauss_half, dense_grid):
         p = A.T @ p
     np.testing.assert_allclose(tv[:, 0], ref, rtol=0, atol=1e-13)
     assert np.all(np.diff(tv[:, 0]) <= 1e-12)  # TV to stationarity never grows
+    paths = simulate_paths(WalkConfig(gauss_half, H_DENSE, x0=1.3, paths=200, n_max=40), dense_grid)
+    np.testing.assert_allclose(paths.tv_exact, ref, rtol=0, atol=1e-13)
+    still = simulate_paths(WalkConfig(gauss_half, H_DENSE, x0=None, paths=200, n_max=40), dense_grid)
+    assert np.max(still.tv_exact) <= 1e-13
     with pytest.raises(ConfigError):  # delta = h/6.25
         tv_upper_bound_curve(gauss_half, H_DENSE, 1.3, 5, Grid(1, 8.0, 200), 0.05)
 
