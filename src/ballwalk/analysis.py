@@ -78,6 +78,17 @@ def mu_reference(density, k_max):
 # ---------------------------------------------------------------------------
 # eigenvalue asymptotics
 
+def _top_levels(density, h, k):
+    """The k largest eigenvalues of the multiplier T-tilde on
+    [-BOX_L, BOX_L]^d at delta <= h/40. lambda_0 must be 1 within
+    LAMBDA_ZERO_TOL, or the box or taper is too tight (ConfigError)."""
+    g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 40))
+    lam = top_k(build_conjugated(g, density, h, scheme=MULTIPLIER), k).eigenvalues
+    if abs(lam[0] - 1.0) > LAMBDA_ZERO_TOL:
+        raise ConfigError(f"lambda_0({h}) = {lam[0]!r} is not 1: box or taper too tight")
+    return lam
+
+
 @dataclass
 class AsymptoticsReport(Report):
     h_values: np.ndarray = field(metadata={"json": "h"})
@@ -95,7 +106,7 @@ class AsymptoticsReport(Report):
 def verify_asymptotics(density, k_max, h_list):
     """Fit the order of |1 - gamma_d mu_k h^2 - lambda_k(h)| against h,
     with lambda_k(h) from the multiplier scheme on [-BOX_L, BOX_L]^d at
-    delta <= h/40.
+    delta <= h/40 (ConfigError where lambda_0 is not 1).
 
     PASS means every k = 1..k_max fits order >= 3.5 and the smallest-h
     residual stays within twice its own h^4 trend line (so the last point
@@ -112,16 +123,7 @@ def verify_asymptotics(density, k_max, h_list):
     gam = gamma_d(density.dim)
     mu = mu_reference(density, k_max)
 
-    lams = np.empty((len(h_list), k_max + 1))
-    for i, h in enumerate(h_list):
-        g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 40))
-        op = build_conjugated(g, density, h, scheme=MULTIPLIER)
-        lams[i] = top_k(op, k_max + 1).eigenvalues
-        if abs(lams[i, 0] - 1.0) > LAMBDA_ZERO_TOL:
-            raise ConfigError(
-                f"lambda_0({h}) = {lams[i, 0]!r} is not 1: box or taper too tight"
-            )
-
+    lams = np.array([_top_levels(density, h, k_max + 1) for h in h_list])
     hs = np.array(h_list)
     predicted = 1.0 - gam * np.outer(hs**2, mu)
     residuals = np.abs(predicted - lams)
@@ -298,9 +300,10 @@ class GapReport(Report):
 
 def spectral_gap(density, h):
     """Gap 1 - lambda_1 of the multiplier scheme on [-BOX_L, BOX_L]^d at
-    delta <= h/40, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa)."""
-    g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 40))
-    lam = top_k(build_conjugated(g, density, h, scheme=MULTIPLIER), 2).eigenvalues
+    delta <= h/40, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa).
+    Like verify_asymptotics, it refuses (ConfigError) a grid where
+    lambda_0 is not 1 within LAMBDA_ZERO_TOL."""
+    lam = _top_levels(density, h, 2)
     mu1 = float(mu_reference(density, 1)[1])
     kappa = kappa_analytic(density)
     floor = (1.0 - ALPHA_CFG) * kappa if math.isfinite(kappa) else math.inf

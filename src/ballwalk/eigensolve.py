@@ -10,16 +10,18 @@ Three routes, matched to the operator shapes:
     then gate every returned pair at RESIDUAL_RTOL. Repeated eigenvalues
     still surface only through rounding across the restarts, so the
     degenerate-level tests are the arbiter of multiplicities.
-  * bottom_k: d=1 Schrodinger operators are tridiagonal, solved by the
-    LAPACK Sturm bisection path; d=2 goes through ARPACK's smallest
-    algebraic eigenvalues of L.
+  * bottom_k: the Schrodinger operator is one sparse matrix; in d=1 it
+    is tridiagonal and its two diagonals go to the LAPACK Sturm bisection
+    path, in d=2 ARPACK finds the smallest algebraic eigenvalues of L.
   * count_at_most: Sylvester inertia of the symmetric banded scheme, by
     one unpivoted banded LDL^T sweep that carries every shift along at
     once (LAPACK has no banded symmetric indefinite driver); a near-zero
     or exploding pivot means that shift essentially hit an eigenvalue,
     and only it is swept again, nudged by a tiny perturbation.
 
-Eigenvectors are returned with unit L^2(dx) norm (grid weight delta^d).
+Every solver ends in one _finish: eigenpairs sorted, eigenvectors with
+unit L^2(dx) norm (grid weight delta^d), true residuals through the
+operator's matvec, and the RESIDUAL_RTOL gate for the iterative routes.
 """
 
 import math
@@ -66,23 +68,34 @@ def _cluster(values):
     return out
 
 
-def _finish(vals, vecs, matvec, grid, h=None, ascending=False):
-    """Sort, L^2(dx)-normalize, attach true matvec residuals."""
-    order = np.argsort(np.asarray(vals, dtype=float))
+def _finish(op, vals, vecs, method, ascending=False, scale=None):
+    """Sort, L^2(dx)-normalize and attach the true matvec residuals of
+    op; with a scale, every residual must be <= RESIDUAL_RTOL * scale
+    (NoConvergence otherwise)."""
+    vals = np.asarray(vals, dtype=float)
+    order = np.argsort(vals)
     if not ascending:
         order = order[::-1]
-    vals = np.asarray(vals, dtype=float)[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
+    grid = op.grid
     w = math.sqrt(grid.delta**grid.dim)
     resid = np.empty_like(vals)
     for i in range(vals.size):
         v = vecs[:, i] / (w * np.linalg.norm(vecs[:, i]))
         vecs[:, i] = v
-        resid[i] = w * np.linalg.norm(matvec(v) - vals[i] * v)
+        resid[i] = w * np.linalg.norm(op.matvec(v) - vals[i] * v)
+    if scale is not None and np.any(resid > RESIDUAL_RTOL * scale):
+        raise NoConvergence(f"{method} residuals above budget", residuals=resid)
     meta = {"dim": grid.dim, "L": grid.L, "N": grid.N}
-    if h is not None:
-        meta["h"] = h
-    return vals, vecs, resid, meta
+    if isinstance(op, DiscreteOperator):
+        meta["h"] = op.h
+    return EigenResult(vals, vecs, resid, method, meta, _cluster(vals))
+
+
+def _require_k(op, k):
+    n = op.grid.size
+    if not (1 <= k <= min(MAX_K, n - 1)):
+        raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
 
 
 def _arpack(matvec, n, k, which):
@@ -105,59 +118,46 @@ def top_k(op, k):
     come from rounding and are pinned by the degenerate-level tests."""
     if not isinstance(op, DiscreteOperator) or not op.symmetric:
         raise ConfigError("top_k needs a symmetric DiscreteOperator")
-    n = op.grid.size
-    if not (1 <= k <= min(MAX_K, n - 1)):
-        raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
-    vals, vecs = _arpack(op.matvec, n, k, "LA")
-    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, h=op.h)
-    if np.any(resid > RESIDUAL_RTOL * np.max(np.abs(vals))):
-        raise NoConvergence("Ritz residuals above budget", residuals=resid)
-    return EigenResult(vals, vecs, resid, "ARPACK", meta, _cluster(vals))
+    _require_k(op, k)
+    vals, vecs = _arpack(op.matvec, op.grid.size, k, "LA")
+    return _finish(op, vals, vecs, "ARPACK", scale=np.max(np.abs(vals)))
 
 
 def bottom_k(op, k):
     """k smallest eigenvalues of a SchrodingerOperator, ascending. d = 1
-    is tridiagonal and goes through Sturm bisection; d = 2 goes through
-    ARPACK with its default restart budget, stopped at RESIDUAL_RTOL / 100,
-    and its multiplicities come from rounding as in top_k. Every true
-    residual must be <= RESIDUAL_RTOL times a Gershgorin bound on the
+    is tridiagonal and goes through Sturm bisection on the matrix's
+    diagonals; d = 2 goes through ARPACK with its default restart budget,
+    stopped at RESIDUAL_RTOL / 100, and its multiplicities come from
+    rounding as in top_k. Every true residual must be <= RESIDUAL_RTOL
+    times the largest absolute row sum, a Gershgorin bound on the
     spectral radius."""
     if not isinstance(op, SchrodingerOperator):
         raise ConfigError("bottom_k expects a SchrodingerOperator")
-    n = op.grid.size
-    if not (1 <= k <= min(MAX_K, n - 1)):
-        raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
+    _require_k(op, k)
+    A = op.matrix
+    scale = float(abs(A).sum(axis=1).max())
     if op.grid.dim == 1:
         vals, vecs = scipy.linalg.eigh_tridiagonal(
-            op.bands[0], op.bands[1][: n - 1], select="i", select_range=(0, k - 1)
+            A.diagonal(), A.diagonal(1), select="i", select_range=(0, k - 1)
         )
-        method = "SturmBisection"
-    else:
-        vals, vecs = _arpack(op.matvec, n, k, "SA")
-        method = "ARPACK"
-    # Gershgorin bound on the spectral radius sets the residual gate's scale
-    specrad = float(
-        np.max(np.abs(op.bands[0])) + 2.0 * sum(np.max(np.abs(b)) for b in op.bands[1:])
-    )
-    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, ascending=True)
-    if np.any(resid > RESIDUAL_RTOL * specrad):
-        raise NoConvergence("residuals above budget", residuals=resid)
-    return EigenResult(vals, vecs, resid, method, meta, _cluster(vals))
+        return _finish(op, vals, vecs, "SturmBisection", ascending=True, scale=scale)
+    vals, vecs = _arpack(op.matvec, op.grid.size, k, "SA")
+    return _finish(op, vals, vecs, "ARPACK", ascending=True, scale=scale)
 
 
 def dense_reference(op, k=None):
     """Dense eigh reference: descending for DiscreteOperator, ascending
     for SchrodingerOperator. Guarded by the dense-assembly size cap; with
-    k, LAPACK computes only the k wanted eigenpairs."""
-    A = op.to_dense()
-    n = A.shape[0]
+    k, LAPACK computes only the k wanted eigenpairs. No residual gate:
+    the reference is what the iterative solvers are checked against."""
     schrod = isinstance(op, SchrodingerOperator)
+    n = op.grid.size
     subset = None
     if k is not None:
+        _require_k(op, k)
         subset = (0, k - 1) if schrod else (n - k, n - 1)
-    vals, vecs = scipy.linalg.eigh(A, subset_by_index=subset)
-    vals, vecs, resid, meta = _finish(vals, vecs, op.matvec, op.grid, ascending=schrod)
-    return EigenResult(vals, vecs, resid, "DenseReference", meta, _cluster(vals))
+    vals, vecs = scipy.linalg.eigh(op.to_dense(), subset_by_index=subset)
+    return _finish(op, vals, vecs, "DenseReference", ascending=schrod)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ Four operators on a truncated uniform grid:
     Fourier-multiplier scheme,
   * T-tilde = D_a T-bar D_a, the symmetric conjugation by the weight a_h,
   * T, the Markov form (row-stochastic, similar to T-tilde),
-  * L = -d^2/dx^2 + V, the Schrodinger comparison operator (positive
-    Laplacian sign convention), second-order stencil with Dirichlet walls.
+  * L = -Lap + V, the Schrodinger comparison operator (positive
+    Laplacian sign convention), second-order stencil with Dirichlet walls,
+    stored as one scipy.sparse CSR matrix in d = 1 and d = 2.
 
 Grid nodes are cell centers, x_i = -L + (i + 1/2) delta. The banded scheme
 restricts the infinite banded matrix to the box (zero extension); the
@@ -22,10 +23,13 @@ than the cross-scheme budget; the matched pair removes the theta^2 symbol
 error entirely, leaving O(theta^4).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .densities import ball_mass_grid, eval_density, eval_potential
@@ -245,23 +249,13 @@ class DiscreteOperator:
         if n > 4096:
             raise NumericalError(f"refusing dense assembly at N={n}")
         if self.scheme == BANDED:
-            c = self.stencil
-            A = np.zeros((n, n))
-            idx = np.arange(n)
-            for m in range(len(c)):
-                A[idx[: n - m], idx[: n - m] + m] = c[m]
-                A[idx[: n - m] + m, idx[: n - m]] = c[m]
-            if self.rscale is not None:
-                A = A * self.rscale[None, :]
-            if self.lscale is not None:
-                A = A * self.lscale[:, None]
-            return A
+            col = np.zeros(n)
+            col[: self.stencil.size] = self.stencil[:n]
+            return scipy.linalg.toeplitz(col) * self.rscale[None, :] * self.lscale[:, None]
         if self.grid.dim != 1:
             raise NumericalError("dense assembly of the 2-D multiplier scheme is not supported")
-        # circulant kernel from the symbol, then the diagonal conjugation
-        kernel = np.fft.irfft(self.symbol, n=self.grid.N)
-        j = np.arange(n)
-        C = kernel[(j[None, :] - j[:, None]) % n]
+        # C[i, j] = kernel[(j - i) mod n], the circulant kernel of the symbol
+        C = scipy.linalg.circulant(np.fft.irfft(self.symbol, n=self.grid.N)).T
         if self.weight is None:
             return C
         return self.weight[:, None] * C * self.weight[None, :]
@@ -270,12 +264,10 @@ class DiscreteOperator:
         """Symmetric banded storage bands[k, i] = A[i, i+k], k = 0..K."""
         if self.scheme != BANDED or not self.symmetric:
             raise NumericalError("banded storage needs the symmetric banded scheme")
-        c = self.stencil
+        c, s = self.stencil, self.lscale
         n = self.grid.size
-        K = len(c) - 1
-        bands = np.zeros((K + 1, n))
-        s = np.ones(n) if self.lscale is None else self.lscale
-        for k in range(K + 1):
+        bands = np.zeros((len(c), n))
+        for k in range(len(c)):
             bands[k, : n - k] = c[k] * s[: n - k] * s[k:] if k else c[0] * s * s
         return bands
 
@@ -306,23 +298,19 @@ def build_ball_average(grid, h, scheme=MULTIPLIER):
 
 
 def discrete_mass(grid, density, h):
-    """Stencil-consistent ball mass: m_i = sum_m c_m rho(x_i + m delta).
+    """Stencil-consistent ball mass: m_i = sum_m c_|m| rho(x_i + m delta).
 
-    rho is evaluated off-grid past the walls, so rows near the boundary
-    see the true one-sided mass rather than an artificial cliff.
+    rho is evaluated once on the N + 2K cell centers that extend the grid
+    K cells past each wall, so rows near the boundary see the true
+    one-sided mass rather than an artificial cliff; one valid-mode
+    convolution with the symmetric stencil gives every row.
     """
     if grid.dim != 1:
         raise ConfigError("discrete mass is a d=1 banded-scheme notion")
     c = band_weights(h, grid.delta)
-    x = grid.axis_nodes()
     K = len(c) - 1
-    m = c[0] * eval_density(density, x)
-    for k in range(1, K + 1):
-        m = m + c[k] * (
-            eval_density(density, x + k * grid.delta)
-            + eval_density(density, x - k * grid.delta)
-        )
-    return m
+    x = -grid.L + (np.arange(-K, grid.N + K) + 0.5) * grid.delta
+    return np.convolve(eval_density(density, x), np.concatenate([c[:0:-1], c]), "valid")
 
 
 def build_conjugated(grid, density, h, scheme=MULTIPLIER):
@@ -382,53 +370,28 @@ def build_markov(grid, density, h):
 
 @dataclass
 class SchrodingerOperator:
-    """L = -Laplacian + V, second-order stencil, Dirichlet walls.
-
-    bands[k, i] = A[i, i+k]; d=1 has k in {0, 1}, d=2 (row-major grid)
-    k in {0, 1, N}.
-    """
+    """L = -Laplacian + V as one scipy.sparse CSR matrix on the grid's
+    nodes (row-major in d = 2), second-order stencil, Dirichlet walls."""
 
     grid: Grid
-    potential: np.ndarray
-    bands: np.ndarray
-    offsets: tuple
+    matrix: scipy.sparse.csr_array
 
     def matvec(self, u):
-        u = np.asarray(u, dtype=float)
-        y = self.bands[0] * u
-        for row, k in zip(self.bands[1:], self.offsets[1:]):
-            y[: -k] += row[: u.size - k] * u[k:]
-            y[k:] += row[: u.size - k] * u[: -k]
-        return y
+        return self.matrix @ np.asarray(u, dtype=float)
 
     def to_dense(self):
-        n = self.grid.size
-        if n > 4096:
-            raise NumericalError(f"refusing dense assembly at N={n}")
-        A = np.diag(self.bands[0])
-        i = np.arange(n)
-        for row, k in zip(self.bands[1:], self.offsets[1:]):
-            A[i[: n - k], i[: n - k] + k] = row[: n - k]
-            A[i[: n - k] + k, i[: n - k]] = row[: n - k]
-        return A
+        if self.grid.size > 4096:
+            raise NumericalError(f"refusing dense assembly at N={self.grid.size}")
+        return self.matrix.toarray()
 
 
 def build_schrodinger(grid, density):
-    x = grid.nodes()
-    V = np.asarray(eval_potential(density, x), dtype=float)
+    """-Lap + V: the Dirichlet second difference D = tridiag(-1, 2, -1) /
+    delta^2 on one axis, its Kronecker sum D (+) D on the d = 2 grid (no
+    coupling across row ends), plus diag(V)."""
+    V = np.asarray(eval_potential(density, grid.nodes()), dtype=float)
     if not np.all(np.isfinite(V)):
         raise NumericalError("potential not finite on the grid")
-    d2 = grid.delta**2
-    n = grid.size
-    if grid.dim == 1:
-        bands = np.zeros((2, n))
-        bands[0] = 2.0 / d2 + V
-        bands[1, : n - 1] = -1.0 / d2
-        return SchrodingerOperator(grid, V, bands, (0, 1))
-    N = grid.N
-    bands = np.zeros((3, n))
-    bands[0] = 4.0 / d2 + V
-    bands[1, : n - 1] = -1.0 / d2
-    bands[1, N - 1 :: N] = 0.0  # no coupling across row ends
-    bands[2, : n - N] = -1.0 / d2
-    return SchrodingerOperator(grid, V, bands, (0, 1, N))
+    D = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(grid.N, grid.N))
+    lap = functools.reduce(scipy.sparse.kronsum, [D / grid.delta**2] * grid.dim)
+    return SchrodingerOperator(grid, scipy.sparse.csr_array(lap + scipy.sparse.diags_array(V)))

@@ -33,9 +33,12 @@ def make_rng(seed):
 
 def step_sample(density, h, x, rng):
     """One exact draw from t_h(x, .): the one-point case of _step_batch
-    (a float for d = 1, a length-2 array for d = 2)."""
+    (a float for d = 1, a length-2 array for d = 2). A non-finite x, which
+    no proposal could ever leave, raises ConfigError."""
     if h <= 0:
         raise ConfigError("step radius must be positive")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"step start must be finite, got {x!r}")
     row = np.reshape(np.asarray(x, dtype=float), (1, 2) if density.dim == 2 else (1,))
     y = _step_batch(density, h, row, rng)[0]
     return float(y) if density.dim == 1 else y

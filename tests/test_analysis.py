@@ -114,6 +114,14 @@ def test_asymptotics_guards_lambda_zero(gauss_half, monkeypatch):
         verify_asymptotics(gauss_half, 1, [0.5, 0.35, 0.25])
 
 
+def test_gap_guards_lambda_zero(gauss_half, monkeypatch):
+    # the same too-tight box: lambda_0 = 1 - 3.7e-3 at h = 0.25, and a gap
+    # read off that grid would be the taper's, not the operator's
+    monkeypatch.setattr(analysis, "BOX_L", 7.5)
+    with pytest.raises(ConfigError, match="lambda_0"):
+        spectral_gap(gauss_half, 0.25)
+
+
 def test_asymptotics_json_roundtrip(asym):
     blob = json.loads(asym.to_json())
     assert blob["passed"] is True

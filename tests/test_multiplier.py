@@ -4,9 +4,9 @@ Independent routes used here:
   * d=1 closed form sin(r)/r evaluated directly,
   * d=2 adaptive 1-D quadrature (scipy.integrate.quad) of the dimensional
     reduction integral
-        G_2(r) = (2/pi) * integral_{-1}^{1} sqrt(1-u^2) cos(r u) du
-    and of its r-derivative, which shares nothing with the package's
-    Bessel closed form or its small-r Taylor polynomial,
+        G_2(r) = (2/pi) * integral_{-1}^{1} sqrt(1-u^2) cos(r u) du,
+    which shares nothing with the package's Bessel closed form or its
+    small-r Taylor polynomial,
   * minimum locations against the classical characterizations
     (tan r = r for d=1, the first zero of J_2 for d=2).
 """
@@ -23,11 +23,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import j1, jn_zeros
 
-import ballwalk.multiplier as multiplier
-from ballwalk.errors import NumericalError
 from ballwalk.multiplier import (
     eval_Gd,
-    eval_Gd_prime,
     find_min_M,
     gamma_d,
     taylor_check,
@@ -44,14 +41,6 @@ M_2 = -0.13227948739610004
 def _G2_reduction_oracle(r):
     val, _ = quad(
         lambda u: (2.0 / math.pi) * math.sqrt(1.0 - u * u) * math.cos(r * u),
-        -1.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-13,
-    )
-    return val
-
-
-def _G2_prime_reduction_oracle(r):
-    val, _ = quad(
-        lambda u: -(2.0 / math.pi) * u * math.sqrt(1.0 - u * u) * math.sin(r * u),
         -1.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-13,
     )
     return val
@@ -92,10 +81,7 @@ def test_G2_small_r_path():
     below, above = np.nextafter(1e-3, 0.0), np.nextafter(1e-3, 1.0)
     for r in (below, above):
         assert abs(eval_Gd(2, r) - _G2_reduction_oracle(r)) < 1e-13
-        fp = _G2_prime_reduction_oracle(r)
-        assert abs(eval_Gd_prime(2, r) - fp) < 1e-14 * abs(fp)
     assert abs(eval_Gd(2, below) - eval_Gd(2, above)) < 1e-15
-    assert abs(eval_Gd_prime(2, below) - eval_Gd_prime(2, above)) < 1e-17
 
 
 def test_scalar_and_array_shapes():
@@ -122,6 +108,8 @@ def test_min_d1_frozen():
     # characterization: tan(r*) = r*, hence G(r*) = cos(r*)
     assert abs(math.tan(r_star) - r_star) < 1e-7
     assert abs(M - math.cos(r_star)) < 1e-12
+    # no deeper value anywhere on a fine scan out to r = 50
+    assert eval_Gd(1, np.arange(1e-3, 50.0, 1e-3)).min() >= M - 1e-15
 
 
 def test_min_d2_frozen():
@@ -131,37 +119,24 @@ def test_min_d2_frozen():
     assert abs(r_star - j21) < 1e-9
     assert abs(M - M_2) < 1e-12
     assert abs(M - 2.0 * j1(j21) / j21) < 1e-12
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_min_scan_without_negative_lobe_raises(d, monkeypatch):
-    # the first zeros are pi (d=1) and 3.83 (d=2): a scan ending at 3 sees
-    # no negative lobe
-    monkeypatch.setattr(multiplier, "_SCAN_RMAX", 3.0)
-    with pytest.raises(NumericalError, match="no negative lobe"):
-        find_min_M(d)
+    assert eval_Gd(2, np.arange(1e-3, 50.0, 1e-3)).min() >= M - 1e-15
 
 
 def test_package_import_leaves_scipy_optimize_out():
-    # find_min_M bisects on G' itself: loading scipy.optimize for a root
-    # finder costs every process that imports the package ~0.16 s and ~12 MB.
-    # A fresh interpreter, because the oracles here (scipy.integrate) load it.
+    # Every scipy subpackage the package loads adds to the import time of
+    # every process that uses it (scipy.optimize alone ~0.16 s and ~12 MB);
+    # none of these has a caller in the package. A fresh interpreter,
+    # because the oracles here (scipy.integrate) load some of them.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    unwanted = ("scipy.optimize", "scipy.integrate", "scipy.stats", "scipy.ndimage",
+                "scipy.fft")
     code = ("import sys, ballwalk.analysis, ballwalk.walk; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert proc.returncode == 0
-
-
-def test_derivative_consistency():
-    # central differences against the analytic derivative
-    for d in (1, 2):
-        for r in (0.7, 2.5, 4.0, 7.3):
-            eps = 1e-6
-            fd = (eval_Gd(d, r + eps) - eval_Gd(d, r - eps)) / (2 * eps)
-            assert abs(eval_Gd_prime(d, r) - fd) < 1e-8
+            f"sys.exit(sorted(m for m in {unwanted!r} if m in sys.modules) or 0)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_taylor_structure():
@@ -202,3 +177,9 @@ def test_multiplier_bounded_by_one(d, r):
 @given(r=st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
 def test_minimum_is_global_d1(r):
     assert eval_Gd(1, r) >= M_1 - 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
+def test_minimum_is_global_d2(r):
+    assert eval_Gd(2, r) >= M_2 - 1e-12

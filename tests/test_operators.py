@@ -11,9 +11,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from ballwalk.densities import make_density, tempered_A_h
+from ballwalk.densities import eval_potential, make_density, tempered_A_h
 from ballwalk.eigensolve import top_k, bottom_k
 from ballwalk.errors import ConfigError, KernelUnderResolved, NumericalError
 from ballwalk.multiplier import eval_Gd, find_min_M
@@ -348,10 +349,8 @@ def test_truncation_insensitivity_tempered_wide_core():
 
 def test_schrodinger_free_dirichlet_values():
     n, delta = 400, 0.01
-    bands = np.zeros((2, n))
-    bands[0] = 2.0 / delta**2
-    bands[1, : n - 1] = -1.0 / delta**2
-    L = SchrodingerOperator(Grid(1, n * delta / 2, n), np.zeros(n), bands, (0, 1))
+    A = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n))
+    L = SchrodingerOperator(Grid(1, n * delta / 2, n), scipy.sparse.csr_array(A / delta**2))
     r = bottom_k(L, 3)
     exact = 4.0 / delta**2 * np.sin(np.arange(1, 4) * math.pi / (2.0 * (n + 1))) ** 2
     np.testing.assert_allclose(r.eigenvalues, exact, rtol=1e-9)
@@ -372,6 +371,26 @@ def test_schrodinger_factorization_positivity(gauss_half, tempered_unit):
         g = Grid(1, 6.0, 300)
         r = bottom_k(build_schrodinger(g, dens), 1)
         assert r.eigenvalues[0] >= -10.0 * g.delta**2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_schrodinger_matrix_matches_stencil(dim):
+    # -Lap + V entry by entry: 2d/delta^2 + V on the diagonal, -1/delta^2
+    # for each axis neighbor inside the box, nothing else
+    g = Grid(dim, 4.0, 40 if dim == 1 else 12)
+    dens = make_density("tempered", 1, 1.0, R=0.5) if dim == 1 else make_density("gaussian", 2, 1.0)
+    L = build_schrodinger(g, dens)
+    assert scipy.sparse.issparse(L.matrix) and L.matrix.format == "csr"
+    V = eval_potential(dens, g.nodes())
+    idx = np.arange(g.size).reshape((g.N,) * dim)
+    A = np.diag(2.0 * dim / g.delta**2 + V)
+    for axis in range(dim):
+        lo = np.take(idx, np.arange(g.N - 1), axis=axis).ravel()
+        hi = np.take(idx, np.arange(1, g.N), axis=axis).ravel()
+        A[lo, hi] = A[hi, lo] = -1.0 / g.delta**2
+    np.testing.assert_array_equal(L.to_dense(), A)
+    u = np.random.default_rng(2).standard_normal(g.size)
+    np.testing.assert_allclose(L.matvec(u), A @ u, rtol=1e-13, atol=1e-13 * np.abs(A).max())
 
 
 def test_schrodinger_d2_bands_no_row_wrap():

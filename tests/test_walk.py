@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import dblquad, quad
 
+from ballwalk import walk
 from ballwalk.densities import eval_density, make_density
 from ballwalk.errors import ConfigError, WitnessHypothesisViolated
 from ballwalk.operators import _BLOCK_ROWS, BANDED, Grid, build_conjugated, build_markov
@@ -101,6 +102,21 @@ def test_same_seed_bit_identical(gauss_half, grid):
     np.testing.assert_array_equal(a.tv_mc, b.tv_mc)
     np.testing.assert_array_equal(a.tv_mc_se, b.tv_mc_se)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("dim,x", [
+    (1, math.nan), (1, math.inf), (1, -math.inf),
+    (2, [math.nan, 0.0]), (2, [0.5, math.inf]), (2, [-math.inf, math.nan]),
+], ids=["nan", "inf", "-inf", "d2-nan", "d2-inf", "d2-both"])
+def test_step_sample_rejects_non_finite_start(dim, x, monkeypatch):
+    # from NaN no proposal is ever accepted, and from +-inf rho and its
+    # envelope are both 0, so an infinite "step" passes the test 0 <= 0;
+    # the small budget keeps a sampler that takes the point fast to fail
+    monkeypatch.setattr(walk, "REJECTION_BUDGET", 1000)
+    rng = make_rng(4)
+    with pytest.raises(ConfigError, match="finite"):
+        step_sample(make_density("gaussian", dim, 0.5), 0.25, x, rng)
+    assert rng.uniform() == make_rng(4).uniform()  # no draw was made
 
 
 def test_step_sample_d2_stays_in_ball():
