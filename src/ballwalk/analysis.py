@@ -57,13 +57,9 @@ def mu_reference(density, k_max):
     reserved for densities without a closed form.
     """
     if density.kind == "gaussian":
-        step = 4.0 * density.alpha
-        if density.dim == 1:
-            return step * np.arange(k_max + 1, dtype=float)
-        levels = []
-        m = 0
-        while len(levels) <= k_max:
-            levels.extend([step * m] * (m + 1))
+        levels, m = [], 0
+        while len(levels) <= k_max:  # level 4 alpha m has C(m + d - 1, d - 1) states
+            levels += [4.0 * density.alpha * m] * math.comb(m + density.dim - 1, density.dim - 1)
             m += 1
         return np.array(levels[: k_max + 1])
     L = density.R + 25.0 / density.alpha
@@ -329,11 +325,7 @@ def localization_radii(result):
     """
     meta = result.grid_meta
     g = Grid(meta["dim"], meta["L"], meta["N"])
-    if g.dim == 1:
-        r = np.abs(g.axis_nodes())
-    else:
-        nodes = g.nodes()
-        r = np.sqrt(nodes[:, 0] ** 2 + nodes[:, 1] ** 2)
+    r = np.sqrt(np.sum(np.reshape(g.nodes(), (g.size, -1)) ** 2, axis=1))
     order = np.argsort(r)
     radii = np.empty(result.eigenvectors.shape[1])
     for j in range(radii.size):

@@ -46,22 +46,19 @@ def eval_Gd(d, r):
     an adaptive quadrature of the dimensional-reduction integral).
     """
     _check_dim(d)
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr < 0):
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise ValueError("radial argument must be >= 0")
-
     if d == 1:
         # sin(r)/r, stable at 0 through numpy's normalized sinc
-        out = np.sinc(r_arr / math.pi)
+        out = np.sinc(r / math.pi)
     else:
-        small = r_arr < _R_TAYLOR
-        near, far = r_arr[small], r_arr[~small]
-        out = np.empty_like(r_arr)
+        small = r < _R_TAYLOR
+        near, far = r[small], r[~small]
+        out = np.empty_like(r)
         out[small] = 1.0 - near * near / 8.0 + near**4 / 192.0
         out[~small] = 2.0 * j1(far) / far
-    return float(out[0]) if scalar else out
+    return out[()]
 
 
 # First minimizers: the first positive root of tan r = r for d = 1, where

@@ -2,18 +2,19 @@
 
 Four operators on a truncated uniform grid:
 
-  * T-bar, the plain ball average: banded quadrature scheme or periodic
-    Fourier-multiplier scheme,
-  * T-tilde = D_a T-bar D_a, the symmetric conjugation by the weight a_h,
+  * T-tilde = D_a T-bar D_a, the ball average T-bar conjugated by the weight
+    a_h, in a banded quadrature or a periodic Fourier-multiplier scheme;
+    T-bar itself is T-tilde at a = 1 (one constructor builds both),
   * T, the Markov form (row-stochastic, similar to T-tilde),
   * L = -Lap + V, the Schrodinger comparison operator (positive
     Laplacian sign convention), second-order stencil with Dirichlet walls,
     stored as one scipy.sparse CSR matrix in d = 1 and d = 2.
 
 Grid nodes are cell centers, x_i = -L + (i + 1/2) delta. The banded scheme
-restricts the infinite banded matrix to the box (zero extension); the
-multiplier scheme works on the periodic box and tapers the conjugation
-weight to zero inside a buffer strip so wrap-around never sees mass.
+restricts the infinite banded matrix to the box (zero extension), and all
+its products are DiscreteOperator.powers; the multiplier scheme works on
+the periodic box and tapers the conjugation weight to zero inside a
+buffer strip so wrap-around never sees mass.
 
 Banded stencil. Interior cells get weight delta; the two outermost cells
 on each side get the pair (u, v) fixed by matching the mass 2h and second
@@ -32,7 +33,7 @@ import scipy.linalg
 import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .densities import ball_mass_grid, eval_density, eval_potential
+from .densities import _radius, ball_mass_grid, eval_density, eval_potential
 from .errors import ConfigError, KernelUnderResolved, NumericalError
 from .multiplier import eval_Gd, unit_ball_volume
 
@@ -77,11 +78,8 @@ class Grid:
 
     def interior_mask(self, h):
         """Nodes farther than h from every box wall."""
-        x = self.axis_nodes()
-        ax = np.abs(x) < self.L - h
-        if self.dim == 1:
-            return ax
-        return np.outer(ax, ax).ravel()
+        ax = np.abs(self.axis_nodes()) < self.L - h
+        return functools.reduce(np.logical_and.outer, [ax] * self.dim).ravel()
 
     def truncation_ratio(self, density):
         """rho at the wall relative to the center; < 1e-12 is the usual gate.
@@ -140,11 +138,8 @@ def taper_profile(grid, h, alpha):
     buf = max(5.0 * h, 5.0 / math.sqrt(alpha))
     if buf >= grid.L:
         raise ConfigError(f"box half-width {grid.L} smaller than taper buffer {buf}")
-    x = grid.axis_nodes()
-    prof = _smootherstep((grid.L - np.abs(x)) / buf)
-    if grid.dim == 1:
-        return prof
-    return np.outer(prof, prof).ravel()
+    prof = _smootherstep((grid.L - np.abs(grid.axis_nodes())) / buf)
+    return functools.reduce(np.multiply.outer, [prof] * grid.dim).ravel()
 
 
 # Rows per block of the banded product. Interleaved timings of the batched
@@ -173,13 +168,12 @@ class DiscreteOperator:
     """Grid operator in one of the two schemes.
 
     matvec takes one vector (n,) in either scheme.
-    banded: y = lscale * C (rscale * u), C the symmetric band with
-    C[i, j] = stencil[|i - j|] for |i - j| <= K; scale factors fold in
-    1/(alpha_d h^d) and the conjugation weights. Every product with C is
-    one batched GEMM (_band_product) on a zero-padded operand from
-    _padded: one column here, an (n, S) block in walk._evolve.
-    multiplier: y = weight * idft(symbol * dft(weight * u)) on the
-    periodic box (weight absent for the plain ball average).
+    banded: lscale * C (rscale * u), C the symmetric band with
+    C[i, j] = stencil[|i - j|] for |i - j| <= K; the scales fold in
+    1/(alpha_d h^d) and the conjugation weights. powers is the one banded
+    kernel: matvec is one step of it, walk._evolve an (n, S) block of them.
+    multiplier: weight * idft(symbol * dft(weight * u)) on the periodic
+    box; weight = 1 for the plain ball average.
     """
 
     scheme: str
@@ -203,46 +197,39 @@ class DiscreteOperator:
         if u.shape != (self.grid.size,):
             raise ValueError(f"expected shape ({self.grid.size},), got {u.shape}")
         if self.scheme == BANDED:
-            return self._banded(u)
-        w = u if self.weight is None else self.weight * u
-        if self.grid.dim == 1:
-            y = np.fft.irfft(np.fft.rfft(w) * self.symbol, n=self.grid.N)
-        else:
-            W = w.reshape(self.grid.N, self.grid.N)
-            y = np.fft.irfft2(np.fft.rfft2(W) * self.symbol, s=(self.grid.N, self.grid.N)).ravel()
-        return y if self.weight is None else self.weight * y
+            *_, y = self.powers((self.rscale * u)[:, None], self.lscale, 1)
+            return y[:, 0]
+        shape, axes = (self.grid.N,) * self.grid.dim, range(self.grid.dim)
+        w = np.fft.rfftn((self.weight * u).reshape(shape), s=shape, axes=axes)
+        return self.weight * np.fft.irfftn(w * self.symbol, s=shape, axes=axes).ravel()
 
-    def _banded(self, u):
-        """lscale * C (rscale * u) for one vector u: the scaled input goes
-        into the interior of a one-column _padded buffer and one
-        _band_product writes C of it into a fresh output, so the result
-        never shares memory with u."""
-        n, K = self.grid.size, len(self.stencil) - 1
-        pad = self._padded(1)
-        np.multiply(u, self.rscale, out=pad[K : K + n, 0])
-        y = np.empty((pad.shape[0] - 2 * K, 1))
-        self._band_product(pad, y)
-        return y[:n, 0] * self.lscale
+    def powers(self, q0, scale, n_max):
+        """Yield (diag(scale) C)^k q0, k = 0 .. n_max, for an (n, S) block q0.
 
-    def _padded(self, S):
-        """Zero (K + rows + K, S) operand of _band_product: rows is the grid
-        size rounded up to a multiple of _BLOCK_ROWS, so the band's input
-        sits in rows K .. K + n with zeros on both sides of it."""
-        K = len(self.stencil) - 1
-        rows = -(-self.grid.size // _BLOCK_ROWS) * _BLOCK_ROWS
-        return np.zeros((rows + 2 * K, S))
-
-    def _band_product(self, pad, out):
-        """out[:n] = C u for the operand u = pad[K : K + n] of a _padded
-        pad whose other rows are zero. out is (rows, S) and C-contiguous;
-        its rows past n come out nonzero and are not part of C u. All
-        rows / B output blocks are one np.matmul of the fixed
-        B x (B + 2K) Toeplitz block against the read-only overlapping
-        (B + 2K) x S windows of pad, B rows apart: no copy of the operand
-        and no Python loop over blocks."""
-        K, B = len(self.stencil) - 1, _BLOCK_ROWS
-        windows = sliding_window_view(pad, B + 2 * K, axis=0)[::B].swapaxes(1, 2)
-        np.matmul(self._block, windows, out=out.reshape(-1, B, pad.shape[1]))
+        The powers live inside two zero-padded (K + rows + K, S) buffers
+        that swap every step, rows = n rounded up to a multiple of B =
+        _BLOCK_ROWS. A step is one np.matmul of the B x (B + 2K) Toeplitz
+        block against the overlapping (B + 2K) x S windows of one buffer,
+        B rows apart, straight into the other's interior; the zero factor
+        past node n clears the rows the last block spills into. Each power
+        is an (n, S) view that the step two powers later overwrites.
+        """
+        if self.scheme != BANDED:
+            raise ConfigError("powers needs the banded scheme")
+        (n, S), K, B = q0.shape, len(self.stencil) - 1, _BLOCK_ROWS
+        rows = -(-n // B) * B
+        q, q_next = np.zeros((rows + 2 * K, S)), np.zeros((rows + 2 * K, S))
+        factor = np.zeros((rows, 1))
+        factor[:n, 0] = scale
+        q[K : K + n] = q0
+        for k in range(n_max + 1):
+            yield q[K : K + n]
+            if k < n_max:
+                windows = sliding_window_view(q, B + 2 * K, axis=0)[::B].swapaxes(1, 2)
+                inner = q_next[K : K + rows]
+                np.matmul(self._block, windows, out=inner.reshape(-1, B, S))
+                inner *= factor
+                q, q_next = q_next, q
 
     def to_dense(self):
         n = self.grid.size
@@ -256,8 +243,6 @@ class DiscreteOperator:
             raise NumericalError("dense assembly of the 2-D multiplier scheme is not supported")
         # C[i, j] = kernel[(j - i) mod n], the circulant kernel of the symbol
         C = scipy.linalg.circulant(np.fft.irfft(self.symbol, n=self.grid.N)).T
-        if self.weight is None:
-            return C
         return self.weight[:, None] * C * self.weight[None, :]
 
     def to_banded(self):
@@ -268,33 +253,33 @@ class DiscreteOperator:
         n = self.grid.size
         bands = np.zeros((len(c), n))
         for k in range(len(c)):
-            bands[k, : n - k] = c[k] * s[: n - k] * s[k:] if k else c[0] * s * s
+            bands[k, : n - k] = c[k] * s[: n - k] * s[k:]
         return bands
 
 
-def _multiplier_symbol(grid, h, d):
-    if d == 1:
-        xi = 2.0 * math.pi * np.fft.rfftfreq(grid.N, grid.delta)
-        return eval_Gd(1, h * xi)
-    kx = 2.0 * math.pi * np.fft.fftfreq(grid.N, grid.delta)
-    ky = 2.0 * math.pi * np.fft.rfftfreq(grid.N, grid.delta)
-    r = h * np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
-    return eval_Gd(2, r)
+def _multiplier_symbol(grid, h):
+    """G_d(h |xi|) on the rfftn lattice, whose last axis is the half one."""
+    full = 2.0 * math.pi * np.fft.fftfreq(grid.N, grid.delta)
+    half = 2.0 * math.pi * np.fft.rfftfreq(grid.N, grid.delta)
+    xi = np.meshgrid(*[full] * (grid.dim - 1), half, indexing="ij", sparse=True)
+    return eval_Gd(grid.dim, h * np.sqrt(sum(k**2 for k in xi)))
+
+
+def _conjugated(grid, h, scheme, a):
+    """D_a T-bar D_a in either scheme; a = 1 gives T-bar itself."""
+    if scheme != MULTIPLIER and (scheme, grid.dim) != (BANDED, 1):
+        raise ConfigError(f"no {scheme!r} scheme in d = {grid.dim}")
+    _require_resolved(grid, h)
+    if scheme == MULTIPLIER:
+        return DiscreteOperator(scheme, grid, h, True, symbol=_multiplier_symbol(grid, h), weight=a)
+    s = a / math.sqrt(2.0 * h)  # split the 1/(2h) across both factors
+    c = band_weights(h, grid.delta)
+    return DiscreteOperator(scheme, grid, h, True, stencil=c, lscale=s, rscale=s)
 
 
 def build_ball_average(grid, h, scheme=MULTIPLIER):
-    """Plain ball average T-bar (no density attached)."""
-    _require_resolved(grid, h)
-    if scheme == BANDED:
-        if grid.dim != 1:
-            raise ConfigError("banded scheme is implemented for d = 1")
-        c = band_weights(h, grid.delta)
-        s = np.full(grid.size, 1.0 / math.sqrt(2.0 * h))
-        return DiscreteOperator(BANDED, grid, h, True, stencil=c, lscale=s, rscale=s)
-    if scheme != MULTIPLIER:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    sym = _multiplier_symbol(grid, h, grid.dim)
-    return DiscreteOperator(MULTIPLIER, grid, h, True, symbol=sym)
+    """Plain ball average T-bar (no density attached): T-tilde at a = 1."""
+    return _conjugated(grid, h, scheme, np.ones(grid.size))
 
 
 def discrete_mass(grid, density, h):
@@ -313,6 +298,13 @@ def discrete_mass(grid, density, h):
     return np.convolve(eval_density(density, x), np.concatenate([c[:0:-1], c]), "valid")
 
 
+def _require_mass(density, x, m):
+    """Refuse nodes where rho and m underflow to 0: a_h = 0/0, 1/m = inf."""
+    if not np.all(m > 0):
+        r = np.min(_radius(density, x)[m <= 0])
+        raise NumericalError(f"rho and the ball mass underflow to 0 from radius {r:.6g}")
+
+
 def build_conjugated(grid, density, h, scheme=MULTIPLIER):
     """Symmetric conjugated operator T-tilde = D_a T-bar D_a.
 
@@ -323,24 +315,13 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER):
     """
     if density.dim != grid.dim:
         raise ConfigError("grid and density dimension mismatch")
-    _require_resolved(grid, h)
-    vol = unit_ball_volume(grid.dim) * h**grid.dim
     x = grid.nodes()
-    rho = eval_density(density, x)
-    if scheme == BANDED:
-        if grid.dim != 1:
-            raise ConfigError("banded scheme is implemented for d = 1")
-        m = discrete_mass(grid, density, h)
-        a = np.sqrt(vol * rho / m)
-        c = band_weights(h, grid.delta)
-        s = a / math.sqrt(2.0 * h)  # split the 1/(2h) across both factors
-        return DiscreteOperator(BANDED, grid, h, True, stencil=c, lscale=s, rscale=s)
-    if scheme != MULTIPLIER:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    m = ball_mass_grid(density, x, h)
-    a = np.sqrt(vol * rho / m) * taper_profile(grid, h, density.alpha)
-    sym = _multiplier_symbol(grid, h, grid.dim)
-    return DiscreteOperator(MULTIPLIER, grid, h, True, symbol=sym, weight=a)
+    m = discrete_mass(grid, density, h) if scheme == BANDED else ball_mass_grid(density, x, h)
+    _require_mass(density, x, m)
+    a = np.sqrt(unit_ball_volume(grid.dim) * h**grid.dim * eval_density(density, x) / m)
+    if scheme == MULTIPLIER:
+        a *= taper_profile(grid, h, density.alpha)
+    return _conjugated(grid, h, scheme, a)
 
 
 def build_markov(grid, density, h):
@@ -358,11 +339,10 @@ def build_markov(grid, density, h):
     x = grid.axis_nodes()
     rho = eval_density(density, x)
     m = discrete_mass(grid, density, h)
-    op = DiscreteOperator(BANDED, grid, h, False, stencil=c, lscale=1.0 / m, rscale=rho)
-    op.meta["mass"] = m
-    op.meta["rho"] = rho
-    op.meta["stationary"] = rho * m / np.sum(rho * m)
-    return op
+    _require_mass(density, x, m)
+    nu = rho * m / np.sum(rho * m)
+    return DiscreteOperator(BANDED, grid, h, False, stencil=c, lscale=1.0 / m, rscale=rho,
+                            meta={"mass": m, "rho": rho, "stationary": nu})
 
 
 # ---------------------------------------------------------------------------

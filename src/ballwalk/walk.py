@@ -3,9 +3,10 @@
 Sampling is exact rejection against closed-form envelopes (radially
 nonincreasing densities put the in-ball supremum at the point nearest
 the origin). Witness lower bounds on TV come from quadrature. The exact
-grid evolution, _evolve, has two consumers: gap-rate upper bounds fitted
-to the curves from many starts, and Monte-Carlo paths checked against
-the curve from their own start.
+grid evolution, _evolve, is DiscreteOperator.powers of the Markov form's
+transpose; it has two consumers: gap-rate upper bounds fitted to the
+curves from many starts, and Monte-Carlo paths checked against the curve
+from their own start.
 """
 
 import math
@@ -100,11 +101,15 @@ def sample_stationary(density, h, rng, size=None):
 def _rho_sample(density, rng, n):
     if density.kind == "gaussian":
         return rng.normal(0.0, 1.0 / math.sqrt(2.0 * density.alpha), size=n)
-    # tempered: s(x) >= |x| with equality on the tail, so the Laplace
-    # density alpha/2 e^{-alpha|x|} dominates rho/beta exactly
-    out = np.empty(0)
+    # tempered: s(x) >= |x| with equality on the tail, so the Laplace density
+    # alpha/2 e^{-alpha|x|} dominates rho/beta; the core accepts ~e^{-3 alpha R/8}
+    out, proposals = np.empty(0), 0
     while out.size < n:
-        x = rng.laplace(0.0, 1.0 / density.alpha, size=2 * (n - out.size) + 32)
+        size = 2 * (n - out.size) + 32
+        proposals += size
+        if proposals > REJECTION_BUDGET * n:
+            raise RejectionBudgetExceeded(f"tempered proposal starved after {proposals} trials")
+        x = rng.laplace(0.0, 1.0 / density.alpha, size=size)
         ratio = eval_density(density, x) / (
             density.beta * np.exp(-density.alpha * np.abs(x))
         )
@@ -162,29 +167,11 @@ def _evolve(P, q0, n_max):
     """Yield q_n = p_n / m, n = 0 .. n_max, for the row measures
     p_n = p_0 P^n evolved together from the (n, S) block q0 = p_0 / m.
 
-    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m), and q takes
-    one scaling per step: q <- (rho / m) * C q. q lives in the interior
-    of two _padded buffers that swap every step; the banded product
-    writes straight into the other buffer's interior and the zero factor
-    past node n clears the rows the last output block spills into, so no
-    step allocates or pads. Each q_n is an (n, S) view of one buffer,
-    which the step to q_{n+2} overwrites: a caller must be done with q_n
-    (or copy it) before it asks for q_{n+2}.
+    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m): q_n is the
+    n-th power of diag(rho / m) C on q0, a view that the step to q_{n+2}
+    overwrites (a caller must be done with q_n before it asks for q_{n+2}).
     """
-    m = P.meta["mass"]
-    n, S, K = m.size, q0.shape[1], len(P.stencil) - 1
-    q, q_next = P._padded(S), P._padded(S)
-    rows = q.shape[0] - 2 * K
-    scale = np.zeros((rows, 1))
-    scale[:n, 0] = P.meta["rho"] / m
-    q[K : K + n] = q0
-    for k in range(n_max + 1):
-        yield q[K : K + n]
-        if k < n_max:
-            inner = q_next[K : K + rows]
-            P._band_product(q, inner)
-            inner *= scale
-            q, q_next = q_next, q
+    return P.powers(q0, P.meta["rho"] / P.meta["mass"], n_max)
 
 
 def _evolve_tv(P, starts, n_max):
@@ -226,7 +213,10 @@ class WitnessReport(Report):
 def tv_lower_bound_witness(density, h, x, tau, n):
     """Finite speed: n steps from x with |x| >= tau + (n+1)h cannot reach
     |y| < tau, so the +-1 indicator witness evaluates exactly and the TV
-    lower bound reduces to 1 - nu_h(|y| >= tau), a pure quadrature."""
+    lower bound reduces to 1 - nu_h(|y| >= tau), a pure quadrature. A
+    non-finite x, a negative tau or a negative n raises ConfigError."""
+    if not (math.isfinite(x) and tau >= 0 and n >= 0):
+        raise ConfigError(f"witness needs finite x, tau >= 0, n >= 0: got {x!r}, {tau!r}, {n!r}")
     if abs(x) < tau + (n + 1) * h:
         raise WitnessHypothesisViolated(
             f"|x|={abs(x)} < tau + (n+1)h = {tau + (n + 1) * h}"

@@ -48,6 +48,8 @@ def test_mu_reference_gaussian_closed_form(gauss_half):
     np.testing.assert_array_equal(mu_reference(gauss_half, 3), [0.0, 2.0, 4.0, 6.0])
     g2 = make_density("gaussian", 2, 1.0)
     np.testing.assert_array_equal(mu_reference(g2, 3), [0.0, 4.0, 4.0, 8.0])
+    # level 4 alpha m of the d = 2 oscillator holds m + 1 states
+    np.testing.assert_array_equal(mu_reference(g2, 9), [0, 4, 4, 8, 8, 8, 12, 12, 12, 12])
 
 
 def test_mu_reference_tempered_deep_well():

@@ -58,7 +58,8 @@ def weyl_op(gauss_half):
 @pytest.fixture(scope="module")
 def identity_op():
     g = Grid(1, 4.0, 64)
-    return DiscreteOperator(MULTIPLIER, g, 0.5, True, symbol=np.ones(g.N // 2 + 1))
+    return DiscreteOperator(MULTIPLIER, g, 0.5, True, symbol=np.ones(g.N // 2 + 1),
+                            weight=np.ones(g.size))
 
 
 @pytest.fixture(scope="module")

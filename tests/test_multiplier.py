@@ -85,8 +85,8 @@ def test_G2_small_r_path():
 
 
 def test_scalar_and_array_shapes():
-    v = eval_Gd(1, 1.3)
-    assert isinstance(v, float)
+    for d in (1, 2):
+        assert isinstance(eval_Gd(d, 1.3), float)
     arr = eval_Gd(2, np.array([0.0, 1.0, 5.0]))
     assert arr.shape == (3,)
     assert arr[0] == 1.0

@@ -78,6 +78,9 @@ def test_grid_interior_mask():
     m = g.interior_mask(1.0)
     x = g.axis_nodes()
     np.testing.assert_array_equal(m, np.abs(x) < 3.0)
+    g2 = Grid(2, 4.0, 16)
+    inside = [abs(p[0]) < 3.0 and abs(p[1]) < 3.0 for p in g2.nodes()]
+    np.testing.assert_array_equal(g2.interior_mask(1.0), inside)
 
 
 def test_truncation_ratio_is_reported_not_enforced(gauss_half, tempered_unit):
@@ -429,6 +432,31 @@ def test_d2_conjugated_symmetry_and_ground():
     assert abs(r.eigenvalues[1] - r.eigenvalues[2]) < 1e-9
 
 
+def test_taper_profile_per_node():
+    # smootherstep of the distance to the wall over the buffer width,
+    # one factor per axis, evaluated node by node
+    def drop(x, L, buf):
+        t = min(max((L - abs(x)) / buf, 0.0), 1.0)
+        return t**3 * (6.0 * t * t - 15.0 * t + 10.0)
+
+    h, alpha = 0.25, 1.0  # buffer max(5h, 5/sqrt(alpha)) = 5
+    for g in (Grid(1, 8.0, 64), Grid(2, 8.0, 32)):
+        nodes = np.reshape(g.nodes(), (g.size, g.dim))
+        ref = [math.prod(drop(x, g.L, 5.0) for x in p) for p in nodes]
+        np.testing.assert_allclose(taper_profile(g, h, alpha), ref, rtol=1e-14, atol=1e-15)
+
+
+def test_box_where_rho_underflows_is_refused():
+    # alpha = 0.5 on [-48, 48]: rho and the ball mass are exactly 0 from
+    # |x| ~ 38 on, where a_h would be 0/0 and 1/m infinite
+    dens, g = make_density("gaussian", 1, 0.5), Grid(1, 48.0, 12800)
+    for scheme in (BANDED, MULTIPLIER):
+        with pytest.raises(NumericalError, match="underflow to 0 from radius 3[78]"):
+            build_conjugated(g, dens, 0.3, scheme=scheme)
+    with pytest.raises(NumericalError, match="underflow to 0 from radius 3[78]"):
+        build_markov(g, dens, 0.3)
+
+
 def test_taper_needs_room(gauss_half):
     with pytest.raises(ConfigError):
         taper_profile(Grid(1, 5.0, 200), 0.25, 0.5)  # buffer 5/sqrt(alpha) > L
@@ -478,6 +506,29 @@ def test_banded_block_product_matches_dense(g, h, K):
         ref.append(0.5 * np.sum(np.abs(p - nu), axis=0))
         p = A.T @ p
     np.testing.assert_allclose(_evolve_tv(P, starts, 15), np.array(ref), rtol=0, atol=1e-13)
+
+
+def test_powers_match_dense():
+    # K = 41 > _BLOCK_ROWS on a ragged n = 250, three columns, a random
+    # positive scale: (diag(scale) C)^k q0 against dense powers of the band
+    g, h = Grid(1, 6.0, 250), 2.0
+    assert g.size % _BLOCK_ROWS != 0
+    op = build_ball_average(g, h, scheme=BANDED)
+    c = op.stencil
+    assert len(c) - 1 > _BLOCK_ROWS
+    idx = np.arange(g.size)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    C = np.where(dist < len(c), c[np.minimum(dist, len(c) - 1)], 0.0)
+    rng = np.random.default_rng(3)
+    scale = rng.uniform(0.5, 1.5, g.size)
+    q0 = rng.standard_normal((g.size, 3))
+    ref = q0
+    for k, q in enumerate(op.powers(q0, scale, 3)):
+        np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        ref = scale[:, None] * (C @ ref)
+    assert k == 3
+    with pytest.raises(ConfigError):
+        next(build_ball_average(g, h, scheme=MULTIPLIER).powers(q0, scale, 1))
 
 
 def test_products_leave_operand_alone(gauss_half):

@@ -18,7 +18,7 @@ from scipy.integrate import dblquad, quad
 
 from ballwalk import walk
 from ballwalk.densities import eval_density, make_density
-from ballwalk.errors import ConfigError, WitnessHypothesisViolated
+from ballwalk.errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
 from ballwalk.operators import _BLOCK_ROWS, BANDED, Grid, build_conjugated, build_markov
 from ballwalk.walk import (
     TV_START_STRIDE,
@@ -162,6 +162,16 @@ def test_witness_hypothesis(gauss_half):
     assert 0.0 < w.value < 1.0
 
 
+@pytest.mark.parametrize("x, tau, n", [(math.nan, 2.0, 10), (math.inf, 2.0, 10),
+                                       (-math.inf, 2.0, 10), (6.0, 2.0, -3), (6.0, -1.0, 3)],
+                         ids=["nan", "inf", "-inf", "negative-n", "negative-tau"])
+def test_witness_rejects_bad_inputs(gauss_half, x, tau, n):
+    # |nan| < tau + (n+1)h is False: the hypothesis check alone lets NaN
+    # through; tau < 0 counts the tail twice (nu_tail 1.84 at tau = -1)
+    with pytest.raises(ConfigError, match="needs finite x"):
+        tv_lower_bound_witness(gauss_half, 0.25, x, tau, n)
+
+
 # --- quadrature of nu_h -----------------------------------------------------
 
 def _quad(f, a, b, kinks=()):
@@ -300,6 +310,15 @@ def test_upper_bound_validation(gauss_half, dense_grid):
 
 
 # --- stationary sampler ---------------------------------------------------------
+
+def test_tempered_proposals_are_budgeted(monkeypatch):
+    # the Laplace proposal accepts like e^{-3 alpha R / 8} in the core,
+    # about 1.5e-8 at R = 48: without a budget this draw spins for minutes
+    monkeypatch.setattr(walk, "REJECTION_BUDGET", 10**4)
+    deep = make_density("tempered", 1, 1.0, R=48.0)
+    with pytest.raises(RejectionBudgetExceeded):
+        sample_stationary(deep, 0.25, make_rng(0), size=1)
+
 
 def test_sample_stationary_moments(gauss_half, tempered_half):
     # second and fourth moments of 20k exact draws against the grid chain's
