@@ -12,9 +12,11 @@ Four operators on a truncated uniform grid:
 
 Grid nodes are cell centers, x_i = -L + (i + 1/2) delta. The banded scheme
 restricts the infinite banded matrix to the box (zero extension), and all
-its products are DiscreteOperator.powers; the multiplier scheme works on
-the periodic box and tapers the conjugation weight to zero inside a
-buffer strip so wrap-around never sees mass.
+its products are DiscreteOperator.powers: one matmul per step of a stack
+of Toeplitz blocks with the row scale folded in, built once per operator.
+The multiplier scheme works on the periodic box, one FFT axis at a time,
+and tapers the conjugation weight to zero inside a buffer strip so
+wrap-around never sees mass.
 
 Banded stencil. Interior cells get weight delta; the two outermost cells
 on each side get the pair (u, v) fixed by matching the mass 2h and second
@@ -142,12 +144,11 @@ def taper_profile(grid, h, alpha):
     return functools.reduce(np.multiply.outer, [prof] * grid.dim).ravel()
 
 
-# Rows per block of the banded product. Interleaved timings of the batched
-# product on a 2400-node grid with one BLAS thread, over 4, 8, 12, 16, 24
-# and 32 rows: with 100 columns, 8 and 12 tie at K = 24 (0.42-0.43 ms, and
-# 0.51 ms at 32), 8 is up to 12% faster for K <= 41 and 12 up to 3% faster
-# at K = 48; a single vector takes 18 us at 12 and 22 us at 8. 12 also
-# leaves the 200- and 250-node test grids with a ragged last block.
+# Rows per block of the banded product. Interleaved timings of 200 steps
+# of a 100-column block on a 2400-node grid (K = 24) with one BLAS thread,
+# the row scale folded into the blocks, best and median of 12: 8 and 12
+# rows tie (73-78 ms), 16 takes 77-80 ms, 24 83-87 ms and 32 90-94 ms.
+# 12 also leaves the 200- and 250-node test grids with a ragged last block.
 _BLOCK_ROWS = 12
 
 
@@ -186,50 +187,65 @@ class DiscreteOperator:
     symbol: np.ndarray = None
     weight: np.ndarray = None
     meta: dict = field(default_factory=dict)
-    _block: np.ndarray = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.scheme == BANDED:
-            self._block = _toeplitz_block(self.stencil)
 
     def matvec(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.grid.size,):
             raise ValueError(f"expected shape ({self.grid.size},), got {u.shape}")
         if self.scheme == BANDED:
-            *_, y = self.powers((self.rscale * u)[:, None], self.lscale, 1)
+            *_, y = self.powers((self.rscale * u)[:, None], 1)
             return y[:, 0]
-        shape, axes = (self.grid.N,) * self.grid.dim, range(self.grid.dim)
-        w = np.fft.rfftn((self.weight * u).reshape(shape), s=shape, axes=axes)
-        return self.weight * np.fft.irfftn(w * self.symbol, s=shape, axes=axes).ravel()
+        # rfft on the last axis, then fft on each leading one (d = 2 has
+        # one): what rfftn does, without its n-d argument handling
+        N, lead = self.grid.N, range(self.grid.dim - 1)
+        w = np.fft.rfft((self.weight * u).reshape((N,) * self.grid.dim))
+        for ax in lead:
+            w = np.fft.fft(w, axis=ax)
+        w *= self.symbol
+        for ax in lead:
+            w = np.fft.ifft(w, axis=ax)
+        return self.weight * np.fft.irfft(w, n=N).ravel()
 
-    def powers(self, q0, scale, n_max):
-        """Yield (diag(scale) C)^k q0, k = 0 .. n_max, for an (n, S) block q0.
+    @functools.cached_property
+    def _stack(self):
+        """diag(lscale) T for each block of B = _BLOCK_ROWS rows: the
+        (rows / B, B, B + 2K) stack that powers multiplies, rows = n
+        rounded up to a multiple of B, with zero rows past node n. Built on
+        the first banded product, so an operator that only goes through
+        to_banded never builds it. Cached: a new lscale takes a new
+        operator (dataclasses.replace), not an edit in place."""
+        B = _BLOCK_ROWS
+        scale = np.zeros(-(-self.grid.size // B) * B)
+        scale[: self.grid.size] = self.lscale
+        return _toeplitz_block(self.stencil) * scale.reshape(-1, B, 1)
+
+    def powers(self, q0, n_max):
+        """Yield (diag(lscale) C)^k q0, k = 0 .. n_max, for an (n, S) block q0.
 
         The powers live inside two zero-padded (K + rows + K, S) buffers
-        that swap every step, rows = n rounded up to a multiple of B =
-        _BLOCK_ROWS. A step is one np.matmul of the B x (B + 2K) Toeplitz
-        block against the overlapping (B + 2K) x S windows of one buffer,
-        B rows apart, straight into the other's interior; the zero factor
-        past node n clears the rows the last block spills into. Each power
-        is an (n, S) view that the step two powers later overwrites.
+        that swap every step. Each buffer gets its overlapping (B + 2K) x S
+        windows, B rows apart, and its interior as (rows / B, B, S) once;
+        a step is then one np.matmul of _stack against one buffer's
+        windows, straight into the other's interior (the zero rows of the
+        last block clear the rows it spills into). Each power is an (n, S)
+        view that the step two powers later overwrites.
         """
         if self.scheme != BANDED:
             raise ConfigError("powers needs the banded scheme")
         (n, S), K, B = q0.shape, len(self.stencil) - 1, _BLOCK_ROWS
-        rows = -(-n // B) * B
-        q, q_next = np.zeros((rows + 2 * K, S)), np.zeros((rows + 2 * K, S))
-        factor = np.zeros((rows, 1))
-        factor[:n, 0] = scale
-        q[K : K + n] = q0
+        stack = self._stack
+        rows = len(stack) * B
+        # per buffer: the power, its windows, its interior as blocks
+        cur, nxt = ((buf[K : K + n],
+                     sliding_window_view(buf, B + 2 * K, axis=0)[::B].swapaxes(1, 2),
+                     buf[K : K + rows].reshape(-1, B, S))
+                    for buf in (np.zeros((K + rows + K, S)), np.zeros((K + rows + K, S))))
+        cur[0][...] = q0
         for k in range(n_max + 1):
-            yield q[K : K + n]
+            yield cur[0]
             if k < n_max:
-                windows = sliding_window_view(q, B + 2 * K, axis=0)[::B].swapaxes(1, 2)
-                inner = q_next[K : K + rows]
-                np.matmul(self._block, windows, out=inner.reshape(-1, B, S))
-                inner *= factor
-                q, q_next = q_next, q
+                np.matmul(stack, cur[1], out=nxt[2])
+                cur, nxt = nxt, cur
 
     def to_dense(self):
         n = self.grid.size

@@ -6,6 +6,7 @@ Oracles: exact moment identities of the ball indicator, Fourier modes
 assemblies small enough for eigvalsh.
 """
 
+import dataclasses
 import math
 import os
 
@@ -165,6 +166,20 @@ def test_multiplier_scheme_diagonalizes_grid_modes():
         xi = 2.0 * math.pi * j / (2.0 * g.L)
         u = np.cos(xi * x)
         np.testing.assert_allclose(T.matvec(u), eval_Gd(1, h * xi) * u, atol=1e-12)
+
+
+def test_multiplier_matvec_matches_rfftn():
+    # the matvec transforms one axis at a time; the result is exactly the
+    # n-d real transform pair's, in d = 1 and d = 2
+    rng = np.random.default_rng(7)
+    for g, h in ((Grid(1, 12.0, 960), 0.25), (Grid(2, 8.0, 96), 0.6)):
+        dens = make_density("gaussian", g.dim, 1.0)
+        T = build_conjugated(g, dens, h)
+        u = rng.standard_normal(g.size)
+        shape, axes = (g.N,) * g.dim, range(g.dim)
+        w = np.fft.rfftn((T.weight * u).reshape(shape), s=shape, axes=axes)
+        ref = T.weight * np.fft.irfftn(w * T.symbol, s=shape, axes=axes).ravel()
+        assert np.array_equal(T.matvec(u), ref)
 
 
 def test_banded_symbol_error_third_order_in_delta():
@@ -510,25 +525,25 @@ def test_banded_block_product_matches_dense(g, h, K):
 
 def test_powers_match_dense():
     # K = 41 > _BLOCK_ROWS on a ragged n = 250, three columns, a random
-    # positive scale: (diag(scale) C)^k q0 against dense powers of the band
+    # positive lscale: (diag(lscale) C)^k q0 against dense powers of the band
     g, h = Grid(1, 6.0, 250), 2.0
     assert g.size % _BLOCK_ROWS != 0
-    op = build_ball_average(g, h, scheme=BANDED)
+    rng = np.random.default_rng(3)
+    scale = rng.uniform(0.5, 1.5, g.size)
+    op = dataclasses.replace(build_ball_average(g, h, scheme=BANDED), lscale=scale)
     c = op.stencil
     assert len(c) - 1 > _BLOCK_ROWS
     idx = np.arange(g.size)
     dist = np.abs(idx[:, None] - idx[None, :])
     C = np.where(dist < len(c), c[np.minimum(dist, len(c) - 1)], 0.0)
-    rng = np.random.default_rng(3)
-    scale = rng.uniform(0.5, 1.5, g.size)
     q0 = rng.standard_normal((g.size, 3))
     ref = q0
-    for k, q in enumerate(op.powers(q0, scale, 3)):
+    for k, q in enumerate(op.powers(q0, 3)):
         np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
         ref = scale[:, None] * (C @ ref)
     assert k == 3
     with pytest.raises(ConfigError):
-        next(build_ball_average(g, h, scheme=MULTIPLIER).powers(q0, scale, 1))
+        next(build_ball_average(g, h, scheme=MULTIPLIER).powers(q0, 1))
 
 
 def test_products_leave_operand_alone(gauss_half):

@@ -10,6 +10,7 @@ sampler's moments against the grid chain's stationary vector.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ballwalk.errors import ConfigError, RejectionBudgetExceeded, WitnessHypothe
 from ballwalk.operators import _BLOCK_ROWS, BANDED, Grid, build_conjugated, build_markov
 from ballwalk.walk import (
     TV_START_STRIDE,
+    _TV_CHUNK_ROWS,
     WalkConfig,
     _agresti_coull_se,
     _evolve_tv,
@@ -172,6 +174,13 @@ def test_witness_rejects_bad_inputs(gauss_half, x, tau, n):
         tv_lower_bound_witness(gauss_half, 0.25, x, tau, n)
 
 
+@pytest.mark.parametrize("h", [-0.25, 0.0, math.nan], ids=["negative", "zero", "nan"])
+def test_witness_rejects_bad_radius(gauss_half, h):
+    # refused by the witness itself, not by the ball-mass quadrature below it
+    with pytest.raises(ConfigError, match="h > 0"):
+        tv_lower_bound_witness(gauss_half, h, 6.0, 2.0, 3)
+
+
 # --- quadrature of nu_h -----------------------------------------------------
 
 def _quad(f, a, b, kinks=()):
@@ -295,6 +304,23 @@ def test_tempered_tv_matches_dense_powers(tempered_half):
     np.testing.assert_allclose(tv, np.array(ref), rtol=0, atol=1e-13)
 
 
+def test_chunked_tv_matches_dense_powers(gauss_half):
+    # the TV reduction runs over row chunks: 2,400 nodes are more than one
+    # chunk and leave a ragged last one
+    g = Grid(1, 12.0, 2400)
+    assert g.size > _TV_CHUNK_ROWS and g.size % _TV_CHUNK_ROWS != 0
+    P = build_markov(g, gauss_half, 0.25)
+    A, nu = P.to_dense(), P.meta["stationary"][:, None]
+    starts = np.linspace(0, g.size - 1, 7).astype(int)  # both walls and between
+    p = np.zeros((g.size, starts.size))
+    p[starts, np.arange(starts.size)] = 1.0
+    ref = []
+    for _ in range(21):
+        ref.append(0.5 * np.sum(np.abs(p - nu), axis=0))
+        p = A.T @ p
+    np.testing.assert_allclose(_evolve_tv(P, starts, 20), np.array(ref), rtol=0, atol=1e-13)
+
+
 def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
     with pytest.raises(ConfigError, match="delta <= h/20"):
         tv_upper_bound_curve(gauss_half, 0.25, 1.0, 20, Grid(1, 8.0, 200), 0.05)
@@ -318,6 +344,20 @@ def test_tempered_proposals_are_budgeted(monkeypatch):
     deep = make_density("tempered", 1, 1.0, R=48.0)
     with pytest.raises(RejectionBudgetExceeded):
         sample_stationary(deep, 0.25, make_rng(0), size=1)
+
+
+def test_hopeless_tempered_density_refused_before_drawing():
+    # the Laplace envelope accepts alpha / (2 beta) of its proposals, 1.08e-7
+    # at R = 48: past the real budget the sampler refuses without a draw
+    deep = make_density("tempered", 1, 1.0, R=48.0)
+    assert 2.0 * deep.beta / deep.alpha > walk.REJECTION_BUDGET
+    rng = make_rng(0)
+    t0 = time.perf_counter()
+    with pytest.raises(RejectionBudgetExceeded):
+        sample_stationary(deep, 0.25, rng, size=1)
+    assert time.perf_counter() - t0 < 1.0
+    # the rng has not moved: its next draws are a fresh one's
+    np.testing.assert_array_equal(rng.random(4), make_rng(0).random(4))
 
 
 def test_sample_stationary_moments(gauss_half, tempered_half):
