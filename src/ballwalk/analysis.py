@@ -21,6 +21,7 @@ LAMBDA_ZERO_TOL = 1e-6  # lambda_0 must sit at 1 for every h
 ORDER_MIN = 3.5
 ALPHA_CFG = 0.9  # curvature levels mu < ALPHA_CFG * kappa are trusted as discrete
 BOX_L = 12.0  # verify_asymptotics, weyl_curve and spectral_gap run on [-BOX_L, BOX_L]^d
+GRID_RULE = 10  # their T-tilde grids have delta <= h/GRID_RULE (tests/test_grid_convergence.py)
 WEYL_LAMBDAS = tuple(np.linspace(0.10, 0.30, 9))  # weyl_curve's sweep; 0.3 stands in for delta_0
 MU_DELTAS = (4e-3, 2e-3)  # Richardson pair for the -Lap + V reference levels
 BAND_H_SWEEP = (0.4, 0.3, 0.2, 0.15)  # h values of the A_h residual fit
@@ -31,6 +32,18 @@ def _even_grid(L, h, rule):
     """Smallest even N with delta = 2L/N <= h/rule."""
     n = int(math.ceil(2.0 * L * rule / h))
     return n + (n % 2)
+
+
+def _require_h(h):
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"h must be finite and positive, got {h!r}")
+
+
+def _box_grid(density, h):
+    """The T-tilde grid of every driver here: [-BOX_L, BOX_L]^d at
+    delta <= h/GRID_RULE. ConfigError unless h is finite and positive."""
+    _require_h(h)
+    return Grid(density.dim, BOX_L, _even_grid(BOX_L, h, GRID_RULE))
 
 
 def _fit_loglog_slope(x, y):
@@ -76,10 +89,10 @@ def mu_reference(density, k_max):
 
 def _top_levels(density, h, k):
     """The k largest eigenvalues of the multiplier T-tilde on
-    [-BOX_L, BOX_L]^d at delta <= h/40. lambda_0 must be 1 within
+    [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE. lambda_0 must be 1 within
     LAMBDA_ZERO_TOL, or the box or taper is too tight (ConfigError)."""
-    g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 40))
-    lam = top_k(build_conjugated(g, density, h, scheme=MULTIPLIER), k).eigenvalues
+    op = build_conjugated(_box_grid(density, h), density, h, scheme=MULTIPLIER)
+    lam = top_k(op, k).eigenvalues
     if abs(lam[0] - 1.0) > LAMBDA_ZERO_TOL:
         raise ConfigError(f"lambda_0({h}) = {lam[0]!r} is not 1: box or taper too tight")
     return lam
@@ -102,16 +115,19 @@ class AsymptoticsReport(Report):
 def verify_asymptotics(density, k_max, h_list):
     """Fit the order of |1 - gamma_d mu_k h^2 - lambda_k(h)| against h,
     with lambda_k(h) from the multiplier scheme on [-BOX_L, BOX_L]^d at
-    delta <= h/40 (ConfigError where lambda_0 is not 1).
+    delta <= h/GRID_RULE (ConfigError where lambda_0 is not 1).
 
     PASS means every k = 1..k_max fits order >= 3.5 and the smallest-h
     residual stays within twice its own h^4 trend line (so the last point
     is on the curve, not an outlier the slope fit smoothed over). k_max
-    < 1 leaves no level to fit and raises ConfigError.
+    < 1 leaves no level to fit and raises ConfigError, and so does an h
+    that is not finite and positive, before any solve.
     """
     if k_max < 1:
         raise ConfigError(f"k_max must be at least 1, got {k_max}")
     h_list = [float(h) for h in h_list]
+    for h in h_list:
+        _require_h(h)
     if len(h_list) < 3:
         raise InsufficientHPoints(f"order fit needs >= 3 h values, got {len(h_list)}")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
@@ -188,8 +204,10 @@ def essential_band(density, h):
     the report says so instead of erroring. The residual gate fits one C
     over BAND_H_SWEEP plus h and requires every |A_h - 1 + kappa gamma h^2|
     to stay within 1.5x the common h^4 trend, matching how tightly the tail
-    expansion actually holds.
+    expansion actually holds. An h that is not finite and positive raises
+    ConfigError.
     """
+    _require_h(h)
     if density.kind not in ("gaussian", "tempered"):
         raise WrongDensityKind(f"no band model for density kind {density.kind!r}")
     M = find_min_M(density.dim)[1]
@@ -241,24 +259,24 @@ def weyl_curve(density, h_list):
     lambda in WEYL_LAMBDAS (0.10 to 0.30 in steps of 0.025) and fit the
     growth exponent against 1 + lambda h^{-2}.
 
-    T-tilde is the banded scheme on [-BOX_L, BOX_L]^d at delta <= h/20.
+    T-tilde is the banded scheme on [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE.
     All counts for one h come from one count_at_most call at the shifts
     1 - lambda and 1. PASS iff the fitted exponent is <= d + 0.3; the
     dominating constant max N / (1 + lambda h^{-2})^d is reported
     alongside. Fewer than two distinct abscissae with N >= 1 leave the
     exponent undetermined: it is reported as nan and the check fails;
-    with none, c_dominating is nan too. An empty h_list raises
-    ConfigError.
+    with none, c_dominating is nan too. An empty h_list, or an h that is
+    not finite and positive, raises ConfigError before any count.
     """
     if density.kind != "gaussian":
         raise WrongDensityKind("the counting bound is checked on Gaussian densities")
     if len(h_list) == 0:
         raise ConfigError("the Weyl sweep needs at least one h")
 
+    grids = [_box_grid(density, h) for h in h_list]
     rows = []
     retries = 0
-    for h in h_list:
-        g = Grid(density.dim, BOX_L, _even_grid(BOX_L, h, 20))
+    for h, g in zip(h_list, grids):
         op = build_conjugated(g, density, h, scheme=BANDED)
         r = count_at_most(op, np.append(1.0 - np.array(WEYL_LAMBDAS), 1.0))
         retries += r.retries
@@ -296,9 +314,10 @@ class GapReport(Report):
 
 def spectral_gap(density, h):
     """Gap 1 - lambda_1 of the multiplier scheme on [-BOX_L, BOX_L]^d at
-    delta <= h/40, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa).
-    Like verify_asymptotics, it refuses (ConfigError) a grid where
-    lambda_0 is not 1 within LAMBDA_ZERO_TOL."""
+    delta <= h/GRID_RULE, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa).
+    Like verify_asymptotics, it refuses (ConfigError) an h that is not
+    finite and positive, and a grid where lambda_0 is not 1 within
+    LAMBDA_ZERO_TOL."""
     lam = _top_levels(density, h, 2)
     mu1 = float(mu_reference(density, 1)[1])
     kappa = kappa_analytic(density)

@@ -124,6 +124,19 @@ def test_gap_guards_lambda_zero(gauss_half, monkeypatch):
         spectral_gap(gauss_half, 0.25)
 
 
+# every driver refuses an h outside (0, inf) up front, with one message
+@pytest.mark.parametrize("h", [0.0, -0.2, math.nan, math.inf])
+@pytest.mark.parametrize("driver", [
+    lambda g, t, h: verify_asymptotics(g, 3, [0.5, 0.35, h]),
+    lambda g, t, h: spectral_gap(g, h),
+    lambda g, t, h: weyl_curve(g, [0.3, h]),
+    lambda g, t, h: essential_band(t, h),
+], ids=["verify_asymptotics", "spectral_gap", "weyl_curve", "essential_band"])
+def test_drivers_refuse_bad_h(driver, h, gauss_half, tempered_unit):
+    with pytest.raises(ConfigError, match="h must be finite and positive"):
+        driver(gauss_half, tempered_unit, h)
+
+
 def test_asymptotics_json_roundtrip(asym):
     blob = json.loads(asym.to_json())
     assert blob["passed"] is True

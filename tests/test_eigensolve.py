@@ -14,8 +14,8 @@ import pytest
 import scipy.linalg
 
 from ballwalk import eigensolve
-from ballwalk.analysis import LAMBDA_ZERO_TOL, _even_grid, weyl_curve
-from ballwalk.densities import make_density
+from ballwalk.analysis import LAMBDA_ZERO_TOL, _box_grid, weyl_curve
+from ballwalk.densities import eval_potential, make_density
 from ballwalk.eigensolve import (
     CLUSTER_RTOL,
     MAX_K,
@@ -50,9 +50,8 @@ def banded_op(gauss_half):
 
 @pytest.fixture(scope="module")
 def weyl_op(gauss_half):
-    # the h = 0.3 operator weyl_curve factors with its default grid
-    return build_conjugated(Grid(1, 12.0, _even_grid(12.0, 0.3, 20)), gauss_half, 0.3,
-                            scheme=BANDED)
+    # the h = 0.3 operator weyl_curve factors, on the drivers' grid
+    return build_conjugated(_box_grid(gauss_half, 0.3), gauss_half, 0.3, scheme=BANDED)
 
 
 @pytest.fixture(scope="module")
@@ -157,16 +156,40 @@ def test_top_k_degenerate_levels_d2(conjugated_d2):
 # eigenvalues still come out of it only through rounding; these pin the
 # multiplicities and the residual margin that the earlier stop must keep
 
-def test_bottom_k_d2_multiplicities_match_dense():
-    # 4,096 nodes, the dense-assembly cap
+def _kronsum_levels(grid, alpha, k):
+    """The k lowest levels of the d = 2 Gaussian -Lap + V on grid, as
+    pairwise sums of the d = 1 tridiagonal spectra (with exact
+    multiplicities: e_i + e_j and e_j + e_i are the same float), after
+    checking that V(x, y) = V_1(x) + V_1(y) on the grid, which makes the
+    d = 2 matrix the Kronecker sum of the d = 1 one with itself."""
+    line = Grid(1, grid.L, grid.N)
+    d1 = make_density("gaussian", 1, alpha)
+    v1 = eval_potential(d1, line.nodes())
+    v2 = eval_potential(make_density("gaussian", 2, alpha), grid.nodes())
+    np.testing.assert_allclose(v2, np.add.outer(v1, v1).ravel(), rtol=1e-14, atol=1e-14)
+    A = build_schrodinger(line, d1).matrix
+    e = scipy.linalg.eigh_tridiagonal(A.diagonal(), A.diagonal(1), eigvals_only=True)
+    return np.sort(np.add.outer(e, e).ravel())[:k]
+
+
+def test_bottom_k_d2_multiplicities_match_kronsum():
     op = build_schrodinger(Grid(2, 7.0, 64), make_density("gaussian", 2, 0.5))
     r = bottom_k(op, 6)
-    ref = dense_reference(op, 6)
+    ref = _kronsum_levels(op.grid, 0.5, 6)
     assert r.method == "ARPACK"
-    np.testing.assert_allclose(r.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(r.eigenvalues, ref, rtol=0, atol=1e-9)
     sizes = [s for _, s in r.clusters]
-    assert sizes == [s for _, s in ref.clusters] == [1, 2, 2, 1]
+    assert sizes == list(np.unique(ref, return_counts=True)[1]) == [1, 2, 2, 1]
     assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
+
+
+def test_dense_reference_d2_schrodinger_matches_kronsum():
+    op = build_schrodinger(Grid(2, 7.0, 24), make_density("gaussian", 2, 0.5))
+    r = dense_reference(op, 6)
+    ref = _kronsum_levels(op.grid, 0.5, 6)
+    assert r.method == "DenseReference"
+    np.testing.assert_allclose(r.eigenvalues, ref, rtol=0, atol=1e-9)
+    assert [s for _, s in r.clusters] == list(np.unique(ref, return_counts=True)[1])
 
 
 # the same operator as conjugated_d2 (N = 96) on finer grids; the kernel
