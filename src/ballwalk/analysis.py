@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import kappa_analytic, tail_constants, tempered_A_h
+from .densities import _require_h, kappa_analytic, tail_constants, tempered_A_h
 from .eigensolve import bottom_k, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
@@ -32,11 +32,6 @@ def _even_grid(L, h, rule):
     """Smallest even N with delta = 2L/N <= h/rule."""
     n = int(math.ceil(2.0 * L * rule / h))
     return n + (n % 2)
-
-
-def _require_h(h):
-    if not (math.isfinite(h) and h > 0):
-        raise ConfigError(f"h must be finite and positive, got {h!r}")
 
 
 def _box_grid(density, h):

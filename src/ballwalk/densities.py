@@ -135,12 +135,19 @@ def kappa_analytic(density):
     return density.alpha**2
 
 
+def _require_h(h):
+    """The one check on a ball radius, wherever h enters: ConfigError
+    unless h is finite and positive."""
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"h must be finite and positive, got {h!r}")
+
+
 def _radius(density, x):
     x = np.asarray(x, dtype=float)
     if density.dim == 1:
         return np.abs(x)
     if x.shape[-1] != 2:
-        raise ValueError("d=2 points need a trailing axis of length 2")
+        raise ConfigError("d=2 points need a trailing axis of length 2")
     return np.sqrt(np.sum(x * x, axis=-1))
 
 
@@ -161,8 +168,7 @@ def ball_mass_grid(density, x, h):
     the same bits. d = 2 is a radial integral through the scaled Bessel
     i0e.
     """
-    if not (h > 0):
-        raise ValueError("h must be positive")
+    _require_h(h)
     r = _radius(density, x)
     if density.kind == GAUSSIAN and density.dim == 1:
         sq = math.sqrt(density.alpha)
@@ -229,7 +235,7 @@ def tail_constants(density, h, probe_radii):
     """
     radii = np.atleast_1d(np.asarray(probe_radii, dtype=float))
     if radii.size == 0:
-        raise ValueError("need at least one probe radius")
+        raise ConfigError("need at least one probe radius")
     if np.any(radii <= density.R):
         raise ProbeInsideCore(
             f"probe radii must exceed the transition radius {density.R}"

@@ -16,6 +16,8 @@ import math
 import numpy as np
 from scipy.special import j1
 
+from .errors import ConfigError
+
 _MAX_DIM = 2
 # below this radius d = 2 uses its Taylor polynomial; its first dropped
 # term, r^6/9216, stays under 1e-18 there
@@ -34,9 +36,9 @@ def gamma_d(d):
 
 def _check_dim(d):
     if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        raise ConfigError(f"dimension must be a positive integer, got {d!r}")
     if d > _MAX_DIM:
-        raise ValueError(f"d={d} not supported (exact evaluation is d <= {_MAX_DIM})")
+        raise ConfigError(f"d={d} not supported (exact evaluation is d <= {_MAX_DIM})")
 
 
 def eval_Gd(d, r):
@@ -48,7 +50,7 @@ def eval_Gd(d, r):
     _check_dim(d)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
-        raise ValueError("radial argument must be >= 0")
+        raise ConfigError("radial argument must be >= 0")
     if d == 1:
         # sin(r)/r, stable at 0 through numpy's normalized sinc
         out = np.sinc(r / math.pi)
@@ -83,7 +85,7 @@ def taylor_check(d, r_samples):
     """
     r = np.asarray(r_samples, dtype=float)
     if np.any((r <= 0) | (r > 1)):
-        raise ValueError("taylor_check samples must lie in (0, 1]")
+        raise ConfigError("taylor_check samples must lie in (0, 1]")
     g = eval_Gd(d, r)
     gd = gamma_d(d)
     resid = np.abs(1.0 - g - gd * r * r)

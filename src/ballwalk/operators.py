@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .densities import _radius, ball_mass_grid, eval_density, eval_potential
+from .densities import _radius, _require_h, ball_mass_grid, eval_density, eval_potential
 from .errors import ConfigError, KernelUnderResolved, NumericalError
 from .multiplier import eval_Gd, unit_ball_volume
 
@@ -84,12 +84,11 @@ class Grid:
         return functools.reduce(np.logical_and.outer, [ax] * self.dim).ravel()
 
     def truncation_ratio(self, density):
-        """rho at the wall relative to the center; < 1e-12 is the usual gate.
+        """rho at the wall relative to the center.
 
-        Not enforced at construction: the essential-band check deliberately
-        runs in a tight box (the walls push the core state up, which is the
-        conservative direction there), so the gate belongs to the analyses
-        that rely on eigenfunction decay.
+        A reported diagnostic, not a gate: no constructor or driver checks
+        it. A box rule computed from the density (the radius where rho
+        falls below a fixed fraction of its peak) may use it.
         """
         wall = self.L if self.dim == 1 else np.array([self.L, 0.0])
         zero = 0.0 if self.dim == 1 else np.zeros(2)
@@ -191,7 +190,7 @@ class DiscreteOperator:
     def matvec(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.grid.size,):
-            raise ValueError(f"expected shape ({self.grid.size},), got {u.shape}")
+            raise ConfigError(f"expected shape ({self.grid.size},), got {u.shape}")
         if self.scheme == BANDED:
             *_, y = self.powers((self.rscale * u)[:, None], 1)
             return y[:, 0]
@@ -283,6 +282,7 @@ def _multiplier_symbol(grid, h):
 
 def _conjugated(grid, h, scheme, a):
     """D_a T-bar D_a in either scheme; a = 1 gives T-bar itself."""
+    _require_h(h)
     if scheme != MULTIPLIER and (scheme, grid.dim) != (BANDED, 1):
         raise ConfigError(f"no {scheme!r} scheme in d = {grid.dim}")
     _require_resolved(grid, h)
@@ -329,6 +329,7 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER):
     multiplier scheme has no stencil: it uses the quadrature ball mass and
     tapers a to zero at the walls.
     """
+    _require_h(h)
     if density.dim != grid.dim:
         raise ConfigError("grid and density dimension mismatch")
     x = grid.nodes()
@@ -348,6 +349,7 @@ def build_markov(grid, density, h):
     the diagonal (rho * m)^{-1/2}, so their spectra coincide in floating
     point; nu proportional to rho * m is the stationary row vector.
     """
+    _require_h(h)
     if grid.dim != 1 or density.dim != 1:
         raise ConfigError("the Markov form is implemented for d = 1")
     _require_resolved(grid, h)

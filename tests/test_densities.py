@@ -330,14 +330,14 @@ def test_grid_path_tempered_core_against_quad(tempered_unit):
         assert mx == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.25])
+@pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf])
 def test_grid_path_rejects_nonpositive_h(gauss_half, tempered_unit, gauss2d, h):
     for dens, x in (
         (gauss_half, np.array([0.0, 1.0])),
         (tempered_unit, np.array([0.0, 1.0, 4.0])),
         (gauss2d, np.array([[0.0, 0.0], [1.0, 0.5]])),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="h must be finite and positive"):
             ball_mass_grid(dens, x, h)
 
 
@@ -446,7 +446,7 @@ def test_tail_constants_gaussian(gauss_half):
 def test_probe_inside_core_raises(tempered_unit):
     with pytest.raises(ProbeInsideCore):
         tail_constants(tempered_unit, 0.2, [0.5, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         tail_constants(tempered_unit, 0.2, [])
 
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import j1, jn_zeros
 
+from ballwalk.errors import ConfigError
 from ballwalk.multiplier import (
     eval_Gd,
     find_min_M,
@@ -93,11 +94,11 @@ def test_scalar_and_array_shapes():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eval_Gd(3, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eval_Gd(0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eval_Gd(1, -0.5)
 
 

@@ -565,9 +565,9 @@ def test_operand_shapes_rejected(gauss_half):
     P = build_markov(g, gauss_half, 0.25)
     n = g.size
     for bad in (np.ones(n + 1), np.ones((n, 3)), np.ones((n - 1, 3)), np.ones((n, 2, 2))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             P.matvec(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_ball_average(g, 0.25, scheme=MULTIPLIER).matvec(np.ones((n, 2)))
 
 

@@ -360,11 +360,26 @@ def test_hopeless_tempered_density_refused_before_drawing():
     np.testing.assert_array_equal(rng.random(4), make_rng(0).random(4))
 
 
+def test_stationary_budget_refuses_before_drawing(monkeypatch):
+    # R = 8 passes the up-front check (2 beta / alpha = 6.8), but the first
+    # chunk of 64 proposals is past a budget of 10 per draw
+    monkeypatch.setattr(walk, "REJECTION_BUDGET", 10)
+    well = make_density("tempered", 1, 1.0, R=8.0)
+    assert 2.0 * well.beta / well.alpha <= walk.REJECTION_BUDGET
+    rng = make_rng(0)
+    with pytest.raises(RejectionBudgetExceeded, match="starved"):
+        sample_stationary(well, 0.25, rng, size=1)
+    np.testing.assert_array_equal(rng.random(4), make_rng(0).random(4))
+
+
 def test_sample_stationary_moments(gauss_half, tempered_half):
     # second and fourth moments of 20k exact draws against the grid chain's
-    # stationary vector (delta = h/25 on a box where rho is below 1e-12)
+    # stationary vector (delta = h/25 on a box where rho is below 1e-12).
+    # In the R = 8 well (rho(40)/rho(0) = 8.5e-17) the Laplace envelope
+    # rejects most proposals before their ball mass is computed.
     h, n = 0.25, 20_000
-    for dens, L in ((gauss_half, 12.0), (tempered_half, 30.0)):
+    well = make_density("tempered", 1, 1.0, R=8.0)
+    for dens, L in ((gauss_half, 12.0), (tempered_half, 30.0), (well, 40.0)):
         g = Grid(1, L, int(round(2 * L / (h / 25))))
         nu, x = build_markov(g, dens, h).meta["stationary"], g.axis_nodes()
         draws = sample_stationary(dens, h, make_rng(4), size=n)
