@@ -227,7 +227,9 @@ class DiscreteOperator:
         a step is then one np.matmul of _stack against one buffer's
         windows, straight into the other's interior (the zero rows of the
         last block clear the rows it spills into). Each power is an (n, S)
-        view that the step two powers later overwrites.
+        view that the step two powers later overwrites. The next step reads
+        that same view, so an in-place edit of a yielded power, made before
+        the next one is asked for, carries into every later power.
         """
         if self.scheme != BANDED:
             raise ConfigError("powers needs the banded scheme")

@@ -4,11 +4,13 @@ Sampling is exact rejection against closed-form envelopes: a step bounds
 rho over the ball at the point nearest the origin, and the stationary
 sampler is one loop that tests its envelope ratio r before r m_h / m_h(0).
 Witness lower bounds on TV come from quadrature. The exact grid evolution,
-_evolve, is DiscreteOperator.powers of the step operator diag(rho / m) C,
-the Markov form's transpose in q = p / m; it has two consumers: gap-rate
-upper bounds fitted to the curves from many starts (their TV reduced over
-cache-sized row chunks), and Monte-Carlo paths checked against the curve
-from their own start.
+_evolve, carries the deviation e = q - nu / m from stationarity in
+q = p / m under DiscreteOperator.powers of the step operator
+diag(rho / m) C, the Markov form's transpose, plus the wall rows of
+nu / m's one-step defect; TV is m . |e| / 2. It has two consumers:
+gap-rate upper bounds fitted to the curves from many starts (their TV one
+abs and one GEMV per cache-sized row chunk), and Monte-Carlo paths
+checked against the curve from their own start.
 """
 
 import math
@@ -161,48 +163,71 @@ def _require_tv_grid(grid, h):
         raise ConfigError(f"TV grid needs delta <= h/20, got delta={grid.delta}")
 
 
-def _evolve(P, q0, n_max):
-    """Yield q_n = p_n / m, n = 0 .. n_max, for the row measures
-    p_n = p_0 P^n evolved together from the (n, S) block q0 = p_0 / m.
+def _evolve(P, starts, n_max):
+    """Yield e_n = q_n - nu / m, n = 0 .. n_max, the deviations from
+    stationarity of the row measures p_n = p_0 P^n in q = p / m, evolved
+    together as the columns of one (n, S) block: one column per node of
+    `starts` (a point mass there), or, with starts None, one column from
+    nu itself (e_0 = 0). TV_n = m . |e_n| / 2 and p_n - nu = m * e_n.
 
-    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m): q_n is the
-    n-th power of the step operator diag(rho / m) C on q0, a view that the
-    step to q_{n+2} overwrites (a caller must be done with q_n before it
-    asks for q_{n+2}).
+    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m): q_{n+1} =
+    diag(rho / m) C q_n, and e_{n+1} = diag(rho / m) C e_n + r with r the
+    defect of nu / m under one step. r is rounding except on the K rows at
+    each wall, where the stencil-consistent mass m counts rho past the
+    walls and C does not; only those rows are kept, computed once from one
+    step of nu / m. e_n is a power of the step operator plus those rows of
+    r, added to the view powers yields, which powers then reads as the
+    next step's input. e_0 is -nu / m broadcast, no (n, S) array of its
+    own, with the point masses added to the first view. Each e_n is a view
+    that the step to e_{n+2} overwrites (a caller must be done with e_n
+    before it asks for e_{n+2}).
     """
-    rho, m = P.meta["rho"], P.meta["mass"]
-    return replace(P, lscale=rho / m, rscale=np.ones_like(rho)).powers(q0, n_max)
+    rho, m, nu = P.meta["rho"], P.meta["mass"], P.meta["stationary"]
+    step = replace(P, lscale=rho / m, rscale=np.ones_like(rho))
+    n, K = nu.size, len(P.stencil) - 1
+    target = nu / m
+    r = (step.matvec(target) - target)[:, None]
+    walls = (slice(0, K), slice(max(K, n - K), n))  # disjoint if n < 2K
+    if starts is None:
+        e0 = np.broadcast_to(0.0, (n, 1))
+    else:
+        e0 = np.broadcast_to(-target[:, None], (n, len(starts)))
+    powers = step.powers(e0, n_max)
+    e = next(powers)
+    if starts is not None:
+        e[starts, np.arange(len(starts))] += 1.0 / m[starts]
+    yield e
+    for e in powers:
+        for w in walls:
+            e[w] += r[w]
+        yield e
 
 
 # Rows per chunk of the TV reduction, whose (chunk, S) scratch stays in
-# cache between its subtract, abs and weighted sum. Interleaved timings of
+# cache between its abs and weighted sum. Interleaved timings of
 # _evolve_tv over 200 steps of 100 starts on a 2400-node grid, one BLAS
-# thread: 256 and 512 rows tie (137-144 and 135-140 ms, best of 15-30),
-# 128 and 1024 take 145-153 ms and one unchunked pass 162 ms.
+# thread, 2 shared CPUs: 128, 256, 384 and 512 rows tie (131-139 ms, best
+# of 25), 1024 takes 134-146 ms and one unchunked pass 149-153 ms.
 _TV_CHUNK_ROWS = 256
 
 
 def _evolve_tv(P, starts, n_max):
     """TV distances to P's stationary measure nu of the row measures
     p_n = p_0 P^n from point masses at the nodes `starts`, evolved together
-    by _evolve as the columns of one (n, S) block; returns the
-    (n_max + 1, S) table TV_n = m . |q_n - nu / m| / 2, reduced over
-    chunks of _TV_CHUNK_ROWS rows through one (chunk, S) scratch.
+    by _evolve as the columns of one (n, S) block of deviations e_n; returns
+    the (n_max + 1, S) table TV_n = m . |e_n| / 2, one abs and one GEMV per
+    chunk of _TV_CHUNK_ROWS rows through one (chunk, S) scratch.
     """
-    m, nu = P.meta["mass"], P.meta["stationary"]
-    n, S = nu.size, len(starts)
-    q0 = np.zeros((n, S))
-    q0[starts, np.arange(S)] = 1.0 / m[starts]
-    target = (nu / m)[:, None]
+    m = P.meta["mass"]
+    n, S = m.size, len(starts)
     chunks = [slice(lo, min(lo + _TV_CHUNK_ROWS, n)) for lo in range(0, n, _TV_CHUNK_ROWS)]
     scratch = np.empty((min(_TV_CHUNK_ROWS, n), S))
     part = np.empty((len(chunks), S))
     tv = np.empty((n_max + 1, S))
-    for k, q in enumerate(_evolve(P, q0, n_max)):
+    for k, e in enumerate(_evolve(P, starts, n_max)):
         for j, c in enumerate(chunks):
             d = scratch[: c.stop - c.start]
-            np.subtract(q[c], target[c], out=d)
-            np.abs(d, out=d)
+            np.abs(e[c], out=d)
             np.matmul(m[c], d, out=part[j])
         part.sum(axis=0, out=tv[k])
     tv *= 0.5
@@ -359,8 +384,8 @@ def _agresti_coull_se(emp, n):
 def simulate_paths(config, grid):
     """Run the ensemble and estimate TV against the exact evolution.
 
-    The exact curve is one column of _evolve: q_0 = e_i / m_i at the node
-    nearest x0, or nu / m from stationarity, and p_n = m * q_n. The grid
+    The exact curve is one column of _evolve: a point mass at the node
+    nearest x0, or e_0 = 0 from stationarity, and p_n - nu = m * e_n. The grid
     must pass _require_tv_grid, and x0 must be None or finite inside the
     box, |x0| < grid.L (ConfigError otherwise).
 
@@ -390,11 +415,10 @@ def simulate_paths(config, grid):
 
     if config.x0 is None:
         xs = sample_stationary(dens, config.h, rng, size=config.paths)
-        q0 = nu / m
+        starts = None
     else:
         xs = np.full(config.paths, float(config.x0))
-        i0 = np.argmin(np.abs(grid.axis_nodes() - config.x0))
-        q0 = (np.arange(grid.size) == i0) / m
+        starts = [np.argmin(np.abs(grid.axis_nodes() - config.x0))]
 
     # fallback witness set: the cells from the grid centre to the nu-median
     half = np.searchsorted(np.cumsum(nu), 0.5)
@@ -406,8 +430,8 @@ def simulate_paths(config, grid):
     tv_mc = np.empty(ns.size)
     tv_se = np.empty(ns.size)
     tv_exact = np.empty(ns.size)
-    for n, q in enumerate(_evolve(P, q0[:, None], config.n_max)):
-        diff = m * q[:, 0] - nu
+    for n, e in enumerate(_evolve(P, starts, config.n_max)):
+        diff = m * e[:, 0]
         tv_exact[n] = 0.5 * np.sum(np.abs(diff))
         mask = diff > 0 if np.max(np.abs(diff)) > 1e-12 else fixed_set
         emp = np.mean(mask[_cell_index(grid, xs)])

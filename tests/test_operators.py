@@ -87,7 +87,8 @@ def test_grid_interior_mask():
 def test_truncation_ratio_is_reported_not_enforced(gauss_half, tempered_unit):
     wide = Grid(1, 12.0, 960)
     assert wide.truncation_ratio(gauss_half) < 1e-12
-    # the essential-band box is deliberately tight; construction must not balk
+    # rho at this box's wall is about a quarter of its peak: the ratio is
+    # a diagnostic that nothing gates, so building the grid must not balk
     tight = Grid(1, 1.778, 800)
     r = tight.truncation_ratio(tempered_unit)
     assert 0.2 < r < 0.3
@@ -544,6 +545,16 @@ def test_powers_match_dense():
     assert k == 3
     with pytest.raises(ConfigError):
         next(build_ball_average(g, h, scheme=MULTIPLIER).powers(q0, 1))
+    # a yielded power is the next step's input: an in-place edit of it
+    # carries into every later power, which walk._evolve relies on
+    kick = rng.standard_normal((g.size, 3))
+    ref = q0
+    for k, q in enumerate(op.powers(q0, 4)):
+        np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        if k == 1:
+            q += kick
+            ref = ref + kick
+        ref = scale[:, None] * (C @ ref)
 
 
 def test_products_leave_operand_alone(gauss_half):

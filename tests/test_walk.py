@@ -26,6 +26,7 @@ from ballwalk.walk import (
     _TV_CHUNK_ROWS,
     WalkConfig,
     _agresti_coull_se,
+    _evolve,
     _evolve_tv,
     _step_batch,
     make_rng,
@@ -287,8 +288,9 @@ def test_upper_bound_envelope_matches_dense_powers(gauss_half, dense_grid, dense
 
 
 def test_tempered_tv_matches_dense_powers(tempered_half):
-    # the evolution runs in q = p / m; the tempered mass falls from the
-    # core to e^-8 at the walls, and 810 nodes leave a ragged last block
+    # the evolution runs in e = (p - nu) / m; the tempered mass falls from
+    # the core to e^-8 at the walls, where nu's one-step defect is largest,
+    # and 810 nodes leave a ragged last block
     g = Grid(1, 8.0, 810)  # delta = h/25.3
     assert g.size % _BLOCK_ROWS != 0
     P = build_markov(g, tempered_half, H_DENSE)
@@ -302,6 +304,41 @@ def test_tempered_tv_matches_dense_powers(tempered_half):
         p = A.T @ p
     tv = _evolve_tv(P, starts, 40)
     np.testing.assert_allclose(tv, np.array(ref), rtol=0, atol=1e-13)
+
+
+def test_stationary_defect_sits_on_the_wall_rows(tempered_half):
+    # nu / m is a fixed point of the step operator but for the K rows at
+    # each wall, where the mass m counts rho past the walls and the stencil
+    # product does not; _evolve adds that defect r every step, so from
+    # nu itself e_1 = r on the wall rows and 0 inside
+    g = Grid(1, 8.0, 810)
+    P = build_markov(g, tempered_half, H_DENSE)
+    A, m, nu = P.to_dense(), P.meta["mass"], P.meta["stationary"]
+    K, top = len(P.stencil) - 1, np.max(nu / m)
+    r = (A.T @ nu - nu) / m  # one step of nu, in q = p / m
+    wall = np.zeros(g.size, dtype=bool)
+    wall[:K] = wall[-K:] = True
+    assert np.all(np.abs(r[wall]) > 1e-6 * top)  # 5.9e-6 to 1.5e-4 of top
+    assert np.max(np.abs(r[~wall])) <= 1e-15 * top
+    e = [col[:, 0].copy() for col in _evolve(P, None, 40)]
+    assert not np.any(e[0]) and not np.any(e[1][~wall])
+    np.testing.assert_allclose(e[1][wall], r[wall], rtol=0, atol=1e-15 * top)
+    # TV from nu itself, which the wall defect moves off stationarity
+    p, ref = nu.copy(), []
+    for _ in range(41):
+        ref.append(0.5 * np.sum(np.abs(p - nu)))
+        p = A.T @ p
+    assert ref[-1] > 1e-7
+    np.testing.assert_allclose([0.5 * m @ np.abs(x) for x in e], ref, rtol=0, atol=1e-13)
+
+
+def test_stationary_start_stays_stationary(gauss_half, grid):
+    # the Gaussian nu / m is at most e^-69 of its peak on the wall rows of
+    # the 2,400-node box, so from nu itself TV stays at rounding
+    P = build_markov(grid, gauss_half, 0.25)
+    m = P.meta["mass"]
+    tv = [0.5 * m @ np.abs(e[:, 0]) for e in _evolve(P, None, 200)]
+    assert len(tv) == 201 and max(tv) <= 1e-15
 
 
 def test_chunked_tv_matches_dense_powers(gauss_half):
