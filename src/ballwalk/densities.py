@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc, i0e
 
-from .errors import ConfigError, ProbeInsideCore, QuadratureNotConverged
+from .errors import ConfigError, NumericalError, ProbeInsideCore, QuadratureNotConverged
 from .multiplier import gamma_d, unit_ball_volume
 
 GAUSSIAN = "gaussian"
@@ -63,12 +63,7 @@ def make_density(kind, dim, alpha, R=None):
     if R is None or not (R > 0):
         raise ConfigError("tempered density needs a transition radius R > 0")
     beta = 1.0 / _tempered_norm_integral(float(alpha), float(R))
-    dens = Density(TEMPERED, 1, float(alpha), float(R), beta)
-    # construction self-check: the tail potential must sit at alpha^2
-    for u in (R + 1.0, 2.0 * R + 5.0):
-        if abs(eval_potential(dens, u) - alpha * alpha) > 1e-3:
-            raise ConfigError("tempered tail potential failed the alpha^2 check")
-    return dens
+    return Density(TEMPERED, 1, float(alpha), float(R), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +205,20 @@ def _mass_quadrature(density, r, h):
     )
 
 
+def _require_mass(density, x, m):
+    """Refuse points where rho and m underflow to 0: a_h = 0/0, 1/m = inf."""
+    if not np.all(m > 0):
+        r = np.min(_radius(density, x)[m <= 0])
+        raise NumericalError(f"rho and the ball mass underflow to 0 from radius {r:.6g}")
+
+
 def weight_a_h(density, x, h):
-    """Conjugation weight a_h = (alpha_d h^d rho / m_h)^{1/2}, elementwise in x."""
+    """Conjugation weight a_h = (alpha_d h^d rho / m_h)^{1/2}, elementwise in
+    x; NumericalError where the mass underflows to 0."""
+    m = ball_mass_grid(density, x, h)
+    _require_mass(density, x, m)
     vol = unit_ball_volume(density.dim) * h**density.dim
-    return np.sqrt(vol * eval_density(density, x) / ball_mass_grid(density, x, h))
+    return np.sqrt(vol * eval_density(density, x) / m)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Four operators on a truncated uniform grid:
   * T-tilde = D_a T-bar D_a, the ball average T-bar conjugated by the weight
     a_h, in a banded quadrature or a periodic Fourier-multiplier scheme;
     T-bar itself is T-tilde at a = 1 (one constructor builds both),
-  * T, the Markov form (row-stochastic, similar to T-tilde),
+  * T, the Markov form (row-stochastic, exactly similar to the banded
+    T-tilde),
   * L = -Lap + V, the Schrodinger comparison operator (positive
     Laplacian sign convention), second-order stencil with Dirichlet walls,
     stored as one scipy.sparse CSR matrix in d = 1 and d = 2.
@@ -14,6 +15,9 @@ Grid nodes are cell centers, x_i = -L + (i + 1/2) delta. The banded scheme
 restricts the infinite banded matrix to the box (zero extension), and all
 its products are DiscreteOperator.powers: one matmul per step of a stack
 of Toeplitz blocks with the row scale folded in, built once per operator.
+Its T and T-tilde are one chain, the ball walk of rho restricted to the
+box: both are normalized by the in-box stencil mass m = C rho, so T is
+exactly stochastic with the stationary law nu ~ rho m (_banded_chain).
 The multiplier scheme works on the periodic box, one FFT axis at a time,
 and tapers the conjugation weight to zero inside a buffer strip so
 wrap-around never sees mass.
@@ -35,9 +39,9 @@ import scipy.linalg
 import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .densities import _radius, _require_h, ball_mass_grid, eval_density, eval_potential
+from .densities import _require_h, _require_mass, eval_density, eval_potential, weight_a_h
 from .errors import ConfigError, KernelUnderResolved, NumericalError
-from .multiplier import eval_Gd, unit_ball_volume
+from .multiplier import eval_Gd
 
 BANDED = "banded"
 MULTIPLIER = "multiplier"
@@ -300,66 +304,58 @@ def build_ball_average(grid, h, scheme=MULTIPLIER):
     return _conjugated(grid, h, scheme, np.ones(grid.size))
 
 
-def discrete_mass(grid, density, h):
-    """Stencil-consistent ball mass: m_i = sum_m c_|m| rho(x_i + m delta).
+def _banded_chain(grid, density, h):
+    """The ball walk of rho restricted to the box, on the banded stencil.
 
-    rho is evaluated once on the N + 2K cell centers that extend the grid
-    K cells past each wall, so rows near the boundary see the true
-    one-sided mass rather than an artificial cliff; one valid-mode
-    convolution with the symmetric stencil gives every row.
+    Returns the one-sided stencil c, rho at the N nodes and the in-box
+    stencil mass m = C rho, one full convolution cut to the grid (which
+    also holds when 2K + 1 > N). With that m, T = diag(1/m) C diag(rho)
+    is row-stochastic, and nu proportional to rho * m is exactly
+    stationary and reversible for it.
     """
-    if grid.dim != 1:
-        raise ConfigError("discrete mass is a d=1 banded-scheme notion")
+    _require_h(h)
+    if grid.dim != 1 or density.dim != 1:
+        raise ConfigError("the banded chain is implemented for d = 1")
+    _require_resolved(grid, h)
     c = band_weights(h, grid.delta)
     K = len(c) - 1
-    x = -grid.L + (np.arange(-K, grid.N + K) + 0.5) * grid.delta
-    return np.convolve(eval_density(density, x), np.concatenate([c[:0:-1], c]), "valid")
-
-
-def _require_mass(density, x, m):
-    """Refuse nodes where rho and m underflow to 0: a_h = 0/0, 1/m = inf."""
-    if not np.all(m > 0):
-        r = np.min(_radius(density, x)[m <= 0])
-        raise NumericalError(f"rho and the ball mass underflow to 0 from radius {r:.6g}")
+    x = grid.axis_nodes()
+    rho = eval_density(density, x)
+    m = np.convolve(rho, np.concatenate([c[:0:-1], c]))[K : K + grid.N]
+    _require_mass(density, x, m)
+    return c, rho, m
 
 
 def build_conjugated(grid, density, h, scheme=MULTIPLIER):
     """Symmetric conjugated operator T-tilde = D_a T-bar D_a.
 
-    The banded scheme takes a_h from the stencil-consistent mass, which
-    makes its similarity to the Markov form exact in floating point. The
-    multiplier scheme has no stencil: it uses the quadrature ball mass and
-    tapers a to zero at the walls.
+    The banded scheme is the chain of _banded_chain in symmetric form,
+    rows and columns scaled by (rho / m)^{1/2}: exactly similar to the
+    Markov form, so its top eigenvalue is 1 with eigenvector (rho m)^{1/2}.
+    The multiplier scheme has no stencil: it takes weight_a_h from the
+    quadrature ball mass and tapers it to zero at the walls.
     """
     _require_h(h)
     if density.dim != grid.dim:
         raise ConfigError("grid and density dimension mismatch")
-    x = grid.nodes()
-    m = discrete_mass(grid, density, h) if scheme == BANDED else ball_mass_grid(density, x, h)
-    _require_mass(density, x, m)
-    a = np.sqrt(unit_ball_volume(grid.dim) * h**grid.dim * eval_density(density, x) / m)
-    if scheme == MULTIPLIER:
-        a *= taper_profile(grid, h, density.alpha)
+    if scheme == BANDED:
+        c, rho, m = _banded_chain(grid, density, h)
+        s = np.sqrt(rho / m)
+        return DiscreteOperator(scheme, grid, h, True, stencil=c, lscale=s, rscale=s)
+    a = weight_a_h(density, grid.nodes(), h) * taper_profile(grid, h, density.alpha)
     return _conjugated(grid, h, scheme, a)
 
 
 def build_markov(grid, density, h):
-    """Markov form T (banded, non-symmetric): row i averages against
-    rho over the ball, normalized by the stencil-consistent mass.
+    """Markov form T = diag(1/m) C diag(rho) of _banded_chain (banded,
+    non-symmetric): row i averages against rho over the ball inside the
+    box, so every row sums to 1.
 
-    Exactly similar to the banded conjugated operator via
-    the diagonal (rho * m)^{-1/2}, so their spectra coincide in floating
-    point; nu proportional to rho * m is the stationary row vector.
+    Exactly similar to the banded conjugated operator via the diagonal
+    (rho * m)^{-1/2}, so their spectra coincide in floating point; nu
+    proportional to rho * m is the stationary row vector.
     """
-    _require_h(h)
-    if grid.dim != 1 or density.dim != 1:
-        raise ConfigError("the Markov form is implemented for d = 1")
-    _require_resolved(grid, h)
-    c = band_weights(h, grid.delta)
-    x = grid.axis_nodes()
-    rho = eval_density(density, x)
-    m = discrete_mass(grid, density, h)
-    _require_mass(density, x, m)
+    c, rho, m = _banded_chain(grid, density, h)
     nu = rho * m / np.sum(rho * m)
     return DiscreteOperator(BANDED, grid, h, False, stencil=c, lscale=1.0 / m, rscale=rho,
                             meta={"mass": m, "rho": rho, "stationary": nu})

@@ -6,8 +6,8 @@ sampler is one loop that tests its envelope ratio r before r m_h / m_h(0).
 Witness lower bounds on TV come from quadrature. The exact grid evolution,
 _evolve, carries the deviation e = q - nu / m from stationarity in
 q = p / m under DiscreteOperator.powers of the step operator
-diag(rho / m) C, the Markov form's transpose, plus the wall rows of
-nu / m's one-step defect; TV is m . |e| / 2. It has two consumers:
+diag(rho / m) C, the Markov form's transpose, of which nu / m is an
+exact fixed point; TV is m . |e| / 2. It has two consumers:
 gap-rate upper bounds fitted to the curves from many starts (their TV one
 abs and one GEMV per cache-sized row chunk), and Monte-Carlo paths
 checked against the curve from their own start.
@@ -166,41 +166,24 @@ def _require_tv_grid(grid, h):
 def _evolve(P, starts, n_max):
     """Yield e_n = q_n - nu / m, n = 0 .. n_max, the deviations from
     stationarity of the row measures p_n = p_0 P^n in q = p / m, evolved
-    together as the columns of one (n, S) block: one column per node of
-    `starts` (a point mass there), or, with starts None, one column from
-    nu itself (e_0 = 0). TV_n = m . |e_n| / 2 and p_n - nu = m * e_n.
+    together as the columns of one (n, S) block, one column per node of
+    `starts` (a point mass there). TV_n = m . |e_n| / 2 and p_n - nu = m * e_n.
 
     P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m): q_{n+1} =
-    diag(rho / m) C q_n, and e_{n+1} = diag(rho / m) C e_n + r with r the
-    defect of nu / m under one step. r is rounding except on the K rows at
-    each wall, where the stencil-consistent mass m counts rho past the
-    walls and C does not; only those rows are kept, computed once from one
-    step of nu / m. e_n is a power of the step operator plus those rows of
-    r, added to the view powers yields, which powers then reads as the
-    next step's input. e_0 is -nu / m broadcast, no (n, S) array of its
-    own, with the point masses added to the first view. Each e_n is a view
-    that the step to e_{n+2} overwrites (a caller must be done with e_n
-    before it asks for e_{n+2}).
+    diag(rho / m) C q_n. m = C rho makes nu / m, proportional to rho, a
+    fixed point of that step, so e_n is the n-th power of the step
+    operator on e_0. e_0 is -nu / m broadcast, no (n, S) array of its own,
+    with the point masses added to the first view powers yields. Each e_n
+    is a view that the step to e_{n+2} overwrites (a caller must be done
+    with e_n before it asks for e_{n+2}).
     """
     rho, m, nu = P.meta["rho"], P.meta["mass"], P.meta["stationary"]
     step = replace(P, lscale=rho / m, rscale=np.ones_like(rho))
-    n, K = nu.size, len(P.stencil) - 1
-    target = nu / m
-    r = (step.matvec(target) - target)[:, None]
-    walls = (slice(0, K), slice(max(K, n - K), n))  # disjoint if n < 2K
-    if starts is None:
-        e0 = np.broadcast_to(0.0, (n, 1))
-    else:
-        e0 = np.broadcast_to(-target[:, None], (n, len(starts)))
-    powers = step.powers(e0, n_max)
+    powers = step.powers(np.broadcast_to(-(nu / m)[:, None], (nu.size, len(starts))), n_max)
     e = next(powers)
-    if starts is not None:
-        e[starts, np.arange(len(starts))] += 1.0 / m[starts]
+    e[starts, np.arange(len(starts))] += 1.0 / m[starts]
     yield e
-    for e in powers:
-        for w in walls:
-            e[w] += r[w]
-        yield e
+    yield from powers
 
 
 # Rows per chunk of the TV reduction, whose (chunk, S) scratch stays in
@@ -384,8 +367,9 @@ def _agresti_coull_se(emp, n):
 def simulate_paths(config, grid):
     """Run the ensemble and estimate TV against the exact evolution.
 
-    The exact curve is one column of _evolve: a point mass at the node
-    nearest x0, or e_0 = 0 from stationarity, and p_n - nu = m * e_n. The grid
+    The exact curve is one column of _evolve from a point mass at the node
+    nearest x0, with p_n - nu = m * e_n. From stationarity p_n = nu exactly,
+    the grid chain's nu being stationary, so nothing is evolved. The grid
     must pass _require_tv_grid, and x0 must be None or finite inside the
     box, |x0| < grid.L (ConfigError otherwise).
 
@@ -415,10 +399,11 @@ def simulate_paths(config, grid):
 
     if config.x0 is None:
         xs = sample_stationary(dens, config.h, rng, size=config.paths)
-        starts = None
+        diffs = [np.zeros(grid.size)] * (config.n_max + 1)
     else:
         xs = np.full(config.paths, float(config.x0))
-        starts = [np.argmin(np.abs(grid.axis_nodes() - config.x0))]
+        start = np.argmin(np.abs(grid.axis_nodes() - config.x0))
+        diffs = (m * e[:, 0] for e in _evolve(P, [start], config.n_max))
 
     # fallback witness set: the cells from the grid centre to the nu-median
     half = np.searchsorted(np.cumsum(nu), 0.5)
@@ -430,8 +415,7 @@ def simulate_paths(config, grid):
     tv_mc = np.empty(ns.size)
     tv_se = np.empty(ns.size)
     tv_exact = np.empty(ns.size)
-    for n, e in enumerate(_evolve(P, starts, config.n_max)):
-        diff = m * e[:, 0]
+    for n, diff in enumerate(diffs):
         tv_exact[n] = 0.5 * np.sum(np.abs(diff))
         mask = diff > 0 if np.max(np.abs(diff)) > 1e-12 else fixed_set
         emp = np.mean(mask[_cell_index(grid, xs)])

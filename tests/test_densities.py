@@ -26,7 +26,7 @@ from ballwalk.densities import (
     _mass_quadrature,
     _radius,
 )
-from ballwalk.errors import ConfigError, ProbeInsideCore, QuadratureNotConverged
+from ballwalk.errors import ConfigError, NumericalError, ProbeInsideCore, QuadratureNotConverged
 from ballwalk.multiplier import gamma_d
 from ballwalk.operators import Grid
 
@@ -448,6 +448,15 @@ def test_probe_inside_core_raises(tempered_unit):
         tail_constants(tempered_unit, 0.2, [0.5, 2.0])
     with pytest.raises(ConfigError):
         tail_constants(tempered_unit, 0.2, [])
+
+
+def test_weight_refuses_underflowed_mass(gauss_half):
+    # at |x| = 40 rho and m_h are both exactly 0 for alpha = 0.5, so a_h
+    # would be 0/0; the weight and the tail probe refuse it, typed
+    with pytest.raises(NumericalError, match="underflow"):
+        weight_a_h(gauss_half, 40.0, 0.25)
+    with pytest.raises(NumericalError, match="underflow"):
+        tail_constants(gauss_half, 0.25, [40.0])
 
 
 def test_exact_A_h_rejects_gaussian(gauss_half):

@@ -26,7 +26,7 @@ from ballwalk.eigensolve import (
     dense_reference,
     top_k,
 )
-from ballwalk.errors import ConfigError, NoConvergence
+from ballwalk.errors import ConfigError, NoConvergence, ShiftHitsEigenvalue
 from ballwalk.operators import (
     BANDED,
     MULTIPLIER,
@@ -265,11 +265,13 @@ def test_count_matches_dense(banded_op):
 
 
 def test_count_half_open_at_exact_hits(banded_op):
-    # a computed eigenvalue placed on a bound must resolve as (a, b]
-    lam = np.linalg.eigvalsh(banded_op.to_dense())
+    # a computed eigenvalue placed on a bound must resolve as (a, b]; the
+    # counts are at s + eps (count_at_most's contract), and so is the
+    # oracle, since lam_0 = 1 may round to either side of 1.0
+    lam, eps = np.linalg.eigvalsh(banded_op.to_dense()), 1e-12
     hit = lam[-3]
-    assert _interval_count(banded_op, hit, 1.0) == int(np.sum((lam > hit) & (lam <= 1.0)))
-    assert _interval_count(banded_op, 0.5, hit) == int(np.sum((lam > 0.5) & (lam <= hit)))
+    assert _interval_count(banded_op, hit, 1.0) == int(np.sum((lam > hit + eps) & (lam <= 1.0 + eps)))
+    assert _interval_count(banded_op, 0.5, hit) == int(np.sum((lam > 0.5 + eps) & (lam <= hit + eps)))
 
 
 def test_count_catches_top_eigenvalue_at_one(banded_op):
@@ -328,6 +330,16 @@ def test_count_at_most_forced_retry(banded_op):
     assert [r.counts[0], r.counts[2]] == list(clean.counts)
     ev = np.linalg.eigvalsh(banded_op.to_dense())
     assert r.counts[1] == int(np.sum(ev <= s))
+
+
+def test_count_at_most_gives_up_after_retries(banded_op, monkeypatch):
+    # with no nudge every retry sweeps the same shift, which sits exactly on
+    # the first pivot A[0, 0]: the retries run out and the shift is named
+    monkeypatch.setattr(eigensolve, "_NUDGE", 0.0)
+    a00 = banded_op.to_banded()[0, 0]
+    with pytest.raises(ShiftHitsEigenvalue, match="after 3 retries") as err:
+        count_at_most(banded_op, [a00])
+    assert str(np.array([a00])) in str(err.value)
 
 
 def test_weyl_rows_equal_per_interval_counts(gauss_half, weyl_op):

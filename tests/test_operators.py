@@ -31,7 +31,6 @@ from ballwalk.operators import (
     build_conjugated,
     build_markov,
     build_schrodinger,
-    discrete_mass,
     taper_profile,
 )
 from ballwalk.walk import _evolve_tv
@@ -218,7 +217,7 @@ def test_cross_scheme_matvec_wave_packet():
 
 def test_cross_scheme_top_eigenvalues(gauss_half):
     # the binding agreement level: leading 5 eigenvalues of the conjugated
-    # operator from both schemes, each with its own mass (stencil-consistent
+    # operator from both schemes, each with its own mass (in-box stencil
     # for banded, quadrature for multiplier)
     h = 0.25
     g = Grid(1, 12.0, 3840)  # delta = h/40
@@ -261,8 +260,9 @@ def test_spectrum_top_at_one(gauss_half):
 
 
 def test_tempered_spectrum_inside_band(tempered_unit):
-    # tight box on purpose: wall truncation pushes core modes up, which is
-    # the conservative direction for the containment check
+    # tight box on purpose (rho at the walls is 0.2 of its peak), so the
+    # walls shape both ends of the spectrum: the walk restricted to the box
+    # keeps lam_0 = 1, and the lowest eigenvalue clears the floor by 1.6e-3
     h = 0.18
     g = Grid(1, 1.778, 800)
     T = build_conjugated(g, tempered_unit, h, scheme=BANDED)
@@ -275,14 +275,12 @@ def test_tempered_spectrum_inside_band(tempered_unit):
 # --- Markov form -------------------------------------------------------------
 
 def test_markov_row_sums(gauss_half):
-    g = Grid(1, 9.0, 720)
-    P = build_markov(g, gauss_half, 0.25)
-    rs = P.to_dense().sum(axis=1)
-    interior = g.interior_mask(0.25)
-    np.testing.assert_allclose(rs[interior], 1.0, atol=1e-8)
-    # boundary rows are strictly substochastic (mass escapes the box)
-    assert np.all(rs <= 1.0 + 1e-12)
-    assert rs[~interior].min() > 0.9
+    # the chain is the walk restricted to the box: every row, the wall rows
+    # included, sums to 1, also when the stencil (2K + 1 = 23 cells at
+    # h = 3 on 8 nodes) is wider than the grid
+    for g, h in ((Grid(1, 9.0, 720), 0.25), (Grid(1, 1.0, 8), 3.0)):
+        P = build_markov(g, gauss_half, h)
+        np.testing.assert_allclose(P.to_dense().sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def test_markov_stationary_row_vector(gauss_half):
@@ -295,7 +293,7 @@ def test_markov_stationary_row_vector(gauss_half):
 
 def test_markov_similar_to_conjugated(gauss_half):
     # P = S^{-1} T-tilde S with S = diag(sqrt(rho * m)), exactly, when the
-    # conjugation uses the stencil-consistent mass
+    # conjugation uses the in-box stencil mass
     g = Grid(1, 9.0, 720)
     P = build_markov(g, gauss_half, 0.25)
     T = build_conjugated(g, gauss_half, 0.25, scheme=BANDED)
@@ -308,19 +306,15 @@ def test_discrete_mass_matches_stencil(gauss_half):
     from ballwalk.densities import eval_density
 
     g = Grid(1, 6.0, 240)
-    m = discrete_mass(g, gauss_half, 0.25)
+    m = build_markov(g, gauss_half, 0.25).meta["mass"]
     c = band_weights(0.25, g.delta)
     x = g.axis_nodes()
-    i = 57  # arbitrary interior row
-    ref = c[0] * eval_density(gauss_half, x[i]) + sum(
-        c[k]
-        * (
-            eval_density(gauss_half, x[i] + k * g.delta)
-            + eval_density(gauss_half, x[i] - k * g.delta)
-        )
-        for k in range(1, len(c))
-    )
-    assert m[i] == pytest.approx(ref, rel=1e-14)
+    # an arbitrary interior row, and the wall row, whose ball reaches past
+    # the box: the mass counts the in-box cells only
+    for i in (57, 0):
+        ref = sum(c[abs(j - i)] * eval_density(gauss_half, x[j])
+                  for j in range(max(i - len(c) + 1, 0), i + len(c)))
+        assert m[i] == pytest.approx(ref, rel=1e-14)
 
 
 # --- conjugation against the flat limit --------------------------------------

@@ -26,7 +26,6 @@ from ballwalk.walk import (
     _TV_CHUNK_ROWS,
     WalkConfig,
     _agresti_coull_se,
-    _evolve,
     _evolve_tv,
     _step_batch,
     make_rng,
@@ -240,7 +239,8 @@ def test_exact_tv_matches_dense_powers(gauss_half, dense_grid):
     paths = simulate_paths(WalkConfig(gauss_half, H_DENSE, x0=1.3, paths=200, n_max=40), dense_grid)
     np.testing.assert_allclose(paths.tv_exact, ref, rtol=0, atol=1e-13)
     still = simulate_paths(WalkConfig(gauss_half, H_DENSE, x0=None, paths=200, n_max=40), dense_grid)
-    assert np.max(still.tv_exact) <= 1e-13
+    # nu is exactly stationary for the grid chain, so from it TV is exactly 0
+    assert len(still.tv_exact) == 41 and np.all(still.tv_exact == 0)
     with pytest.raises(ConfigError):  # delta = h/6.25
         tv_upper_bound_curve(gauss_half, H_DENSE, 1.3, 5, Grid(1, 8.0, 200), 0.05)
 
@@ -288,9 +288,8 @@ def test_upper_bound_envelope_matches_dense_powers(gauss_half, dense_grid, dense
 
 
 def test_tempered_tv_matches_dense_powers(tempered_half):
-    # the evolution runs in e = (p - nu) / m; the tempered mass falls from
-    # the core to e^-8 at the walls, where nu's one-step defect is largest,
-    # and 810 nodes leave a ragged last block
+    # the evolution runs in e = (p - nu) / m, with the tempered mass falling
+    # from the core to e^-8 at the walls; 810 nodes leave a ragged last block
     g = Grid(1, 8.0, 810)  # delta = h/25.3
     assert g.size % _BLOCK_ROWS != 0
     P = build_markov(g, tempered_half, H_DENSE)
@@ -306,39 +305,15 @@ def test_tempered_tv_matches_dense_powers(tempered_half):
     np.testing.assert_allclose(tv, np.array(ref), rtol=0, atol=1e-13)
 
 
-def test_stationary_defect_sits_on_the_wall_rows(tempered_half):
-    # nu / m is a fixed point of the step operator but for the K rows at
-    # each wall, where the mass m counts rho past the walls and the stencil
-    # product does not; _evolve adds that defect r every step, so from
-    # nu itself e_1 = r on the wall rows and 0 inside
+def test_tempered_chain_is_stochastic_and_stationary_on_the_wall_rows(tempered_half):
+    # the tempered mass falls from the core to e^-8 at the walls, where a
+    # mass that counted rho past the box would leave rows short of 1 and
+    # nu off stationarity on the K rows at each wall
     g = Grid(1, 8.0, 810)
     P = build_markov(g, tempered_half, H_DENSE)
     A, m, nu = P.to_dense(), P.meta["mass"], P.meta["stationary"]
-    K, top = len(P.stencil) - 1, np.max(nu / m)
-    r = (A.T @ nu - nu) / m  # one step of nu, in q = p / m
-    wall = np.zeros(g.size, dtype=bool)
-    wall[:K] = wall[-K:] = True
-    assert np.all(np.abs(r[wall]) > 1e-6 * top)  # 5.9e-6 to 1.5e-4 of top
-    assert np.max(np.abs(r[~wall])) <= 1e-15 * top
-    e = [col[:, 0].copy() for col in _evolve(P, None, 40)]
-    assert not np.any(e[0]) and not np.any(e[1][~wall])
-    np.testing.assert_allclose(e[1][wall], r[wall], rtol=0, atol=1e-15 * top)
-    # TV from nu itself, which the wall defect moves off stationarity
-    p, ref = nu.copy(), []
-    for _ in range(41):
-        ref.append(0.5 * np.sum(np.abs(p - nu)))
-        p = A.T @ p
-    assert ref[-1] > 1e-7
-    np.testing.assert_allclose([0.5 * m @ np.abs(x) for x in e], ref, rtol=0, atol=1e-13)
-
-
-def test_stationary_start_stays_stationary(gauss_half, grid):
-    # the Gaussian nu / m is at most e^-69 of its peak on the wall rows of
-    # the 2,400-node box, so from nu itself TV stays at rounding
-    P = build_markov(grid, gauss_half, 0.25)
-    m = P.meta["mass"]
-    tv = [0.5 * m @ np.abs(e[:, 0]) for e in _evolve(P, None, 200)]
-    assert len(tv) == 201 and max(tv) <= 1e-15
+    np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.max(np.abs((nu @ A - nu) / m)) <= 1e-14 * np.max(nu / m)
 
 
 def test_chunked_tv_matches_dense_powers(gauss_half):
