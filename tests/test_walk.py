@@ -11,6 +11,7 @@ sampler's moments against the grid chain's stationary vector.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,16 @@ def test_tempered_chain_is_stochastic_and_stationary_on_the_wall_rows(tempered_h
     np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0, atol=1e-14)
     assert np.max(np.abs((nu @ A - nu) / m)) <= 1e-14 * np.max(nu / m)
 
+
+def test_stationary_start_stays_stationary(gauss_half, grid):
+    # nu / m is a fixed point of the step q -> diag(rho / m) C q that
+    # _evolve runs, on every row of the 2,400-node box, so the banded
+    # powers from nu itself keep TV at rounding for 200 steps
+    P = build_markov(grid, gauss_half, 0.25)
+    rho, m, nu = P.meta["rho"], P.meta["mass"], P.meta["stationary"]
+    step = replace(P, lscale=rho / m, rscale=np.ones_like(rho))
+    tv = [0.5 * m @ np.abs(q[:, 0] - nu / m) for q in step.powers((nu / m)[:, None], 200)]
+    assert len(tv) == 201 and max(tv) <= 1e-15
 
 def test_chunked_tv_matches_dense_powers(gauss_half):
     # the TV reduction runs over row chunks: 2,400 nodes are more than one
