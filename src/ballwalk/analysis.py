@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import _require_h, kappa_analytic, tail_constants, tempered_A_h
+from .densities import _mass_quadrature, _require_h, eval_density, kappa_analytic, tempered_A_h
 from .eigensolve import bottom_k, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
@@ -212,8 +212,10 @@ def essential_band(density, h):
     gam = gamma_d(density.dim)
     kappa = kappa_analytic(density)
     A_h = tempered_A_h(density, h)
+    # a_h^2 = 2h rho / m_h in the tail, m_h by quadrature, not A_h's closed form
     probes = density.R + 2.0 + 0.5 * np.arange(4) + h
-    A_probe = float(tail_constants(density, h, probes).A_h_est)
+    m = _mass_quadrature(density, probes, h)
+    A_probe = float(np.max(2.0 * h * eval_density(density, probes) / m))
 
     resid = {}
     for hh in sorted(set(BAND_H_SWEEP + (h,)), reverse=True):

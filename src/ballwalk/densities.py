@@ -50,8 +50,8 @@ def make_density(kind, dim, alpha, R=None):
         raise ConfigError(f"unknown density kind {kind!r}")
     if dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {dim!r}")
-    if not (alpha > 0):
-        raise ConfigError(f"alpha must be positive, got {alpha!r}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"alpha must be finite and positive, got {alpha!r}")
     if kind == GAUSSIAN:
         if R is not None and R != 0.0:
             raise ConfigError("gaussian density takes no transition radius R")
@@ -60,8 +60,8 @@ def make_density(kind, dim, alpha, R=None):
     # tempered
     if dim != 1:
         raise ConfigError("tempered density is implemented for d = 1 only")
-    if R is None or not (R > 0):
-        raise ConfigError("tempered density needs a transition radius R > 0")
+    if R is None or not (math.isfinite(R) and R > 0):
+        raise ConfigError(f"tempered density needs a finite transition radius R > 0, got {R!r}")
     beta = 1.0 / _tempered_norm_integral(float(alpha), float(R))
     return Density(TEMPERED, 1, float(alpha), float(R), beta)
 
@@ -206,10 +206,11 @@ def _mass_quadrature(density, r, h):
 
 
 def _require_mass(density, x, m):
-    """Refuse points where rho and m underflow to 0: a_h = 0/0, 1/m = inf."""
-    if not np.all(m > 0):
-        r = np.min(_radius(density, x)[m <= 0])
-        raise NumericalError(f"rho and the ball mass underflow to 0 from radius {r:.6g}")
+    """Refuse points where m is 0 or subnormal: a_h = 0/0 or 1/m = inf."""
+    low = ~(m >= np.finfo(float).tiny)
+    if np.any(low):
+        r = np.min(_radius(density, x)[low])
+        raise NumericalError(f"ball masses are subnormal or underflow to 0 from radius {r:.6g}")
 
 
 def weight_a_h(density, x, h):

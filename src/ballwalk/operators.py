@@ -11,10 +11,12 @@ Four operators on a truncated uniform grid:
     Laplacian sign convention), second-order stencil with Dirichlet walls,
     stored as one scipy.sparse CSR matrix in d = 1 and d = 2.
 
+The first three share one form, A = diag(lscale) C diag(rscale) with C a
+symmetric Toeplitz band or circulant, so A's transpose swaps the scales.
 Grid nodes are cell centers, x_i = -L + (i + 1/2) delta. The banded scheme
 restricts the infinite banded matrix to the box (zero extension), and all
 its products are DiscreteOperator.powers: one matmul per step of a stack
-of Toeplitz blocks with the row scale folded in, built once per operator.
+of Toeplitz blocks with both scales folded in, built once per operator.
 Its T and T-tilde are one chain, the ball walk of rho restricted to the
 box: both are normalized by the in-box stencil mass m = C rho, so T is
 exactly stochastic with the stationary law nu ~ rho m (_banded_chain).
@@ -60,8 +62,8 @@ class Grid:
             raise ConfigError(f"grid dim must be 1 or 2, got {self.dim}")
         if self.N < 8 or self.N % 2 != 0:
             raise ConfigError("N must be even and at least 8")
-        if not (self.L > 0):
-            raise ConfigError("L must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ConfigError(f"L must be finite and positive, got {self.L!r}")
 
     @property
     def delta(self):
@@ -169,61 +171,59 @@ def _toeplitz_block(c):
 
 @dataclass
 class DiscreteOperator:
-    """Grid operator in one of the two schemes.
-
-    matvec takes one vector (n,) in either scheme.
-    banded: lscale * C (rscale * u), C the symmetric band with
-    C[i, j] = stencil[|i - j|] for |i - j| <= K; the scales fold in
-    1/(alpha_d h^d) and the conjugation weights. powers is the one banded
-    kernel: matvec is one step of it, walk._evolve an (n, S) block of them.
-    multiplier: weight * idft(symbol * dft(weight * u)) on the periodic
-    box; weight = 1 for the plain ball average.
-    """
+    """A = diag(lscale) C diag(rscale) on the grid, C symmetric: the band
+    C[i, j] = stencil[|i - j|], |i - j| <= K (banded scheme), or the
+    circulant of the real symbol on the periodic box (multiplier scheme).
+    A^T swaps lscale and rscale, so A is symmetric when they are equal.
+    powers is the one banded kernel: matvec is one step of it,
+    walk._evolve an (n, S) block of them."""
 
     scheme: str
     grid: Grid
     h: float
-    symmetric: bool
     stencil: np.ndarray = None
     lscale: np.ndarray = None
     rscale: np.ndarray = None
     symbol: np.ndarray = None
-    weight: np.ndarray = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def symmetric(self):
+        return self.lscale is self.rscale or np.array_equal(self.lscale, self.rscale)
 
     def matvec(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.grid.size,):
             raise ConfigError(f"expected shape ({self.grid.size},), got {u.shape}")
         if self.scheme == BANDED:
-            *_, y = self.powers((self.rscale * u)[:, None], 1)
+            *_, y = self.powers(u[:, None], 1)
             return y[:, 0]
         # rfft on the last axis, then fft on each leading one (d = 2 has
         # one): what rfftn does, without its n-d argument handling
         N, lead = self.grid.N, range(self.grid.dim - 1)
-        w = np.fft.rfft((self.weight * u).reshape((N,) * self.grid.dim))
+        w = np.fft.rfft((self.rscale * u).reshape((N,) * self.grid.dim))
         for ax in lead:
             w = np.fft.fft(w, axis=ax)
         w *= self.symbol
         for ax in lead:
             w = np.fft.ifft(w, axis=ax)
-        return self.weight * np.fft.irfft(w, n=N).ravel()
+        return self.lscale * np.fft.irfft(w, n=N).ravel()
 
     @functools.cached_property
     def _stack(self):
-        """diag(lscale) T for each block of B = _BLOCK_ROWS rows: the
-        (rows / B, B, B + 2K) stack that powers multiplies, rows = n
-        rounded up to a multiple of B, with zero rows past node n. Built on
-        the first banded product, so an operator that only goes through
-        to_banded never builds it. Cached: a new lscale takes a new
-        operator (dataclasses.replace), not an edit in place."""
-        B = _BLOCK_ROWS
-        scale = np.zeros(-(-self.grid.size // B) * B)
-        scale[: self.grid.size] = self.lscale
-        return _toeplitz_block(self.stencil) * scale.reshape(-1, B, 1)
+        """A in blocks of B = _BLOCK_ROWS rows, the (rows / B, B, B + 2K)
+        stack powers multiplies (rows = n padded to a multiple of B with
+        zero rows): each Toeplitz block times lscale on its rows and its
+        window of the zero-padded rscale on its columns. Built on the first
+        banded product, so to_banded alone never builds it; new scales take
+        a new operator (dataclasses.replace), not an edit in place."""
+        B, K, pad = _BLOCK_ROWS, len(self.stencil) - 1, -self.grid.size % _BLOCK_ROWS
+        lrows = np.pad(self.lscale, (0, pad)).reshape(-1, B, 1)
+        rcols = sliding_window_view(np.pad(self.rscale, (K, K + pad)), B + 2 * K)[::B, None]
+        return _toeplitz_block(self.stencil) * lrows * rcols
 
     def powers(self, q0, n_max):
-        """Yield (diag(lscale) C)^k q0, k = 0 .. n_max, for an (n, S) block q0.
+        """Yield A^k q0, k = 0 .. n_max, for an (n, S) block q0.
 
         The powers live inside two zero-padded (K + rows + K, S) buffers
         that swap every step. Each buffer gets its overlapping (B + 2K) x S
@@ -257,24 +257,21 @@ class DiscreteOperator:
         if n > 4096:
             raise NumericalError(f"refusing dense assembly at N={n}")
         if self.scheme == BANDED:
-            col = np.zeros(n)
-            col[: self.stencil.size] = self.stencil[:n]
-            return scipy.linalg.toeplitz(col) * self.rscale[None, :] * self.lscale[:, None]
-        if self.grid.dim != 1:
+            C = scipy.linalg.toeplitz(np.pad(self.stencil, (0, n))[:n])
+        elif self.grid.dim != 1:
             raise NumericalError("dense assembly of the 2-D multiplier scheme is not supported")
-        # C[i, j] = kernel[(j - i) mod n], the circulant kernel of the symbol
-        C = scipy.linalg.circulant(np.fft.irfft(self.symbol, n=self.grid.N)).T
-        return self.weight[:, None] * C * self.weight[None, :]
+        else:  # C[i, j] = kernel[(j - i) mod n], the circulant kernel of the symbol
+            C = scipy.linalg.circulant(np.fft.irfft(self.symbol, n=self.grid.N)).T
+        return self.lscale[:, None] * C * self.rscale[None, :]
 
     def to_banded(self):
         """Symmetric banded storage bands[k, i] = A[i, i+k], k = 0..K."""
         if self.scheme != BANDED or not self.symmetric:
             raise NumericalError("banded storage needs the symmetric banded scheme")
-        c, s = self.stencil, self.lscale
-        n = self.grid.size
+        c, n = self.stencil, self.grid.size
         bands = np.zeros((len(c), n))
         for k in range(len(c)):
-            bands[k, : n - k] = c[k] * s[: n - k] * s[k:]
+            bands[k, : n - k] = c[k] * self.lscale[: n - k] * self.rscale[k:]
         return bands
 
 
@@ -293,10 +290,11 @@ def _conjugated(grid, h, scheme, a):
         raise ConfigError(f"no {scheme!r} scheme in d = {grid.dim}")
     _require_resolved(grid, h)
     if scheme == MULTIPLIER:
-        return DiscreteOperator(scheme, grid, h, True, symbol=_multiplier_symbol(grid, h), weight=a)
+        return DiscreteOperator(scheme, grid, h, lscale=a, rscale=a,
+                                symbol=_multiplier_symbol(grid, h))
     s = a / math.sqrt(2.0 * h)  # split the 1/(2h) across both factors
     c = band_weights(h, grid.delta)
-    return DiscreteOperator(scheme, grid, h, True, stencil=c, lscale=s, rscale=s)
+    return DiscreteOperator(scheme, grid, h, stencil=c, lscale=s, rscale=s)
 
 
 def build_ball_average(grid, h, scheme=MULTIPLIER):
@@ -341,7 +339,7 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER):
     if scheme == BANDED:
         c, rho, m = _banded_chain(grid, density, h)
         s = np.sqrt(rho / m)
-        return DiscreteOperator(scheme, grid, h, True, stencil=c, lscale=s, rscale=s)
+        return DiscreteOperator(scheme, grid, h, stencil=c, lscale=s, rscale=s)
     a = weight_a_h(density, grid.nodes(), h) * taper_profile(grid, h, density.alpha)
     return _conjugated(grid, h, scheme, a)
 
@@ -353,12 +351,13 @@ def build_markov(grid, density, h):
 
     Exactly similar to the banded conjugated operator via the diagonal
     (rho * m)^{-1/2}, so their spectra coincide in floating point; nu
-    proportional to rho * m is the stationary row vector.
+    proportional to rho * m, meta["stationary"], is the stationary row
+    vector. rho is rscale and m is 1 / lscale.
     """
     c, rho, m = _banded_chain(grid, density, h)
     nu = rho * m / np.sum(rho * m)
-    return DiscreteOperator(BANDED, grid, h, False, stencil=c, lscale=1.0 / m, rscale=rho,
-                            meta={"mass": m, "rho": rho, "stationary": nu})
+    return DiscreteOperator(BANDED, grid, h, stencil=c, lscale=1.0 / m, rscale=rho,
+                            meta={"stationary": nu})
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ Sampling is exact rejection against closed-form envelopes: a step bounds
 rho over the ball at the point nearest the origin, and the stationary
 sampler is one loop that tests its envelope ratio r before r m_h / m_h(0).
 Witness lower bounds on TV come from quadrature. The exact grid evolution,
-_evolve, carries the deviation e = q - nu / m from stationarity in
-q = p / m under DiscreteOperator.powers of the step operator
-diag(rho / m) C, the Markov form's transpose, of which nu / m is an
-exact fixed point; TV is m . |e| / 2. It has two consumers:
+_evolve, carries the deviation e = p - nu from the stationary measure nu
+under DiscreteOperator.powers of the Markov form's transpose, of which nu
+is an exact fixed point; TV is 1 . |e| / 2. It has two consumers:
 gap-rate upper bounds fitted to the curves from many starts (their TV one
 abs and one GEMV per cache-sized row chunk), and Monte-Carlo paths
 checked against the curve from their own start.
@@ -164,24 +163,21 @@ def _require_tv_grid(grid, h):
 
 
 def _evolve(P, starts, n_max):
-    """Yield e_n = q_n - nu / m, n = 0 .. n_max, the deviations from
-    stationarity of the row measures p_n = p_0 P^n in q = p / m, evolved
-    together as the columns of one (n, S) block, one column per node of
-    `starts` (a point mass there). TV_n = m . |e_n| / 2 and p_n - nu = m * e_n.
+    """Yield e_n = p_n - nu, n = 0 .. n_max, the deviations from P's
+    stationary measure nu of the row measures p_n = p_0 P^n, one column of
+    an (n, S) block per node of `starts` (a point mass there).
 
-    P = diag(1/m) C diag(rho), so P^T p = rho * C (p / m): q_{n+1} =
-    diag(rho / m) C q_n. m = C rho makes nu / m, proportional to rho, a
-    fixed point of that step, so e_n is the n-th power of the step
-    operator on e_0. e_0 is -nu / m broadcast, no (n, S) array of its own,
+    nu is a fixed point of P^T, P with its scales swapped, so e_n is the
+    n-th power of P^T on e_0: -nu broadcast, no (n, S) array of its own,
     with the point masses added to the first view powers yields. Each e_n
     is a view that the step to e_{n+2} overwrites (a caller must be done
     with e_n before it asks for e_{n+2}).
     """
-    rho, m, nu = P.meta["rho"], P.meta["mass"], P.meta["stationary"]
-    step = replace(P, lscale=rho / m, rscale=np.ones_like(rho))
-    powers = step.powers(np.broadcast_to(-(nu / m)[:, None], (nu.size, len(starts))), n_max)
+    nu = P.meta["stationary"]
+    PT = replace(P, lscale=P.rscale, rscale=P.lscale)
+    powers = PT.powers(np.broadcast_to(-nu[:, None], (nu.size, len(starts))), n_max)
     e = next(powers)
-    e[starts, np.arange(len(starts))] += 1.0 / m[starts]
+    e[starts, np.arange(len(starts))] += 1.0
     yield e
     yield from powers
 
@@ -198,20 +194,20 @@ def _evolve_tv(P, starts, n_max):
     """TV distances to P's stationary measure nu of the row measures
     p_n = p_0 P^n from point masses at the nodes `starts`, evolved together
     by _evolve as the columns of one (n, S) block of deviations e_n; returns
-    the (n_max + 1, S) table TV_n = m . |e_n| / 2, one abs and one GEMV per
+    the (n_max + 1, S) table TV_n = 1 . |e_n| / 2, one abs and one GEMV per
     chunk of _TV_CHUNK_ROWS rows through one (chunk, S) scratch.
     """
-    m = P.meta["mass"]
-    n, S = m.size, len(starts)
+    n, S = P.grid.size, len(starts)
     chunks = [slice(lo, min(lo + _TV_CHUNK_ROWS, n)) for lo in range(0, n, _TV_CHUNK_ROWS)]
-    scratch = np.empty((min(_TV_CHUNK_ROWS, n), S))
+    ones = np.ones(min(_TV_CHUNK_ROWS, n))
+    scratch = np.empty((ones.size, S))
     part = np.empty((len(chunks), S))
     tv = np.empty((n_max + 1, S))
     for k, e in enumerate(_evolve(P, starts, n_max)):
         for j, c in enumerate(chunks):
             d = scratch[: c.stop - c.start]
             np.abs(e[c], out=d)
-            np.matmul(m[c], d, out=part[j])
+            np.matmul(ones[: len(d)], d, out=part[j])
         part.sum(axis=0, out=tv[k])
     tv *= 0.5
     return tv
@@ -292,12 +288,13 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     of d_TV(T^n(x, .), nu_h).
 
     The fit window keeps the domination check honest: the fitted constant
-    has to keep dominating beyond the data that produced it (n_max < 2
-    leaves no step in the window: ConfigError).
+    has to keep dominating beyond the data that produced it. n_max < 2
+    (no step in the window) or a gap not finite and positive: ConfigError.
     """
     _require_tv_grid(grid, h)
-    if n_max < 2:
-        raise ConfigError(f"the TV curve needs n_max >= 2, got {n_max}")
+    if n_max < 2 or not (math.isfinite(gap) and gap > 0):
+        raise ConfigError(f"the TV curve needs n_max >= 2 and a finite gap > 0, "
+                          f"got n_max={n_max}, gap={gap!r}")
     fit_horizon = n_max // 2
     starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::TV_START_STRIDE]
     if starts.size == 0:
@@ -367,8 +364,8 @@ def _agresti_coull_se(emp, n):
 def simulate_paths(config, grid):
     """Run the ensemble and estimate TV against the exact evolution.
 
-    The exact curve is one column of _evolve from a point mass at the node
-    nearest x0, with p_n - nu = m * e_n. From stationarity p_n = nu exactly,
+    The exact curve is one column of _evolve, p_n - nu, from a point mass
+    at the node nearest x0. From stationarity p_n = nu exactly,
     the grid chain's nu being stationary, so nothing is evolved. The grid
     must pass _require_tv_grid, and x0 must be None or finite inside the
     box, |x0| < grid.L (ConfigError otherwise).
@@ -395,7 +392,7 @@ def simulate_paths(config, grid):
     dens = config.density
     rng = make_rng(config.seed)
     P = build_markov(grid, dens, config.h)
-    m, nu = P.meta["mass"], P.meta["stationary"]
+    nu = P.meta["stationary"]
 
     if config.x0 is None:
         xs = sample_stationary(dens, config.h, rng, size=config.paths)
@@ -403,7 +400,7 @@ def simulate_paths(config, grid):
     else:
         xs = np.full(config.paths, float(config.x0))
         start = np.argmin(np.abs(grid.axis_nodes() - config.x0))
-        diffs = (m * e[:, 0] for e in _evolve(P, [start], config.n_max))
+        diffs = (e[:, 0] for e in _evolve(P, [start], config.n_max))
 
     # fallback witness set: the cells from the grid centre to the nu-median
     half = np.searchsorted(np.cumsum(nu), 0.5)

@@ -57,8 +57,9 @@ def weyl_op(gauss_half):
 @pytest.fixture(scope="module")
 def identity_op():
     g = Grid(1, 4.0, 64)
-    return DiscreteOperator(MULTIPLIER, g, 0.5, True, symbol=np.ones(g.N // 2 + 1),
-                            weight=np.ones(g.size))
+    one = np.ones(g.size)
+    return DiscreteOperator(MULTIPLIER, g, 0.5, lscale=one, rscale=one,
+                            symbol=np.ones(g.N // 2 + 1))
 
 
 @pytest.fixture(scope="module")

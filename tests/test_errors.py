@@ -84,3 +84,26 @@ def test_bad_h_refused_at_every_entry_point(call, h):
     with pytest.raises(ConfigError, match="h must be finite and positive"):
         call(h, rng)
     assert rng.uniform() == make_rng(4).uniform()  # no draw was made
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_density("gaussian", 1, math.inf),
+    lambda: make_density("gaussian", 1, math.nan),
+    lambda: make_density("tempered", 1, math.inf, R=0.5),
+    lambda: make_density("tempered", 1, 1.0, R=math.inf),
+    lambda: make_density("tempered", 1, 1.0, R=math.nan),
+    lambda: Grid(1, math.inf, 8),
+    lambda: Grid(1, math.nan, 8),
+    lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, math.nan),
+    lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, math.inf),
+    lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, -1.0),
+    lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, 0.0),
+], ids=["gaussian-alpha-inf", "gaussian-alpha-nan", "tempered-alpha-inf", "tempered-R-inf",
+        "tempered-R-nan", "grid-L-inf", "grid-L-nan", "gap-nan", "gap-inf", "gap-negative",
+        "gap-zero"])
+def test_non_finite_inputs_refused(call):
+    # alpha = inf once gave a Density with beta = inf, R or L = inf a bare
+    # RuntimeWarning, and a nan or negative gap a silent c_fit = nan or a
+    # "dominated" verdict against a growing bound
+    with pytest.raises(ConfigError, match="finite"):
+        call()

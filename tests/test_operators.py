@@ -16,7 +16,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from ballwalk.densities import eval_potential, make_density, tempered_A_h
-from ballwalk.eigensolve import top_k, bottom_k
+from ballwalk.eigensolve import bottom_k, count_at_most, top_k
 from ballwalk.errors import ConfigError, KernelUnderResolved, NumericalError
 from ballwalk.multiplier import eval_Gd, find_min_M
 from ballwalk.operators import (
@@ -177,8 +177,8 @@ def test_multiplier_matvec_matches_rfftn():
         T = build_conjugated(g, dens, h)
         u = rng.standard_normal(g.size)
         shape, axes = (g.N,) * g.dim, range(g.dim)
-        w = np.fft.rfftn((T.weight * u).reshape(shape), s=shape, axes=axes)
-        ref = T.weight * np.fft.irfftn(w * T.symbol, s=shape, axes=axes).ravel()
+        w = np.fft.rfftn((T.rscale * u).reshape(shape), s=shape, axes=axes)
+        ref = T.lscale * np.fft.irfftn(w * T.symbol, s=shape, axes=axes).ravel()
         assert np.array_equal(T.matvec(u), ref)
 
 
@@ -297,7 +297,7 @@ def test_markov_similar_to_conjugated(gauss_half):
     g = Grid(1, 9.0, 720)
     P = build_markov(g, gauss_half, 0.25)
     T = build_conjugated(g, gauss_half, 0.25, scheme=BANDED)
-    s = np.sqrt(P.meta["rho"] * P.meta["mass"])
+    s = np.sqrt(P.rscale / P.lscale)
     lhs = (1.0 / s)[:, None] * T.to_dense() * s[None, :]
     np.testing.assert_allclose(lhs, P.to_dense(), atol=1e-12)
 
@@ -306,7 +306,7 @@ def test_discrete_mass_matches_stencil(gauss_half):
     from ballwalk.densities import eval_density
 
     g = Grid(1, 6.0, 240)
-    m = build_markov(g, gauss_half, 0.25).meta["mass"]
+    m = 1.0 / build_markov(g, gauss_half, 0.25).lscale
     c = band_weights(0.25, g.delta)
     x = g.axis_nodes()
     # an arbitrary interior row, and the wall row, whose ball reaches past
@@ -458,13 +458,16 @@ def test_taper_profile_per_node():
 
 def test_box_where_rho_underflows_is_refused():
     # alpha = 0.5 on [-48, 48]: rho and the ball mass are exactly 0 from
-    # |x| ~ 38 on, where a_h would be 0/0 and 1/m infinite
-    dens, g = make_density("gaussian", 1, 0.5), Grid(1, 48.0, 12800)
-    for scheme in (BANDED, MULTIPLIER):
+    # |x| ~ 38 on, where a_h would be 0/0 and 1/m infinite. On [-38.4, 38.4]
+    # the wall masses are subnormal, not 0: 1/m overflowed in build_markov,
+    # and the banded T-tilde took sqrt(rho / m) of them
+    dens = make_density("gaussian", 1, 0.5)
+    for g in (Grid(1, 48.0, 12800), Grid(1, 38.4, 2560)):
+        for scheme in (BANDED, MULTIPLIER):
+            with pytest.raises(NumericalError, match="underflow to 0 from radius 3[78]"):
+                build_conjugated(g, dens, 0.3, scheme=scheme)
         with pytest.raises(NumericalError, match="underflow to 0 from radius 3[78]"):
-            build_conjugated(g, dens, 0.3, scheme=scheme)
-    with pytest.raises(NumericalError, match="underflow to 0 from radius 3[78]"):
-        build_markov(g, dens, 0.3)
+            build_markov(g, dens, 0.3)
 
 
 def test_taper_needs_room(gauss_half):
@@ -520,12 +523,14 @@ def test_banded_block_product_matches_dense(g, h, K):
 
 def test_powers_match_dense():
     # K = 41 > _BLOCK_ROWS on a ragged n = 250, three columns, a random
-    # positive lscale: (diag(lscale) C)^k q0 against dense powers of the band
+    # positive lscale and rscale: (diag(lscale) C diag(rscale))^k q0
+    # against dense powers of the band
     g, h = Grid(1, 6.0, 250), 2.0
     assert g.size % _BLOCK_ROWS != 0
     rng = np.random.default_rng(3)
-    scale = rng.uniform(0.5, 1.5, g.size)
-    op = dataclasses.replace(build_ball_average(g, h, scheme=BANDED), lscale=scale)
+    lscale, rscale = rng.uniform(0.5, 1.5, (2, g.size))
+    op = dataclasses.replace(build_ball_average(g, h, scheme=BANDED), lscale=lscale,
+                             rscale=rscale)
     c = op.stencil
     assert len(c) - 1 > _BLOCK_ROWS
     idx = np.arange(g.size)
@@ -535,7 +540,7 @@ def test_powers_match_dense():
     ref = q0
     for k, q in enumerate(op.powers(q0, 3)):
         np.testing.assert_allclose(q, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
-        ref = scale[:, None] * (C @ ref)
+        ref = lscale[:, None] * (C @ (rscale[:, None] * ref))
     assert k == 3
     with pytest.raises(ConfigError):
         next(build_ball_average(g, h, scheme=MULTIPLIER).powers(q0, 1))
@@ -548,7 +553,7 @@ def test_powers_match_dense():
         if k == 1:
             q += kick
             ref = ref + kick
-        ref = scale[:, None] * (C @ ref)
+        ref = lscale[:, None] * (C @ (rscale[:, None] * ref))
 
 
 def test_products_leave_operand_alone(gauss_half):
@@ -574,6 +579,33 @@ def test_operand_shapes_rejected(gauss_half):
             P.matvec(bad)
     with pytest.raises(ConfigError):
         build_ball_average(g, 0.25, scheme=MULTIPLIER).matvec(np.ones((n, 2)))
+
+
+def test_symmetry_follows_the_scales(gauss_half):
+    # A = diag(lscale) C diag(rscale) is symmetric only when its scales
+    # agree: a to_banded that read lscale on both sides of a T-tilde whose
+    # lscale alone was replaced would count the wrong operator
+    g = Grid(1, 6.0, 240)
+    T = build_conjugated(g, gauss_half, 0.25, scheme=BANDED)
+    assert T.symmetric
+    rng = np.random.default_rng(17)
+    for lscale in (2.0 * T.lscale, rng.uniform(0.5, 1.5, g.size)):
+        A = dataclasses.replace(T, lscale=lscale)
+        assert not A.symmetric
+        with pytest.raises(ConfigError, match="symmetric"):
+            top_k(A, 2)
+        with pytest.raises(ConfigError, match="symmetric"):
+            count_at_most(A, [0.5, 1.0])
+        with pytest.raises(NumericalError, match="symmetric"):
+            A.to_banded()
+
+
+def test_transpose_swaps_the_scales(gauss_half):
+    # the band C is symmetric, so P^T is the Markov form P with lscale and
+    # rscale swapped, the operator walk._evolve runs
+    P = build_markov(Grid(1, 6.0, 240), gauss_half, 0.25)
+    PT = dataclasses.replace(P, lscale=P.rscale, rscale=P.lscale)
+    np.testing.assert_allclose(PT.to_dense(), P.to_dense().T, rtol=1e-15, atol=0)
 
 
 def test_to_banded_matches_dense(gauss_half):
