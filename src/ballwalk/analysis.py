@@ -5,13 +5,15 @@ keeps the raw numbers, so a failed gate can be read off the report
 without rerunning anything.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .densities import _mass_quadrature, _require_h, eval_density, kappa_analytic, tempered_A_h
-from .eigensolve import bottom_k, count_at_most, top_k
+from .eigensolve import MAX_K, bottom_k, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
 from .operators import BANDED, MULTIPLIER, Grid, build_conjugated, build_schrodinger
@@ -63,20 +65,41 @@ def mu_reference(density, k_max):
     Gaussian densities in d=1,2 have the closed-form ladder spacing
     4*alpha; those values are returned directly and the extrapolation is
     reserved for densities without a closed form.
+
+    The ladder depends on the density alone, so each (density, k_max) is
+    solved once per process and cached; equal densities share an entry,
+    and MU_DELTAS is read only on a miss. Every call returns a fresh,
+    writable array. k_max is keyed as given, not sliced from a longer
+    cached ladder, because Sturm bisection's mu_0 moves with the index
+    range (by ~1e-10). ConfigError unless k_max is an integer >= 0, and
+    below MAX_K where the ladder is solved.
     """
+    try:
+        k = operator.index(k_max)
+    except TypeError:
+        raise ConfigError(f"k_max must be an integer, got {k_max!r}") from None
+    top = math.inf if density.kind == "gaussian" else MAX_K - 1  # bottom_k solves k_max + 1
+    if not 0 <= k <= top:
+        raise ConfigError(f"k_max must be in [0, {top}], got {k_max!r}")
+    return np.array(_mu_levels(density, k))
+
+
+@functools.cache
+def _mu_levels(density, k_max):
+    """mu_reference's ladder as a tuple, solved once per (density, k_max)."""
     if density.kind == "gaussian":
         levels, m = [], 0
         while len(levels) <= k_max:  # level 4 alpha m has C(m + d - 1, d - 1) states
             levels += [4.0 * density.alpha * m] * math.comb(m + density.dim - 1, density.dim - 1)
             m += 1
-        return np.array(levels[: k_max + 1])
+        return tuple(levels[: k_max + 1])
     L = density.R + 25.0 / density.alpha
     mus = []
     for delta in MU_DELTAS:
         g = Grid(1, L, _even_grid(L, 1.0, 1.0 / delta))
         mus.append(bottom_k(build_schrodinger(g, density), k_max + 1).eigenvalues)
     r = (MU_DELTAS[0] / MU_DELTAS[1]) ** 2
-    return (r * mus[1] - mus[0]) / (r - 1.0)
+    return tuple((r * mus[1] - mus[0]) / (r - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +329,7 @@ class GapReport(Report):
     gap: float
     lambda_1: float
     comparison: float  # h^2 gamma_d min(mu_1, (1-alpha_cfg) kappa)
+    mu_1: float  # the ladder side of that min
     alpha_cfg: float
 
 
@@ -325,6 +349,7 @@ def spectral_gap(density, h):
         gap=float(1.0 - lam[1]),
         lambda_1=float(lam[1]),
         comparison=float(comparison),
+        mu_1=mu1,
         alpha_cfg=ALPHA_CFG,
     )
 
