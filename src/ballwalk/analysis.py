@@ -5,7 +5,6 @@ keeps the raw numbers, so a failed gate can be read off the report
 without rerunning anything.
 """
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import _mass_quadrature, _require_h, eval_density, kappa_analytic, tempered_A_h
-from .eigensolve import MAX_K, bottom_k, count_at_most, top_k
+from .eigensolve import bottom_values, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
 from .operators import BANDED, MULTIPLIER, Grid, build_conjugated, build_schrodinger
@@ -26,6 +25,7 @@ BOX_L = 12.0  # verify_asymptotics, weyl_curve and spectral_gap run on [-BOX_L, 
 GRID_RULE = 10  # their T-tilde grids have delta <= h/GRID_RULE (tests/test_grid_convergence.py)
 WEYL_LAMBDAS = tuple(np.linspace(0.10, 0.30, 9))  # weyl_curve's sweep; 0.3 stands in for delta_0
 MU_DELTAS = (4e-3, 2e-3)  # Richardson pair for the -Lap + V reference levels
+MU_1_MARGIN = 1e-2  # spectral_gap skips the pair when mu_1(MU_DELTAS[0]) > floor (1 + this)
 BAND_H_SWEEP = (0.4, 0.3, 0.2, 0.15)  # h values of the A_h residual fit
 LOCALIZATION_MASS_TOL = 1e-6
 
@@ -59,47 +59,44 @@ def _fit_through_origin(x, y):
 # ---------------------------------------------------------------------------
 # reference levels of the comparison operator
 
+def _require_k_max(k_max, least):
+    """ConfigError unless k_max is an integer >= least."""
+    try:
+        k = operator.index(k_max)
+    except TypeError:
+        raise ConfigError(f"k_max must be an integer, got {k_max!r}") from None
+    if k < least:
+        raise ConfigError(f"k_max must be at least {least}, got {k_max!r}")
+    return k
+
+
+def _ladder_op(density, delta):
+    """-Lap + V on [-L, L], L = R + 25/alpha, at grid step <= delta: the
+    grids of mu_reference's Richardson pair."""
+    L = density.R + 25.0 / density.alpha
+    return build_schrodinger(Grid(1, L, _even_grid(L, 1.0, 1.0 / delta)), density)
+
+
 def mu_reference(density, k_max):
     """Bottom k_max+1 levels of -Lap + V, Richardson-extrapolated in delta.
 
     Gaussian densities in d=1,2 have the closed-form ladder spacing
     4*alpha; those values are returned directly and the extrapolation is
-    reserved for densities without a closed form.
-
-    The ladder depends on the density alone, so each (density, k_max) is
-    solved once per process and cached; equal densities share an entry,
-    and MU_DELTAS is read only on a miss. Every call returns a fresh,
-    writable array. k_max is keyed as given, not sliced from a longer
-    cached ladder, because Sturm bisection's mu_0 moves with the index
-    range (by ~1e-10). ConfigError unless k_max is an integer >= 0, and
-    below MAX_K where the ladder is solved.
+    reserved for densities without a closed form. No eigenvector enters
+    the ladder, so its two solves ask Sturm bisection for eigenvalues
+    alone (bottom_values). ConfigError unless k_max is an integer >= 0
+    (and, where the ladder is solved, below MAX_K).
     """
-    try:
-        k = operator.index(k_max)
-    except TypeError:
-        raise ConfigError(f"k_max must be an integer, got {k_max!r}") from None
-    top = math.inf if density.kind == "gaussian" else MAX_K - 1  # bottom_k solves k_max + 1
-    if not 0 <= k <= top:
-        raise ConfigError(f"k_max must be in [0, {top}], got {k_max!r}")
-    return np.array(_mu_levels(density, k))
-
-
-@functools.cache
-def _mu_levels(density, k_max):
-    """mu_reference's ladder as a tuple, solved once per (density, k_max)."""
+    k_max = _require_k_max(k_max, 0)
     if density.kind == "gaussian":
         levels, m = [], 0
         while len(levels) <= k_max:  # level 4 alpha m has C(m + d - 1, d - 1) states
             levels += [4.0 * density.alpha * m] * math.comb(m + density.dim - 1, density.dim - 1)
             m += 1
-        return tuple(levels[: k_max + 1])
-    L = density.R + 25.0 / density.alpha
-    mus = []
-    for delta in MU_DELTAS:
-        g = Grid(1, L, _even_grid(L, 1.0, 1.0 / delta))
-        mus.append(bottom_k(build_schrodinger(g, density), k_max + 1).eigenvalues)
+        return np.array(levels[: k_max + 1])
+    mus = [bottom_values(_ladder_op(density, delta), k_max + 1) for delta in MU_DELTAS]
     r = (MU_DELTAS[0] / MU_DELTAS[1]) ** 2
-    return tuple((r * mus[1] - mus[0]) / (r - 1.0))
+    return (r * mus[1] - mus[0]) / (r - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +134,12 @@ def verify_asymptotics(density, k_max, h_list):
 
     PASS means every k = 1..k_max fits order >= 3.5 and the smallest-h
     residual stays within twice its own h^4 trend line (so the last point
-    is on the curve, not an outlier the slope fit smoothed over). k_max
-    < 1 leaves no level to fit and raises ConfigError, and so does an h
-    that is not finite and positive, before any solve.
+    is on the curve, not an outlier the slope fit smoothed over). A k_max
+    that is not an integer >= 1 (0 leaves no level to fit) raises
+    ConfigError, and so does an h that is not finite and positive, before
+    any solve.
     """
-    if k_max < 1:
-        raise ConfigError(f"k_max must be at least 1, got {k_max}")
+    k_max = _require_k_max(k_max, 1)
     h_list = [float(h) for h in h_list]
     for h in h_list:
         _require_h(h)
@@ -329,27 +326,40 @@ class GapReport(Report):
     gap: float
     lambda_1: float
     comparison: float  # h^2 gamma_d min(mu_1, (1-alpha_cfg) kappa)
-    mu_1: float  # the ladder side of that min
     alpha_cfg: float
+
+
+def _mu_1_if_below(density, floor):
+    """mu_reference's mu_1 where it can decide min(mu_1, floor), inf where
+    it cannot. With a finite floor (tempered), one Sturm pass on the
+    coarser ladder grid first bisects only the levels up to
+    floor * (1 + MU_1_MARGIN); without a second one there, mu_1 is above
+    the floor and the Richardson pair is not solved. Measured over alpha
+    0.5-2 and R 0.1-8, the extrapolation moves the coarse mu_1 by at most
+    3.3e-5 of the floor, well inside the margin."""
+    if math.isfinite(floor):
+        op = _ladder_op(density, MU_DELTAS[0])
+        if bottom_values(op, 2, upto=floor * (1.0 + MU_1_MARGIN)).size < 2:
+            return math.inf
+    return float(mu_reference(density, 1)[1])
 
 
 def spectral_gap(density, h):
     """Gap 1 - lambda_1 of the multiplier scheme on [-BOX_L, BOX_L]^d at
-    delta <= h/GRID_RULE, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa).
+    delta <= h/GRID_RULE, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa),
+    with mu_1 solved only where it can be below the floor (_mu_1_if_below).
     Like verify_asymptotics, it refuses (ConfigError) an h that is not
     finite and positive, and a grid where lambda_0 is not 1 within
     LAMBDA_ZERO_TOL."""
     lam = _top_levels(density, h, 2)
-    mu1 = float(mu_reference(density, 1)[1])
     kappa = kappa_analytic(density)
     floor = (1.0 - ALPHA_CFG) * kappa if math.isfinite(kappa) else math.inf
-    comparison = h**2 * gamma_d(density.dim) * min(mu1, floor)
+    comparison = h**2 * gamma_d(density.dim) * min(_mu_1_if_below(density, floor), floor)
     return GapReport(
         h=h,
         gap=float(1.0 - lam[1]),
         lambda_1=float(lam[1]),
         comparison=float(comparison),
-        mu_1=mu1,
         alpha_cfg=ALPHA_CFG,
     )
 

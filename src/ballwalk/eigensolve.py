@@ -13,15 +13,19 @@ Three routes, matched to the operator shapes:
   * bottom_k: the Schrodinger operator is one sparse matrix; in d=1 it
     is tridiagonal and its two diagonals go to the LAPACK Sturm bisection
     path, in d=2 ARPACK finds the smallest algebraic eigenvalues of L.
+    bottom_values is the d=1 path's eigenvalues alone, without the
+    inverse iteration for the eigenvectors, optionally only those below
+    a bound.
   * count_at_most: Sylvester inertia of the symmetric banded scheme, by
     one unpivoted banded LDL^T sweep that carries every shift along at
     once (LAPACK has no banded symmetric indefinite driver); a near-zero
     or exploding pivot means that shift essentially hit an eigenvalue,
     and only it is swept again, nudged by a tiny perturbation.
 
-Every solver ends in one _finish: eigenpairs sorted, eigenvectors with
-unit L^2(dx) norm (grid weight delta^d), true residuals through the
-operator's matvec, and the RESIDUAL_RTOL gate for the iterative routes.
+Every eigenpair solver ends in one _finish: eigenpairs sorted,
+eigenvectors with unit L^2(dx) norm (grid weight delta^d), true residuals
+through the operator's matvec, and the RESIDUAL_RTOL gate for the
+iterative routes.
 """
 
 import math
@@ -143,6 +147,29 @@ def bottom_k(op, k):
         return _finish(op, vals, vecs, "SturmBisection", ascending=True, scale=scale)
     vals, vecs = _arpack(op.matvec, op.grid.size, k, "SA")
     return _finish(op, vals, vecs, "ARPACK", ascending=True, scale=scale)
+
+
+def bottom_values(op, k, upto=math.inf):
+    """k smallest eigenvalues of a d = 1 SchrodingerOperator, ascending,
+    by bottom_k's Sturm bisection without the eigenvectors, so with no
+    residuals to gate; with upto = inf they are bottom_k's to the bit. A
+    finite upto bisects only the eigenvalues at most upto, so fewer than
+    k may come back, at a cost that grows with how many there are; they
+    agree with bottom_k's to the bisection tolerance, not to the bit."""
+    if not isinstance(op, SchrodingerOperator) or op.grid.dim != 1:
+        raise ConfigError("bottom_values expects a d = 1 SchrodingerOperator")
+    _require_k(op, k)
+    if math.isnan(upto):
+        raise ConfigError("upto must not be NaN")
+    A = op.matrix
+    if upto == math.inf:
+        select, bounds = "i", (0, k - 1)
+    else:
+        select, bounds = "v", (-math.inf, upto)
+    vals = scipy.linalg.eigh_tridiagonal(
+        A.diagonal(), A.diagonal(1), eigvals_only=True, select=select, select_range=bounds
+    )
+    return vals[:k]
 
 
 def dense_reference(op, k=None):

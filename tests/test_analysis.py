@@ -22,7 +22,7 @@ from ballwalk.analysis import (
 from ballwalk.densities import make_density, tempered_A_h
 from ballwalk.eigensolve import top_k
 from ballwalk.errors import ConfigError, InsufficientHPoints, WrongDensityKind
-from ballwalk.operators import MULTIPLIER, Grid, build_conjugated, build_schrodinger
+from ballwalk.operators import MULTIPLIER, Grid, build_conjugated
 
 H_SWEEP = [0.5, 0.35, 0.25, 0.18]
 
@@ -66,48 +66,6 @@ def test_mu_reference_refuses_bad_k_max(kind, k_max):
     density = make_density(kind, 1, 1.0, R=0.5 if kind == "tempered" else None)
     with pytest.raises(ConfigError, match="k_max"):
         mu_reference(density, k_max)
-
-
-def test_mu_reference_cached_per_density(tempered_unit, monkeypatch):
-    first = mu_reference(tempered_unit, 1)
-
-    def no_solve(*args):
-        raise AssertionError("reference ladder solved twice")
-
-    monkeypatch.setattr(analysis, "build_schrodinger", no_solve)
-    # an equal density built separately hits the same entry
-    again = mu_reference(make_density("tempered", 1, 1.0, R=0.5), 1)
-    np.testing.assert_array_equal(again, first)
-
-
-def test_mu_reference_returns_a_fresh_array(tempered_unit):
-    mu = mu_reference(tempered_unit, 2)
-    kept = mu.copy()
-    mu[:] = -1.0
-    np.testing.assert_array_equal(mu_reference(tempered_unit, 2), kept)
-
-
-def test_mu_reference_keyed_by_k_max(tempered_unit):
-    # Sturm bisection's mu_0 moves with the index range (by ~1e-10), so a
-    # longer cached ladder must not be sliced for a shorter one
-    for k_max in (2, 1, 0):
-        np.testing.assert_array_equal(
-            mu_reference(tempered_unit, k_max),
-            analysis._mu_levels.__wrapped__(tempered_unit, k_max),
-        )
-
-
-def test_gap_sweep_solves_the_ladder_once(tempered_unit, monkeypatch):
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return build_schrodinger(*args)
-
-    monkeypatch.setattr(analysis, "build_schrodinger", counting)
-    for h in (0.4, 0.3, 0.25, 0.2):
-        spectral_gap(tempered_unit, h)
-    assert len(built) == len(analysis.MU_DELTAS)  # one Richardson pair
 
 
 # --- asymptotics report ---------------------------------------------------------
@@ -156,6 +114,12 @@ def test_asymptotics_needs_a_level_to_fit(gauss_half):
     # k_max = 0 leaves only lambda_0: no order to fit and no gap column
     with pytest.raises(ConfigError, match="k_max"):
         verify_asymptotics(gauss_half, 0, H_SWEEP)
+
+
+@pytest.mark.parametrize("k_max", [1.5, "1", [1]])
+def test_asymptotics_refuses_a_k_max_that_is_not_an_integer(gauss_half, k_max):
+    with pytest.raises(ConfigError, match="k_max must be an integer"):
+        verify_asymptotics(gauss_half, k_max, H_SWEEP)
 
 
 def test_asymptotics_guards_lambda_zero(gauss_half, monkeypatch):
@@ -312,12 +276,33 @@ def test_gap_comparison_value(gauss_half, tempered_unit):
     # itself and overshoots it by the O(h^4) eigenvalue correction
     rep = spectral_gap(gauss_half, 0.25)
     assert rep.comparison / rep.gap == pytest.approx(1.0, abs=0.02)
-    assert rep.mu_1 == 2.0
     # tempered: min picks the (1-alpha) kappa floor, far below the gap
     rep = spectral_gap(tempered_unit, 0.25)
-    assert rep.mu_1 > 0.1
     assert rep.comparison == pytest.approx(0.25**2 / 6.0 * 0.1, rel=1e-12)
     assert rep.gap > rep.comparison
+
+
+def test_gap_skips_the_ladder_above_the_floor(tempered_unit, monkeypatch):
+    # mu_1 = 1.015 lies far above the 0.1 kappa floor: the coarse screen
+    # settles the min, and the Richardson pair is never solved
+    expected = spectral_gap(tempered_unit, 0.25).comparison
+
+    def no_ladder(*args):
+        raise AssertionError("reference ladder solved")
+
+    monkeypatch.setattr(analysis, "mu_reference", no_ladder)
+    assert spectral_gap(tempered_unit, 0.25).comparison == expected
+
+
+@pytest.mark.parametrize("alpha_cfg", [0.5, 0.64, 0.643, 0.9])
+def test_gap_comparison_is_the_full_min(alpha_cfg, monkeypatch):
+    # R = 8 has mu_1 = 0.3577: floors of 0.5, 0.36 (mu_1 below them),
+    # 0.357 (within the screen's margin) and 0.1 (clear of it)
+    deep = make_density("tempered", 1, 1.0, R=8.0)
+    monkeypatch.setattr(analysis, "ALPHA_CFG", alpha_cfg)
+    floor = (1.0 - alpha_cfg) * 1.0
+    full = 0.25**2 / 6.0 * min(float(mu_reference(deep, 1)[1]), floor)
+    assert spectral_gap(deep, 0.25).comparison == full
 
 
 # --- localization -----------------------------------------------------------------

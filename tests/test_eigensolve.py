@@ -8,6 +8,7 @@ eigenvalues through rounding rather than by construction.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ballwalk.eigensolve import (
     RESIDUAL_RTOL,
     EigenResult,
     bottom_k,
+    bottom_values,
     count_at_most,
     dense_reference,
     top_k,
@@ -210,6 +212,41 @@ def test_bottom_k_d1_is_sturm(gauss_half):
     target = np.array([0.0, 2.0, 4.0, 6.0])
     for k in range(4):
         assert abs(r.eigenvalues[k] - target[k]) <= 2e-4 * (1 + k)
+
+
+@pytest.mark.parametrize("kind, L, N, k", [
+    ("gaussian", 6.0, 1200, 4),
+    ("tempered", 25.5, 12750, 2),
+    ("tempered", 25.5, 12750, 1),
+])
+def test_bottom_values_are_bottom_k_eigenvalues(kind, L, N, k):
+    dens = make_density(kind, 1, 0.5 if kind == "gaussian" else 1.0,
+                        R=0.5 if kind == "tempered" else None)
+    op = build_schrodinger(Grid(1, L, N), dens)
+    np.testing.assert_array_equal(bottom_values(op, k), bottom_k(op, k).eigenvalues)
+
+
+def test_bottom_values_up_to_a_bound(gauss_half):
+    op = build_schrodinger(Grid(1, 6.0, 1200), gauss_half)  # levels ~ 0, 2, 4, 6
+    full = bottom_k(op, 4).eigenvalues
+    np.testing.assert_array_equal(bottom_values(op, 4, upto=math.inf), full)
+    for upto, n in ((-1.0, 0), (3.0, 2), (5.0, 3), (100.0, 4)):
+        vals = bottom_values(op, 4, upto=upto)
+        np.testing.assert_allclose(vals, full[:n], rtol=0, atol=1e-9)
+    assert bottom_values(op, 1, upto=100.0).size == 1
+    with pytest.raises(ConfigError, match="upto"):
+        bottom_values(op, 2, upto=math.nan)
+
+
+def test_bottom_values_refuses_what_it_cannot_solve(gauss_half, banded_op):
+    op = build_schrodinger(Grid(1, 6.0, 200), gauss_half)
+    for k in (0, MAX_K + 1):
+        with pytest.raises(ConfigError):
+            bottom_values(op, k)
+    d2 = build_schrodinger(Grid(2, 6.0, 40), make_density("gaussian", 2, 0.5))
+    for other in (d2, banded_op):
+        with pytest.raises(ConfigError, match="d = 1 SchrodingerOperator"):
+            bottom_values(other, 2)
 
 
 def test_sigma_monotone(banded_op):

@@ -60,7 +60,7 @@ def _reports():
             c_dominating=0.47368421052631576, passed=False,
         ),
         "gap": GapReport(h=0.1, gap=np.float64(0.0016658), lambda_1=0.9983342,
-                         comparison=third, mu_1=2.0, alpha_cfg=0.9),
+                         comparison=third, alpha_cfg=0.9),
         "witness": WitnessReport(value=0.9999, nu_tail=1e-4, p_tau=0.0, implied_C=math.inf,
                                  x=6.0, tau=2.0, n=10, h=0.25),
         "upper_bound": UpperBoundReport(
@@ -88,7 +88,7 @@ GOLDEN = {
     'band_gaussian': '{"A_h": NaN, "A_h_probe": NaN, "M": -0.21723362821122166, "band": [], "c_fit": NaN, "compact": true, "h": 0.25, "kappa": NaN, "lemma_residuals": {}, "passed": true}',
     'band_tempered': '{"A_h": 0.9933554817275746, "A_h_probe": 0.99335548172757, "M": -0.21723362821122166, "band": [-0.2157902, 0.9933554817275746], "c_fit": 0.0027, "compact": false, "h": 0.2, "kappa": 1.0, "lemma_residuals": {"0.2": 4.4e-06, "10.0": 0.3333333333333333, "2.0": 1.5e-05}, "passed": false}',
     'eigen': '{"clusters": [[1.0, 1], [0.9916666666666667, 1]], "eigenvalues": [1.0, 0.9916666666666667], "grid": {"L": 12.0, "N": 720, "dim": 1, "h": 0.3}, "method": "ARPACK", "residuals": [1e-15, 2.5e-15]}',
-    'gap': '{"alpha_cfg": 0.9, "comparison": 0.3333333333333333, "gap": 0.0016658, "h": 0.1, "lambda_1": 0.9983342, "mu_1": 2.0}',
+    'gap': '{"alpha_cfg": 0.9, "comparison": 0.3333333333333333, "gap": 0.0016658, "h": 0.1, "lambda_1": 0.9983342}',
     'paths': '{"ns": [0, 1, 2], "paths": 1000, "rng": "philox4x64", "seed": 7, "tv_exact": [1.0, 0.97, 0.94], "tv_mc": [1.0, 0.98, 0.95], "tv_mc_se": [0.0019, 0.3333333333333333, 0.0068]}',
     'upper_bound': '{"bound": [1.5, 1.2, 0.9], "c_fit": 0.3333333333333333, "dominated": true, "envelope": [1.0, 0.8, 0.6], "fit_horizon": 1, "gap": 0.0154, "ns": [0, 1, 2], "q": 54.59815003314423}',
     'weyl': '{"c_dominating": 0.3333333333333333, "dim": 1, "exponent": 1.24, "passed": true, "retries": 2, "rows": [[0.3, 0.1, 3, 2.111111111111111], [0.3, 0.3, 5, 4.333333333333333]]}',
