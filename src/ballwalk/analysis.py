@@ -6,12 +6,12 @@ without rerunning anything.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import _mass_quadrature, _require_h, eval_density, kappa_analytic, tempered_A_h
+from .densities import (_mass_quadrature, _require_h, _require_int, eval_density, kappa_analytic,
+                        tempered_A_h)
 from .eigensolve import bottom_values, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
@@ -27,7 +27,6 @@ WEYL_LAMBDAS = tuple(np.linspace(0.10, 0.30, 9))  # weyl_curve's sweep; 0.3 stan
 MU_DELTAS = (4e-3, 2e-3)  # Richardson pair for the -Lap + V reference levels
 MU_1_MARGIN = 1e-2  # spectral_gap skips the pair when mu_1(MU_DELTAS[0]) > floor (1 + this)
 BAND_H_SWEEP = (0.4, 0.3, 0.2, 0.15)  # h values of the A_h residual fit
-LOCALIZATION_MASS_TOL = 1e-6
 
 
 def _even_grid(L, h, rule):
@@ -59,17 +58,6 @@ def _fit_through_origin(x, y):
 # ---------------------------------------------------------------------------
 # reference levels of the comparison operator
 
-def _require_k_max(k_max, least):
-    """ConfigError unless k_max is an integer >= least."""
-    try:
-        k = operator.index(k_max)
-    except TypeError:
-        raise ConfigError(f"k_max must be an integer, got {k_max!r}") from None
-    if k < least:
-        raise ConfigError(f"k_max must be at least {least}, got {k_max!r}")
-    return k
-
-
 def _ladder_op(density, delta):
     """-Lap + V on [-L, L], L = R + 25/alpha, at grid step <= delta: the
     grids of mu_reference's Richardson pair."""
@@ -87,7 +75,7 @@ def mu_reference(density, k_max):
     alone (bottom_values). ConfigError unless k_max is an integer >= 0
     (and, where the ladder is solved, below MAX_K).
     """
-    k_max = _require_k_max(k_max, 0)
+    k_max = _require_int("k_max", k_max, 0)
     if density.kind == "gaussian":
         levels, m = [], 0
         while len(levels) <= k_max:  # level 4 alpha m has C(m + d - 1, d - 1) states
@@ -139,7 +127,7 @@ def verify_asymptotics(density, k_max, h_list):
     ConfigError, and so does an h that is not finite and positive, before
     any solve.
     """
-    k_max = _require_k_max(k_max, 1)
+    k_max = _require_int("k_max", k_max, 1)
     h_list = [float(h) for h in h_list]
     for h in h_list:
         _require_h(h)
@@ -193,23 +181,6 @@ class BandReport(Report):
     lemma_residuals: dict = field(default_factory=dict)
     c_fit: float = float("nan")
     passed: bool = True
-
-    def band_affected(self, eigenvalues):
-        """Mask of eigenvalues too close to [M A_h, A_h] to trust as discrete.
-
-        Box modes of the truncated operator pile up near the band. The
-        asymptotics only control curvature levels mu < ALPHA_CFG * kappa,
-        i.e. values above 1 - ALPHA_CFG*kappa*gamma_d*h^2; everything from
-        there down to 5 mu-units below the band floor is reported as
-        band-affected instead of asserted against the continuum dichotomy.
-        """
-        ev = np.asarray(eigenvalues, dtype=float)
-        if self.compact:
-            return np.zeros(ev.shape, dtype=bool)
-        gh2 = gamma_d(1) * self.h**2
-        lo = self.band[0] - 5.0 * self.kappa * gh2
-        hi = 1.0 - ALPHA_CFG * self.kappa * gh2
-        return (ev >= lo) & (ev <= hi)
 
 
 def essential_band(density, h):
@@ -362,26 +333,3 @@ def spectral_gap(density, h):
         comparison=float(comparison),
         alpha_cfg=ALPHA_CFG,
     )
-
-
-# ---------------------------------------------------------------------------
-# eigenvector localization
-
-def localization_radii(result):
-    """Smallest axis radius holding all but LOCALIZATION_MASS_TOL of each
-    eigenvector.
-
-    The reported radii are what make truncation-insensitivity claims
-    checkable: enlarging the box beyond R_loc must not move the value.
-    """
-    meta = result.grid_meta
-    g = Grid(meta["dim"], meta["L"], meta["N"])
-    r = np.sqrt(np.sum(np.reshape(g.nodes(), (g.size, -1)) ** 2, axis=1))
-    order = np.argsort(r)
-    radii = np.empty(result.eigenvectors.shape[1])
-    for j in range(radii.size):
-        m = result.eigenvectors[order, j] ** 2
-        tail = np.cumsum(m[::-1])[::-1] / m.sum()
-        inside = tail <= LOCALIZATION_MASS_TOL
-        radii[j] = r[order][np.argmax(inside)] if inside.any() else math.inf
-    return radii

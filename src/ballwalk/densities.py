@@ -10,23 +10,24 @@ Two families, both radial:
 Derived quantities: the Schrodinger potential V = (Delta rho)/rho, the ball
 mass m_h(x) = integral of rho over the radius-h ball at x, the conjugation
 weight a_h = (alpha_d h^d rho / m_h)^{1/2}, and the tail constants kappa
-(liminf of V) and A_h (limsup of a_h^2).
+(liminf of V) and A_h (limsup of a_h^2), both in closed form.
 
 Every mass, for one point or many, comes from ball_mass_grid. For the
 tempered tail the mass integral is elementary,
-m_h(x) = rho(x) * 2 sinh(alpha h)/alpha for |x| >= R + h, which makes
-A_h = alpha h / sinh(alpha h) exact rather than a probe estimate.
+m_h(x) = rho(x) * 2 sinh(alpha h)/alpha for |x| >= R + h, so a_h^2 is the
+constant A_h = alpha h / sinh(alpha h) there (tempered_A_h), and V the
+constant kappa = alpha^2 (kappa_analytic).
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, i0e
 
-from .errors import ConfigError, NumericalError, ProbeInsideCore, QuadratureNotConverged
-from .multiplier import gamma_d, unit_ball_volume
+from .errors import ConfigError, NumericalError, QuadratureNotConverged
+from .multiplier import unit_ball_volume
 
 GAUSSIAN = "gaussian"
 TEMPERED = "tempered"
@@ -137,6 +138,18 @@ def _require_h(h):
         raise ConfigError(f"h must be finite and positive, got {h!r}")
 
 
+def _require_int(name, value, least):
+    """The one check on a count, wherever one enters: ConfigError naming
+    the argument unless value is an integer >= least; returns it as one."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if k < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
+    return k
+
+
 def _radius(density, x):
     x = np.asarray(x, dtype=float)
     if density.dim == 1:
@@ -220,43 +233,6 @@ def weight_a_h(density, x, h):
     _require_mass(density, x, m)
     vol = unit_ball_volume(density.dim) * h**density.dim
     return np.sqrt(vol * eval_density(density, x) / m)
-
-
-# ---------------------------------------------------------------------------
-# tail constants
-
-class TailConstants(NamedTuple):
-    kappa_est: float
-    A_h_est: float
-    lemma_residual: float  # |A_h - 1 + kappa h^2/(2(d+2))|; nan for gaussian
-
-
-def tail_constants(density, h, probe_radii):
-    """Probe-shell estimates of kappa and A_h.
-
-    kappa_est is the inf of V over the probes, A_h_est the sup of a_h^2.
-    For the tempered family the returned residual checks the second-order
-    law A_h = 1 - kappa h^2 / (2(d+2)) + O(h^4) against the analytic
-    kappa = alpha^2. Probes must sit strictly outside the smoothed core.
-    """
-    radii = np.atleast_1d(np.asarray(probe_radii, dtype=float))
-    if radii.size == 0:
-        raise ConfigError("need at least one probe radius")
-    if np.any(radii <= density.R):
-        raise ProbeInsideCore(
-            f"probe radii must exceed the transition radius {density.R}"
-        )
-    if density.dim == 2:
-        pts = np.column_stack([radii, np.zeros_like(radii)])
-    else:
-        pts = radii
-    kappa_est = float(np.min(eval_potential(density, pts)))
-    A_h_est = float(np.max(weight_a_h(density, pts, h) ** 2))
-    if density.kind == TEMPERED:
-        resid = abs(A_h_est - 1.0 + kappa_analytic(density) * h * h * gamma_d(density.dim))
-    else:
-        resid = math.nan
-    return TailConstants(kappa_est, A_h_est, resid)
 
 
 def tempered_A_h(density, h):

@@ -26,10 +26,6 @@ class KernelUnderResolved(ConfigError):
     """Grid too coarse for the ball radius: h < 3*delta."""
 
 
-class ProbeInsideCore(ConfigError):
-    """Tail probe radius does not clear the density's transition radius."""
-
-
 class WrongDensityKind(ConfigError):
     """Operation requires the other density family."""
 

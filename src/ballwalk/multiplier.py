@@ -74,25 +74,3 @@ def find_min_M(d):
     """The global minimum of the radial profile: (r_star, M = G_d(r_star))."""
     _check_dim(d)
     return _R_STAR[d], eval_Gd(d, _R_STAR[d])
-
-
-def taylor_check(d, r_samples):
-    """Small-r structure report: 1 - G_d(r) = gamma_d r^2 + O(r^4).
-
-    Returns a dict with the fitted quartic constant
-    C = max |1 - G_d(r) - gamma_d r^2| / r^4 over the samples and the
-    values F(r^2) = (1 - G_d(r))/r^2, all of which must be positive.
-    """
-    r = np.asarray(r_samples, dtype=float)
-    if np.any((r <= 0) | (r > 1)):
-        raise ConfigError("taylor_check samples must lie in (0, 1]")
-    g = eval_Gd(d, r)
-    gd = gamma_d(d)
-    resid = np.abs(1.0 - g - gd * r * r)
-    F = (1.0 - g) / (r * r)
-    return {
-        "gamma_d": gd,
-        "C_fit": float(np.max(resid / r**4)),
-        "F_values": F,
-        "F_positive": bool(np.all(F > 0)),
-    }

@@ -84,22 +84,6 @@ class Grid:
     def size(self):
         return self.N**self.dim
 
-    def interior_mask(self, h):
-        """Nodes farther than h from every box wall."""
-        ax = np.abs(self.axis_nodes()) < self.L - h
-        return functools.reduce(np.logical_and.outer, [ax] * self.dim).ravel()
-
-    def truncation_ratio(self, density):
-        """rho at the wall relative to the center.
-
-        A reported diagnostic, not a gate: no constructor or driver checks
-        it. A box rule computed from the density (the radius where rho
-        falls below a fixed fraction of its peak) may use it.
-        """
-        wall = self.L if self.dim == 1 else np.array([self.L, 0.0])
-        zero = 0.0 if self.dim == 1 else np.zeros(2)
-        return float(eval_density(density, wall) / eval_density(density, zero))
-
 
 def band_weights(h, delta):
     """One-sided stencil weights c_0..c_K for the d=1 ball kernel.

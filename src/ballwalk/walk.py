@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .densities import (_adaptive_gl, _adaptive_gl_batch, _radius, _require_h, ball_mass_grid,
-                        eval_density)
+from .densities import (_adaptive_gl, _adaptive_gl_batch, _radius, _require_h, _require_int,
+                        ball_mass_grid, eval_density)
 from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
 from .operators import build_markov
 from .report import Report
@@ -86,16 +86,17 @@ def sample_stationary(density, h, rng, size):
     the mass, which ball_mass_grid computes only where u <= r(X). An
     envelope accepting fewer than 1 in REJECTION_BUDGET proposals is
     refused before any draw; past that, REJECTION_BUDGET proposals per draw.
+    A size that is not an integer >= 1 raises ConfigError.
     """
     if density.dim != 1:
         raise ConfigError("stationary sampling is implemented for d = 1")
+    n = _require_int("size", size, 1)
     m0 = ball_mass_grid(density, 0.0, h)
     gaussian = density.kind == "gaussian"
     c = 1.0 if gaussian else 2.0 * density.beta / density.alpha
     if c > REJECTION_BUDGET:
         raise RejectionBudgetExceeded(f"the proposal envelope accepts {1.0 / c:.3g} of its "
                                       f"draws, fewer than 1 in {REJECTION_BUDGET}")
-    n = int(size)
     got, proposals = np.empty(0), 0
     while got.size < n:
         chunk = max(2 * (n - got.size), 64)
@@ -231,12 +232,13 @@ class WitnessReport(Report):
 def tv_lower_bound_witness(density, h, x, tau, n):
     """Finite speed: n steps from x with |x| >= tau + (n+1)h cannot reach
     |y| < tau, so the +-1 indicator witness evaluates exactly and the TV
-    lower bound reduces to 1 - nu_h(|y| >= tau), a pure quadrature. A
-    non-finite x, an h that is not finite and positive, a negative tau or
-    a negative n raises ConfigError."""
-    if not (math.isfinite(x) and math.isfinite(h) and h > 0 and tau >= 0 and n >= 0):
-        raise ConfigError(f"witness needs finite x, finite h > 0, tau >= 0, n >= 0: "
-                          f"got {x!r}, {h!r}, {tau!r}, {n!r}")
+    lower bound reduces to 1 - nu_h(|y| >= tau), a pure quadrature. An h
+    that is not finite and positive, an n that is not an integer >= 0, a
+    non-finite x or a negative tau raises ConfigError."""
+    _require_h(h)
+    n = _require_int("n", n, 0)
+    if not (math.isfinite(x) and tau >= 0):
+        raise ConfigError(f"witness needs finite x and tau >= 0: got {x!r}, {tau!r}")
     if abs(x) < tau + (n + 1) * h:
         raise WitnessHypothesisViolated(
             f"|x|={abs(x)} < tau + (n+1)h = {tau + (n + 1) * h}"
@@ -250,7 +252,7 @@ def tv_lower_bound_witness(density, h, x, tau, n):
         implied_C=tail / p if p > 0 else math.inf,
         x=float(x),
         tau=float(tau),
-        n=int(n),
+        n=n,
         h=float(h),
     )
 
@@ -288,13 +290,14 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     of d_TV(T^n(x, .), nu_h).
 
     The fit window keeps the domination check honest: the fitted constant
-    has to keep dominating beyond the data that produced it. n_max < 2
-    (no step in the window) or a gap not finite and positive: ConfigError.
+    has to keep dominating beyond the data that produced it. An n_max
+    that is not an integer >= 2 (no step in the window) or a gap not
+    finite and positive: ConfigError.
     """
     _require_tv_grid(grid, h)
-    if n_max < 2 or not (math.isfinite(gap) and gap > 0):
-        raise ConfigError(f"the TV curve needs n_max >= 2 and a finite gap > 0, "
-                          f"got n_max={n_max}, gap={gap!r}")
+    n_max = _require_int("n_max", n_max, 2)
+    if not (math.isfinite(gap) and gap > 0):
+        raise ConfigError(f"the TV curve needs a finite gap > 0, got {gap!r}")
     fit_horizon = n_max // 2
     starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::TV_START_STRIDE]
     if starts.size == 0:
@@ -332,10 +335,8 @@ class WalkConfig:
 
     def __post_init__(self):
         _require_h(self.h)
-        if self.paths < 1:
-            raise ConfigError("need at least one path")
-        if self.n_max < 0:
-            raise ConfigError("horizon must be nonnegative")
+        _require_int("paths", self.paths, 1)
+        _require_int("n_max", self.n_max, 0)
 
 
 @dataclass

@@ -13,16 +13,13 @@ import pytest
 from ballwalk import analysis
 from ballwalk.analysis import (
     essential_band,
-    localization_radii,
     mu_reference,
     spectral_gap,
     verify_asymptotics,
     weyl_curve,
 )
 from ballwalk.densities import make_density, tempered_A_h
-from ballwalk.eigensolve import top_k
 from ballwalk.errors import ConfigError, InsufficientHPoints, WrongDensityKind
-from ballwalk.operators import MULTIPLIER, Grid, build_conjugated
 
 H_SWEEP = [0.5, 0.35, 0.25, 0.18]
 
@@ -178,17 +175,15 @@ def test_band_report_gaussian_compact(gauss_half):
     assert rep.compact
     assert rep.band == ()
     assert math.isnan(rep.A_h)
-    assert not rep.band_affected(np.array([0.5, 1.0])).any()
 
 
-def test_band_affected_mask(tempered_unit):
-    rep = essential_band(tempered_unit, 0.2)
-    # lambda at the controlled level mu ~ 0.36 stays trusted; the band
-    # edge, interior, and floor are flagged; far below the floor is not
-    evs = np.array([1.0, 0.9976, 0.9934, 0.5, rep.band[0], -0.30])
-    np.testing.assert_array_equal(
-        rep.band_affected(evs), [False, False, True, True, True, False]
-    )
+def test_band_lemma_residual_gate(tempered_unit):
+    # |A_h - 1 + kappa gamma h^2| / h^4 stays in the narrow analytic window
+    # around the sinh quartic term 7/360 over the whole sweep
+    resid = essential_band(tempered_unit, 0.2).lemma_residuals
+    assert sorted(resid) == [0.15, 0.2, 0.3, 0.4]
+    for h, r in resid.items():
+        assert 0.0185 <= r / h**4 <= 0.0200
 
 
 def test_band_json(tempered_unit):
@@ -303,18 +298,3 @@ def test_gap_comparison_is_the_full_min(alpha_cfg, monkeypatch):
     floor = (1.0 - alpha_cfg) * 1.0
     full = 0.25**2 / 6.0 * min(float(mu_reference(deep, 1)[1]), floor)
     assert spectral_gap(deep, 0.25).comparison == full
-
-
-# --- localization -----------------------------------------------------------------
-
-def test_localization_radii(gauss_half):
-    g = Grid(1, 12.0, 1920)
-    r = top_k(build_conjugated(g, gauss_half, 0.25, scheme=MULTIPLIER), 4)
-    radii = localization_radii(r)
-    assert np.all(radii < 5.0)
-    assert np.all(np.diff(radii) > 0)  # higher modes spread farther
-    # the reported radius really does hold the mass
-    x = np.abs(g.axis_nodes())
-    for j in range(4):
-        v = r.eigenvectors[:, j]
-        assert np.sum(v[x > radii[j]] ** 2) / np.sum(v**2) <= 1e-6

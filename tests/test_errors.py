@@ -4,7 +4,9 @@ Every error the package raises on purpose is a typed error from
 ballwalk.errors: a lint over the source keeps a bare ValueError (or any
 other builtin) from coming back. Every entry point where a ball radius h
 enters refuses one that is not finite and positive with the same
-ConfigError, before any draw, solve or quadrature.
+ConfigError, before any draw, solve or quadrature, and every entry point
+where a count enters (k_max, size, paths, n_max, n) refuses one that is
+not an integer in range with one ConfigError naming the argument.
 """
 
 import ast
@@ -24,6 +26,7 @@ from ballwalk.walk import (
     sample_stationary,
     simulate_paths,
     step_sample,
+    tv_lower_bound_witness,
     tv_upper_bound_curve,
 )
 
@@ -71,13 +74,14 @@ def _paths_with_h(h):
     lambda h, rng: WalkConfig(GAUSS, h, x0=1.0),
     lambda h, rng: _paths_with_h(h),
     lambda h, rng: tv_upper_bound_curve(GAUSS, h, 1.0, 20, GRID, 0.05),
+    lambda h, rng: tv_lower_bound_witness(GAUSS, h, 6.0, 2.0, 3),
     lambda h, rng: build_conjugated(GRID, GAUSS, h),
     lambda h, rng: build_conjugated(GRID, GAUSS, h, scheme=BANDED),
     lambda h, rng: build_markov(GRID, GAUSS, h),
     lambda h, rng: build_ball_average(GRID, h, scheme=BANDED),
 ], ids=["ball_mass_grid", "step_sample", "step_sample-d2", "sample_stationary", "WalkConfig",
-        "simulate_paths", "tv_upper_bound_curve", "build_conjugated", "build_conjugated-banded",
-        "build_markov", "build_ball_average"])
+        "simulate_paths", "tv_upper_bound_curve", "tv_lower_bound_witness", "build_conjugated",
+        "build_conjugated-banded", "build_markov", "build_ball_average"])
 def test_bad_h_refused_at_every_entry_point(call, h):
     # at h = nan the step sampler used to spin its whole rejection budget
     rng = make_rng(4)
@@ -107,3 +111,27 @@ def test_non_finite_inputs_refused(call):
     # "dominated" verdict against a growing bound
     with pytest.raises(ConfigError, match="finite"):
         call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("size", lambda rng: sample_stationary(GAUSS, 0.25, rng, size=math.nan)),
+    ("size", lambda rng: sample_stationary(GAUSS, 0.25, rng, size=-3)),
+    ("size", lambda rng: sample_stationary(GAUSS, 0.25, rng, size=2.7)),
+    ("paths", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, paths=2.5)),
+    ("paths", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, paths=math.nan)),
+    ("paths", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, paths="10")),
+    ("n_max", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, n_max=math.nan)),
+    ("n_max", lambda rng: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 2.5, GRID, 0.05)),
+    ("n", lambda rng: tv_lower_bound_witness(GAUSS, 0.25, 6.0, 2.0, 2.5)),
+    ("n", lambda rng: tv_lower_bound_witness(GAUSS, 0.25, 6.0, 2.0, -3)),
+], ids=["size-nan", "size-negative", "size-fractional", "paths-fractional", "paths-nan",
+        "paths-string", "n_max-nan", "tv-n_max-fractional", "witness-n-fractional",
+        "witness-n-negative"])
+def test_bad_count_refused_at_every_entry_point(name, call):
+    # unchecked, these gave an untyped ValueError or TypeError, an empty
+    # sample at size -3, 2 draws at size 2.7, and a witness reporting n = 2
+    # for n = 2.5
+    rng = make_rng(4)
+    with pytest.raises(ConfigError, match=rf"^{name} must be (an integer|at least)"):
+        call(rng)
+    assert rng.uniform() == make_rng(4).uniform()  # no draw was made

@@ -28,7 +28,6 @@ from ballwalk.multiplier import (
     eval_Gd,
     find_min_M,
     gamma_d,
-    taylor_check,
     unit_ball_volume,
 )
 
@@ -141,16 +140,19 @@ def test_package_import_leaves_scipy_optimize_out():
 
 
 def test_taylor_structure():
-    samples = np.linspace(0.05, 1.0, 40)
-    rep1 = taylor_check(1, samples)
-    rep2 = taylor_check(2, samples)
-    assert rep1["F_positive"] and rep2["F_positive"]
-    # quartic constants approach the next series coefficient
-    assert abs(rep1["C_fit"] - 1.0 / 120.0) < 2e-4
-    assert abs(rep2["C_fit"] - 1.0 / 192.0) < 2e-4
-    # F(r^2) = (1 - G)/r^2 decreases from gamma_d
-    assert np.all(rep1["F_values"] < gamma_d(1))
-    assert np.all(np.diff(rep1["F_values"]) < 0)
+    # 1 - G_d(r) = gamma_d r^2 + O(r^4) on (0, 1]
+    r = np.linspace(0.05, 1.0, 40)
+    for d, quartic in ((1, 1.0 / 120.0), (2, 1.0 / 192.0)):
+        g = eval_Gd(d, r)
+        F = (1.0 - g) / r**2
+        assert np.all(F > 0)
+        # the quartic constant approaches the next series coefficient
+        C = np.max(np.abs(1.0 - g - gamma_d(d) * r**2) / r**4)
+        assert abs(C - quartic) < 2e-4
+        if d == 1:
+            # F(r^2) = (1 - G)/r^2 decreases from gamma_d
+            assert np.all(F < gamma_d(1))
+            assert np.all(np.diff(F) < 0)
 
 
 def test_d2_decay_rate():

@@ -73,26 +73,6 @@ def test_grid_geometry():
     assert g2.nodes().shape == (144, 2)
 
 
-def test_grid_interior_mask():
-    g = Grid(1, 4.0, 16)
-    m = g.interior_mask(1.0)
-    x = g.axis_nodes()
-    np.testing.assert_array_equal(m, np.abs(x) < 3.0)
-    g2 = Grid(2, 4.0, 16)
-    inside = [abs(p[0]) < 3.0 and abs(p[1]) < 3.0 for p in g2.nodes()]
-    np.testing.assert_array_equal(g2.interior_mask(1.0), inside)
-
-
-def test_truncation_ratio_is_reported_not_enforced(gauss_half, tempered_unit):
-    wide = Grid(1, 12.0, 960)
-    assert wide.truncation_ratio(gauss_half) < 1e-12
-    # rho at this box's wall is about a quarter of its peak: the ratio is
-    # a diagnostic that nothing gates, so building the grid must not balk
-    tight = Grid(1, 1.778, 800)
-    r = tight.truncation_ratio(tempered_unit)
-    assert 0.2 < r < 0.3
-
-
 # --- stencil weights --------------------------------------------------------
 
 def test_band_weights_interior_and_edge():
@@ -151,7 +131,7 @@ def test_constant_fixing():
     ym = build_ball_average(g, 0.25, scheme=MULTIPLIER).matvec(one)
     np.testing.assert_allclose(ym, 1.0, atol=1e-13)
     yb = build_ball_average(g, 0.25, scheme=BANDED).matvec(one)
-    interior = g.interior_mask(0.25)
+    interior = np.abs(g.axis_nodes()) < g.L - 0.25
     np.testing.assert_allclose(yb[interior], 1.0, atol=1e-8)
     # edge rows lose exactly the mass that falls outside the box
     assert np.all(yb <= 1.0 + 1e-12)

@@ -166,20 +166,13 @@ def test_witness_hypothesis(gauss_half):
 
 
 @pytest.mark.parametrize("x, tau, n", [(math.nan, 2.0, 10), (math.inf, 2.0, 10),
-                                       (-math.inf, 2.0, 10), (6.0, 2.0, -3), (6.0, -1.0, 3)],
-                         ids=["nan", "inf", "-inf", "negative-n", "negative-tau"])
+                                       (-math.inf, 2.0, 10), (6.0, -1.0, 3)],
+                         ids=["nan", "inf", "-inf", "negative-tau"])
 def test_witness_rejects_bad_inputs(gauss_half, x, tau, n):
     # |nan| < tau + (n+1)h is False: the hypothesis check alone lets NaN
     # through; tau < 0 counts the tail twice (nu_tail 1.84 at tau = -1)
     with pytest.raises(ConfigError, match="needs finite x"):
         tv_lower_bound_witness(gauss_half, 0.25, x, tau, n)
-
-
-@pytest.mark.parametrize("h", [-0.25, 0.0, math.nan], ids=["negative", "zero", "nan"])
-def test_witness_rejects_bad_radius(gauss_half, h):
-    # refused by the witness itself, not by the ball-mass quadrature below it
-    with pytest.raises(ConfigError, match="h > 0"):
-        tv_lower_bound_witness(gauss_half, h, 6.0, 2.0, 3)
 
 
 # --- quadrature of nu_h -----------------------------------------------------
