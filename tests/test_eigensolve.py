@@ -380,6 +380,112 @@ def test_count_at_most_gives_up_after_retries(banded_op, monkeypatch):
     assert str(np.array([a00])) in str(err.value)
 
 
+# --- the multi-shift sweep on its own -------------------------------------------
+
+_CHUNK = eigensolve._SWEEP_CHUNK
+
+
+def _dense(bands):
+    """The symmetric matrix whose banded storage is bands[k, i] = A[i, i+k]."""
+    Kb, n = bands.shape
+    A = np.zeros((n, n))
+    for k in range(min(Kb, n)):
+        A += np.diag(bands[k, : n - k], k)
+        if k:
+            A += np.diag(bands[k, : n - k], -k)
+    return A
+
+
+def _bands(A, Kb):
+    n = A.shape[0]
+    bands = np.zeros((Kb, n))
+    for k in range(min(Kb, n)):
+        bands[k, : n - k] = np.diag(A, k)
+    return bands
+
+
+def _shifts_away(rng, lam, size):
+    """size shifts across the spectrum, each at least 1e-3 from every eigenvalue."""
+    s = rng.uniform(lam[0] - 1.0, lam[-1] + 1.0, 20 * size)
+    far = s[np.min(np.abs(s[:, None] - lam), axis=1) > 1e-3][:size]
+    assert far.size == size
+    return far
+
+
+@pytest.mark.parametrize("Kb", [2, 3, 11, 25])
+@pytest.mark.parametrize("n", [3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_ldl_sweep_matches_dense_across_chunk_edges(n, Kb):
+    # a random indefinite band, so pivots of both signs meet every chunk
+    # edge: before the first full chunk, on it, one past it, and in a
+    # ragged last chunk
+    rng = np.random.default_rng([n, Kb])
+    bands = rng.standard_normal((Kb, n))
+    lam = np.linalg.eigvalsh(_dense(bands))
+    for S in (1, 10):
+        shifts = _shifts_away(rng, lam, S)
+        neg, ok = eigensolve._ldl_sweep(bands, shifts)
+        assert ok.all()
+        assert list(neg) == [int(np.sum(lam < s)) for s in shifts]
+
+
+# a matrix of 3 chunks and a ragged 6 columns (a Grid needs an even size),
+# and a column in its second chunk and one in its last
+_N = 3 * _CHUNK + 6
+_MIDDLE, _RAGGED = _CHUNK + 5, 3 * _CHUNK + 2
+
+
+def _weak_band(n, seed):
+    """A = diag(a) C diag(a), C a Toeplitz band with C[0] = 1 and
+    off-diagonals near 1e-3, so that a nudge of 1e-12 brings a vanished
+    pivot's multipliers back under _GROWTH_CAP."""
+    rng = np.random.default_rng(seed)
+    stencil = np.append(1.0, 1e-3 * rng.uniform(-1.0, 1.0, 10))
+    a = rng.uniform(0.5, 1.5, n)
+    return DiscreteOperator(BANDED, Grid(1, 1.0, n), 0.5, stencil=stencil, lscale=a, rscale=a)
+
+
+@pytest.mark.parametrize("j", [_MIDDLE, _RAGGED])
+def test_late_vanishing_pivot_flags_only_its_shift(j):
+    # mu, an eigenvalue of the leading (j+1) x (j+1) block whose
+    # eigenvector weighs on coordinate j, makes pivot j of A - mu*I vanish
+    op = _weak_band(_N, j)
+    bands, A = op.to_banded(), op.to_dense()
+    lam = np.linalg.eigvalsh(A)
+    mus, vecs = np.linalg.eigh(A[: j + 1, : j + 1])
+    mu = mus[np.argmax(np.abs(vecs[j]))]
+    assert np.min(np.abs(lam - mu)) > 1e-9
+    below, above = lam[0] - 0.5, lam[-1] + 0.5
+    neg, ok = eigensolve._ldl_sweep(bands, np.array([below, mu, above]))
+    assert list(ok) == [True, False, True]
+    assert [neg[0], neg[2]] == [0, A.shape[0]]
+    # count_at_most evaluates at s + eps, eps = 1e-12 * max(|shifts|, 1):
+    # it lands on mu, is flagged, and a nudged retry counts it
+    s = mu - 1e-12 * max(abs(below), above, 1.0)
+    r = count_at_most(op, [below, s, above])
+    assert r.retries >= 1
+    assert list(r.counts) == [0, int(np.sum(lam <= s)), A.shape[0]]
+
+
+@pytest.mark.parametrize("j", [_MIDDLE, _RAGGED])
+def test_growth_alone_flags_only_its_shift(j, monkeypatch):
+    # A - s*I holds the 2 x 2 block [[1e-11, 1], [1, 0]] at rows j, j + 1,
+    # cut off from the rest: pivot j is 1e-11, above the floor, but its
+    # multiplier is 1e11, past _GROWTH_CAP
+    rng = np.random.default_rng(j)
+    n, Kb, s = _N, 11, 0.3
+    A = _dense(rng.standard_normal((Kb, n)))
+    A[j : j + 2, :] = A[:, j : j + 2] = 0.0
+    A[j : j + 2, j : j + 2] = [[s + 1e-11, 1.0], [1.0, s]]
+    bands = _bands(A, Kb)
+    lam = np.linalg.eigvalsh(A)
+    shifts = np.append(_shifts_away(rng, lam, 4), s)
+    neg, ok = eigensolve._ldl_sweep(bands, shifts)
+    assert list(ok) == [True] * 4 + [False]
+    assert list(neg[:4]) == [int(np.sum(lam < t)) for t in shifts[:4]]
+    monkeypatch.setattr(eigensolve, "_GROWTH_CAP", np.inf)
+    assert eigensolve._ldl_sweep(bands, shifts)[1].all()
+
+
 def test_weyl_rows_equal_per_interval_counts(gauss_half, weyl_op):
     rep = weyl_curve(gauss_half, [0.3])
     assert [n for _, _, n, _ in rep.rows] == [
