@@ -74,6 +74,12 @@ def mu_reference(density, k_max):
     the ladder, so its two solves ask Sturm bisection for eigenvalues
     alone (bottom_values). ConfigError unless k_max is an integer >= 0
     (and, where the ladder is solved, below MAX_K).
+
+    The pair does not follow a clean delta^4 law on every density: on
+    tempered R = 0.5, alpha = 1, where V' jumps at |x| = R, the
+    (4e-3, 2e-3) pair is off a finer Romberg reference by -4.0e-7 to
+    -1.6e-6 for mu_1 .. mu_3, against 2.3e-10 for R = 8. The tests hold
+    the ladder to 2e-4.
     """
     k_max = _require_int("k_max", k_max, 0)
     if density.kind == "gaussian":

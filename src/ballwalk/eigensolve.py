@@ -10,12 +10,14 @@ Three routes, matched to the operator shapes:
     then gate every returned pair at RESIDUAL_RTOL. Repeated eigenvalues
     still surface only through rounding across the restarts, so the
     degenerate-level tests are the arbiter of multiplicities.
-  * bottom_k: the Schrodinger operator is one sparse matrix; in d=1 it
-    is tridiagonal and its two diagonals go to the LAPACK Sturm bisection
-    path, in d=2 ARPACK finds the smallest algebraic eigenvalues of L.
-    bottom_values is the d=1 path's eigenvalues alone, without the
-    inverse iteration for the eigenvectors, optionally only those below
-    a bound.
+  * bottom_k: LAPACK Sturm bisection (eigh_tridiagonal) on the two
+    diagonals of the d = 1 Schrodinger matrix. A d = 2 operator is the
+    Kronecker sum L_1 (+) L_1 of its d = 1 factor, so its bottom levels
+    are the smallest sums lambda_i + lambda_j of one d = 1 Sturm solve,
+    with eigenvectors u_i (x) u_j; the two orders of a pair give the same
+    float, so degenerate levels come out exactly paired. bottom_values
+    is the d = 1 path's eigenvalues alone, without the inverse iteration
+    for the eigenvectors, optionally only those below a bound.
   * count_at_most: Sylvester inertia of the symmetric banded scheme, by
     one unpivoted banded LDL^T sweep that carries every shift along at
     once (LAPACK has no banded symmetric indefinite driver); a near-zero
@@ -24,8 +26,8 @@ Three routes, matched to the operator shapes:
 
 Every eigenpair solver ends in one _finish: eigenpairs sorted,
 eigenvectors with unit L^2(dx) norm (grid weight delta^d), true residuals
-through the operator's matvec, and the RESIDUAL_RTOL gate for the
-iterative routes.
+through the operator's matvec, and the RESIDUAL_RTOL gate for every
+route but the dense reference.
 """
 
 import math
@@ -36,7 +38,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, NoConvergence, ShiftHitsEigenvalue
-from .operators import BANDED, DiscreteOperator, SchrodingerOperator
+from .operators import BANDED, DiscreteOperator, Grid, SchrodingerOperator
 from .report import Report
 
 CLUSTER_RTOL = 1e-8
@@ -51,7 +53,7 @@ class EigenResult(Report):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = field(metadata={"json": None})  # columns, unit L^2(dx) norm
     residuals: np.ndarray
-    method: str  # DenseReference | ARPACK | SturmBisection
+    method: str  # DenseReference | ARPACK | SturmBisection | SturmKroneckerSum
     grid_meta: dict = field(metadata={"json": "grid"})
     clusters: list = field(default_factory=list)  # (value, size) pairs
 
@@ -102,51 +104,59 @@ def _require_k(op, k):
         raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
 
 
-def _arpack(matvec, n, k, which):
-    """k extreme eigenpairs of a symmetric matvec by ARPACK's implicitly
-    restarted Lanczos with its default restart budget, from a start
-    vector fixed by _LANCZOS_SEED, stopped at RESIDUAL_RTOL / 100."""
-    A = LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    try:
-        return eigsh(A, k=k, which=which, v0=v0, tol=RESIDUAL_RTOL / 100)
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(str(exc)) from exc
-
-
 def top_k(op, k):
     """k largest eigenvalues (descending, with multiplicities) of a
-    symmetric DiscreteOperator, by ARPACK on the matvec with its default
-    restart budget. ARPACK stops at RESIDUAL_RTOL / 100 and every pair's
-    true residual must be <= RESIDUAL_RTOL * max|lambda|; multiplicities
-    come from rounding and are pinned by the degenerate-level tests."""
+    symmetric DiscreteOperator, by ARPACK's implicitly restarted Lanczos
+    on the matvec with its default restart budget, from a start vector
+    fixed by _LANCZOS_SEED. ARPACK stops at RESIDUAL_RTOL / 100 and every
+    pair's true residual must be <= RESIDUAL_RTOL * max|lambda|;
+    multiplicities come from rounding and are pinned by the
+    degenerate-level tests."""
     if not isinstance(op, DiscreteOperator) or not op.symmetric:
         raise ConfigError("top_k needs a symmetric DiscreteOperator")
     _require_k(op, k)
-    vals, vecs = _arpack(op.matvec, op.grid.size, k, "LA")
+    n = op.grid.size
+    A = LinearOperator((n, n), matvec=op.matvec, dtype=float)
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    try:
+        vals, vecs = eigsh(A, k=k, which="LA", v0=v0, tol=RESIDUAL_RTOL / 100)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(str(exc)) from exc
     return _finish(op, vals, vecs, "ARPACK", scale=np.max(np.abs(vals)))
 
 
 def bottom_k(op, k):
-    """k smallest eigenvalues of a SchrodingerOperator, ascending. d = 1
-    is tridiagonal and goes through Sturm bisection on the matrix's
-    diagonals; d = 2 goes through ARPACK with its default restart budget,
-    stopped at RESIDUAL_RTOL / 100, and its multiplicities come from
-    rounding as in top_k. Every true residual must be <= RESIDUAL_RTOL
-    times the largest absolute row sum, a Gershgorin bound on the
-    spectral radius."""
+    """k smallest eigenvalues of a SchrodingerOperator, ascending, by
+    Sturm bisection on a tridiagonal matrix: in d = 1 the operator's own,
+    whose first k pairs are the result; in d = 2 its d = 1 factor L_1
+    (ConfigError without one on the same axis), whose first min(k, N)
+    pairs give the k smallest sums lambda_i + lambda_j with eigenvectors
+    u_i (x) u_j in row-major node order. Every true residual, taken
+    against the operator's own matrix, must be <= RESIDUAL_RTOL times the
+    largest absolute row sum, a Gershgorin bound on the spectral radius,
+    so a factor that disagrees with the matrix raises NoConvergence."""
     if not isinstance(op, SchrodingerOperator):
         raise ConfigError("bottom_k expects a SchrodingerOperator")
     _require_k(op, k)
-    A = op.matrix
-    scale = float(abs(A).sum(axis=1).max())
-    if op.grid.dim == 1:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            A.diagonal(), A.diagonal(1), select="i", select_range=(0, k - 1)
-        )
-        return _finish(op, vals, vecs, "SturmBisection", ascending=True, scale=scale)
-    vals, vecs = _arpack(op.matvec, op.grid.size, k, "SA")
-    return _finish(op, vals, vecs, "ARPACK", ascending=True, scale=scale)
+    grid = op.grid
+    line = op if grid.dim == 1 else op.factor
+    if line is None or line.grid != Grid(1, grid.L, grid.N):
+        raise ConfigError("a d = 2 SchrodingerOperator needs its d = 1 factor on the same axis")
+    A = line.matrix
+    m = min(k, grid.N)
+    vals, vecs = scipy.linalg.eigh_tridiagonal(
+        A.diagonal(), A.diagonal(1), select="i", select_range=(0, m - 1)
+    )
+    method = "SturmBisection"
+    if grid.dim == 2:
+        sums = np.add.outer(vals, vals).ravel()
+        pick = np.argsort(sums, kind="stable")[:k]
+        i, j = np.divmod(pick, m)
+        vals = sums[pick]
+        vecs = (vecs[:, None, i] * vecs[None, :, j]).reshape(grid.size, k)
+        method = "SturmKroneckerSum"
+    scale = float(abs(op.matrix).sum(axis=1).max())
+    return _finish(op, vals, vecs, method, ascending=True, scale=scale)
 
 
 def bottom_values(op, k, upto=math.inf):

@@ -1,18 +1,20 @@
 """Eigensolver tests against dense references.
 
-Everything here is checked twice over: once through the matvec-only
-ARPACK/bisection paths under test, once through numpy's eigh on the
+Everything here is checked twice over: once through the ARPACK and
+Sturm-bisection paths under test, once through numpy's eigh on the
 assembled matrix. Multiplicities of degenerate levels are checked
 against the known level structure, since ARPACK finds repeated
 eigenvalues through rounding rather than by construction.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from ballwalk import eigensolve
 from ballwalk.analysis import LAMBDA_ZERO_TOL, _box_grid, weyl_curve
@@ -155,9 +157,9 @@ def test_top_k_degenerate_levels_d2(conjugated_d2):
     assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
 
 
-# ARPACK stops at RESIDUAL_RTOL / 100, not machine precision, and repeated
-# eigenvalues still come out of it only through rounding; these pin the
-# multiplicities and the residual margin that the earlier stop must keep
+# the d = 2 bottom_k sums the levels of the d = 1 factor, the construction
+# _kronsum_levels repeats, so the dense eigh of the assembled matrix is the
+# independent oracle for it
 
 def _kronsum_levels(grid, alpha, k):
     """The k lowest levels of the d = 2 Gaussian -Lap + V on grid, as
@@ -179,11 +181,43 @@ def test_bottom_k_d2_multiplicities_match_kronsum():
     op = build_schrodinger(Grid(2, 7.0, 64), make_density("gaussian", 2, 0.5))
     r = bottom_k(op, 6)
     ref = _kronsum_levels(op.grid, 0.5, 6)
-    assert r.method == "ARPACK"
+    assert r.method == "SturmKroneckerSum"
     np.testing.assert_allclose(r.eigenvalues, ref, rtol=0, atol=1e-9)
     sizes = [s for _, s in r.clusters]
     assert sizes == list(np.unique(ref, return_counts=True)[1]) == [1, 2, 2, 1]
     assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
+
+
+# k = 2, 3, 5, 6 cut inside and at the edge of the degenerate pairs of the
+# levels [1, 2, 2, 1]; k = 50 on an 8 x 8 grid asks for more levels than
+# the factor has (N = 8)
+@pytest.mark.parametrize("N, k", [(32, 2), (32, 3), (32, 5), (32, 6), (8, 50)])
+def test_bottom_k_d2_matches_dense(N, k):
+    L = 7.0 if N == 32 else 4.0
+    op = build_schrodinger(Grid(2, L, N), make_density("gaussian", 2, 0.5))
+    r = bottom_k(op, k)
+    ref = dense_reference(op, k)
+    np.testing.assert_allclose(r.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-9)
+    assert [s for _, s in r.clusters] == [s for _, s in ref.clusters]
+    np.testing.assert_allclose([v for v, _ in r.clusters], [v for v, _ in ref.clusters],
+                               rtol=0, atol=1e-9)
+    assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
+
+
+def test_bottom_k_d2_refuses_a_missing_or_wrong_factor():
+    op = build_schrodinger(Grid(2, 7.0, 32), make_density("gaussian", 2, 0.5))
+    other = build_schrodinger(Grid(2, 6.0, 32), make_density("gaussian", 2, 0.5)).factor
+    for factor in (None, other):
+        with pytest.raises(ConfigError, match="d = 1 factor"):
+            bottom_k(dataclasses.replace(op, factor=factor), 3)
+    # a matrix that is not the factor's Kronecker sum fails the residual
+    # gate, which is taken against the matrix
+    bump = np.zeros(op.grid.size)
+    bump[op.grid.size // 2 + op.grid.N // 2] = 1e-3
+    bad = dataclasses.replace(op, matrix=scipy.sparse.csr_array(
+        op.matrix + scipy.sparse.diags_array(bump)))
+    with pytest.raises(NoConvergence):
+        bottom_k(bad, 3)
 
 
 def test_dense_reference_d2_schrodinger_matches_kronsum():

@@ -382,8 +382,22 @@ def test_schrodinger_matrix_matches_stencil(dim):
         hi = np.take(idx, np.arange(1, g.N), axis=axis).ravel()
         A[lo, hi] = A[hi, lo] = -1.0 / g.delta**2
     np.testing.assert_array_equal(L.to_dense(), A)
+    if dim == 1:
+        assert L.factor is None
+    else:  # the d = 1 factor's Kronecker sum is the matrix up to V's rounding
+        F = L.factor.matrix
+        assert L.factor.grid == Grid(1, g.L, g.N)
+        np.testing.assert_allclose(scipy.sparse.kronsum(F, F).toarray(), A,
+                                   rtol=0, atol=1e-14 * np.abs(A).max())
     u = np.random.default_rng(2).standard_normal(g.size)
     np.testing.assert_allclose(L.matvec(u), A @ u, rtol=1e-13, atol=1e-13 * np.abs(A).max())
+
+
+def test_schrodinger_refuses_a_density_of_another_dimension(gauss_half):
+    for g, dens in ((Grid(2, 4.0, 16), gauss_half),
+                    (Grid(1, 4.0, 16), make_density("gaussian", 2, 0.5))):
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            build_schrodinger(g, dens)
 
 
 def test_schrodinger_d2_bands_no_row_wrap():
