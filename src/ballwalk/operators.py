@@ -134,11 +134,14 @@ def taper_profile(grid, h, alpha):
     return functools.reduce(np.multiply.outer, [prof] * grid.dim).ravel()
 
 
-# Rows per block of the banded product. Interleaved timings of 200 steps
-# of a 100-column block on a 2400-node grid (K = 24) with one BLAS thread,
-# the row scale folded into the blocks, best and median of 12: 8 and 12
-# rows tie (73-78 ms), 16 takes 77-80 ms, 24 83-87 ms and 32 90-94 ms.
-# 12 also leaves the 200- and 250-node test grids with a ragged last block.
+# Rows per block of the banded product. Interleaved timings of
+# walk._evolve_tv, 200 steps of a 100-column block on the 1,516-row TV
+# window of a 2400-node grid (K = 24), one BLAS thread, best of 5 in each
+# of 10 rounds: 8, 12 and 16 rows tie (medians 126, 127 and 129 ms; 8
+# beats 12 in 7 rounds). The products alone on all 2,400 rows, best and
+# median of 12: 8 and 12 rows tie (73-78 ms), 16 takes 77-80 ms, 24
+# 83-87 ms and 32 90-94 ms. 12 also leaves the 200- and 250-node test
+# grids with a ragged last block.
 _BLOCK_ROWS = 12
 
 

@@ -10,6 +10,13 @@ is an exact fixed point; TV is 1 . |e| / 2. It has two consumers:
 gap-rate upper bounds fitted to the curves from many starts (their TV one
 abs and one GEMV per cache-sized row chunk), and Monte-Carlo paths
 checked against the curve from their own start.
+
+The many-start curves evolve only the rows that some TV value can see.
+The chain is reversible for nu, so p_n(y) = nu(y) P^n(y, x0) / nu(x0) <=
+nu(y) / nu(x0) and |e_n(y)| <= beta nu(y), beta = 1 + 1 / min nu(start).
+P^T cut to a row window W does not grow the 1-norm, so each TV_n moves by
+at most (n + 1) beta nu(W^c) / 2 against the whole box; _tv_window drops
+the outer rows while that stays below 2^-65.
 """
 
 import math
@@ -20,7 +27,7 @@ import numpy as np
 from .densities import (_adaptive_gl, _adaptive_gl_batch, _radius, _require_h, _require_int,
                         ball_mass_grid, eval_density)
 from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
-from .operators import build_markov
+from .operators import Grid, build_markov
 from .report import Report
 
 RNG_ALGORITHM = "philox4x64"  # counter-based: reproducible and splittable
@@ -183,11 +190,45 @@ def _evolve(P, starts, n_max):
     yield from powers
 
 
+# Every TV_n of a trimmed box is within this of the whole box's: half an
+# ulp of 2^-12, far below the rounding of the 1 . |e_n| sum itself.
+_TV_TRIM = 2.0**-65
+
+
+def _tv_window(P, starts, n_max):
+    """P on the rows _evolve_tv evolves for n <= n_max from `starts`, and
+    the starts as indices into those rows.
+
+    The window drops lo rows at each end, the most with
+    beta nu(dropped) <= _TV_TRIM / (n_max + 1) that keep every start and
+    at least 8 rows. It is the cell-centred Grid(1, L - lo delta, N - 2 lo),
+    and P on it is P with its scales and nu sliced; nu is not
+    renormalized, so e_0 on the window is the whole box's. A start where
+    nu is subnormal or 0, so that beta overflows, keeps the whole box.
+    """
+    starts = np.asarray(starts)
+    nu, N = P.meta["stationary"], P.grid.N
+    nu0 = nu[starts].min()
+    if not nu0 >= np.finfo(float).tiny:
+        return P, starts
+    half = N // 2 - 4
+    outer = np.cumsum(nu[:half]) + np.cumsum(nu[: -half - 1 : -1])
+    lo = np.searchsorted((1.0 + 1.0 / nu0) * outer, _TV_TRIM / (n_max + 1), side="right")
+    lo = int(min(lo, starts.min(), N - 1 - starts.max()))
+    keep = slice(lo, N - lo)
+    grid = Grid(1, P.grid.L - lo * P.grid.delta, N - 2 * lo)
+    return replace(P, grid=grid, lscale=P.lscale[keep], rscale=P.rscale[keep],
+                   meta={"stationary": nu[keep]}), starts - lo
+
+
 # Rows per chunk of the TV reduction, whose (chunk, S) scratch stays in
 # cache between its abs and weighted sum. Interleaved timings of
-# _evolve_tv over 200 steps of 100 starts on a 2400-node grid, one BLAS
-# thread, 2 shared CPUs: 128, 256, 384 and 512 rows tie (131-139 ms, best
-# of 25), 1024 takes 134-146 ms and one unchunked pass 149-153 ms.
+# _evolve_tv over 200 steps of 100 starts, one BLAS thread, 2 shared
+# CPUs, on the 1,516-row window of the 2,400-node grid (Gaussian
+# alpha = 0.5, h = 0.25), best of 5 in each of 10 rounds: 128, 256 and
+# 512 rows tie (medians 129, 127 and 131 ms; 128 beats 256 in 2 rounds,
+# 512 in 4). On all 2,400 rows 1024 took 134-146 ms and one unchunked
+# pass 149-153 ms, against 131-139 ms for 128 to 512.
 _TV_CHUNK_ROWS = 256
 
 
@@ -197,7 +238,16 @@ def _evolve_tv(P, starts, n_max):
     by _evolve as the columns of one (n, S) block of deviations e_n; returns
     the (n_max + 1, S) table TV_n = 1 . |e_n| / 2, one abs and one GEMV per
     chunk of _TV_CHUNK_ROWS rows through one (chunk, S) scratch.
+
+    The block holds only the rows of _tv_window. P is reversible for nu,
+    so p_n(y) = nu(y) P^n(y, x0) / nu(x0) <= nu(y) / nu(x0), and
+    |e_n(y)| <= beta nu(y) with beta = 1 + 1 / min_s nu(x_s). P^T cut to
+    a row window W does not grow the 1-norm, so against the whole box each
+    TV_n moves by at most (n + 1) beta nu(W^c) / 2: with
+    beta nu(W^c) <= _TV_TRIM / (n_max + 1), every TV_n is within
+    _TV_TRIM = 2^-65 of the whole box's.
     """
+    P, starts = _tv_window(P, starts, n_max)
     n, S = P.grid.size, len(starts)
     chunks = [slice(lo, min(lo + _TV_CHUNK_ROWS, n)) for lo in range(0, n, _TV_CHUNK_ROWS)]
     ones = np.ones(min(_TV_CHUNK_ROWS, n))
@@ -234,11 +284,11 @@ def tv_lower_bound_witness(density, h, x, tau, n):
     |y| < tau, so the +-1 indicator witness evaluates exactly and the TV
     lower bound reduces to 1 - nu_h(|y| >= tau), a pure quadrature. An h
     that is not finite and positive, an n that is not an integer >= 0, a
-    non-finite x or a negative tau raises ConfigError."""
+    non-finite x or a tau that is not finite and >= 0 raises ConfigError."""
     _require_h(h)
     n = _require_int("n", n, 0)
-    if not (math.isfinite(x) and tau >= 0):
-        raise ConfigError(f"witness needs finite x and tau >= 0: got {x!r}, {tau!r}")
+    if not (math.isfinite(x) and math.isfinite(tau) and tau >= 0):
+        raise ConfigError(f"witness needs finite x and finite tau >= 0: got {x!r}, {tau!r}")
     if abs(x) < tau + (n + 1) * h:
         raise WitnessHypothesisViolated(
             f"|x|={abs(x)} < tau + (n+1)h = {tau + (n + 1) * h}"
@@ -287,15 +337,21 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     evolve together under one Markov operator. TV is against the grid
     chain's own stationary measure (rho * m normalized), which the
     continuum nu_h approaches as delta -> 0: the bin-projection estimator
-    of d_TV(T^n(x, .), nu_h).
+    of d_TV(T^n(x, .), nu_h). Each curve is within 2^-65 of the whole
+    box's: by reversibility p_n(y) <= nu(y) / nu(x0), so the rows where
+    beta nu, beta = 1 + 1 / min nu(x0), sums below 2^-65 / (n_max + 1) are
+    not evolved, and P^T cut to the rest does not grow the 1-norm
+    (_tv_window).
 
     The fit window keeps the domination check honest: the fitted constant
     has to keep dominating beyond the data that produced it. An n_max
-    that is not an integer >= 2 (no step in the window) or a gap not
-    finite and positive: ConfigError.
+    that is not an integer >= 2 (no step in the window), a tau or a gap
+    not finite and positive: ConfigError.
     """
     _require_tv_grid(grid, h)
     n_max = _require_int("n_max", n_max, 2)
+    if not math.isfinite(tau):
+        raise ConfigError(f"the TV curve needs a finite tau, got {tau!r}")
     if not (math.isfinite(gap) and gap > 0):
         raise ConfigError(f"the TV curve needs a finite gap > 0, got {gap!r}")
     fit_horizon = n_max // 2

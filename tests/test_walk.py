@@ -29,6 +29,7 @@ from ballwalk.walk import (
     _agresti_coull_se,
     _evolve_tv,
     _step_batch,
+    _tv_window,
     make_rng,
     nu_h_tail,
     p_tau,
@@ -166,13 +167,25 @@ def test_witness_hypothesis(gauss_half):
 
 
 @pytest.mark.parametrize("x, tau, n", [(math.nan, 2.0, 10), (math.inf, 2.0, 10),
-                                       (-math.inf, 2.0, 10), (6.0, -1.0, 3)],
-                         ids=["nan", "inf", "-inf", "negative-tau"])
+                                       (-math.inf, 2.0, 10), (6.0, -1.0, 3),
+                                       (6.0, math.inf, 3), (6.0, math.nan, 3)],
+                         ids=["nan", "inf", "-inf", "negative-tau", "inf-tau", "nan-tau"])
 def test_witness_rejects_bad_inputs(gauss_half, x, tau, n):
     # |nan| < tau + (n+1)h is False: the hypothesis check alone lets NaN
-    # through; tau < 0 counts the tail twice (nu_tail 1.84 at tau = -1)
-    with pytest.raises(ConfigError, match="needs finite x"):
+    # through; tau < 0 counts the tail twice (nu_tail 1.84 at tau = -1);
+    # tau = inf fails the hypothesis for every x, a ConfigError's case
+    with pytest.raises(ConfigError, match="needs finite x and finite tau"):
         tv_lower_bound_witness(gauss_half, 0.25, x, tau, n)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan], ids=["inf", "nan"])
+def test_upper_bound_rejects_non_finite_tau(gauss_half, tempered_half, dense_grid, tau):
+    # tau = inf starts a curve at every 4th node of the box, and its q
+    # factor is inf (Gaussian) or 1/rho(inf) = 1/0 (tempered): the bound
+    # was all NaN with c_fit = 0; tau = nan finds no start at all
+    for dens in (gauss_half, tempered_half):
+        with pytest.raises(ConfigError, match="finite tau"):
+            tv_upper_bound_curve(dens, H_DENSE, tau, 20, dense_grid, 0.05)
 
 
 # --- quadrature of nu_h -----------------------------------------------------
@@ -336,6 +349,72 @@ def test_chunked_tv_matches_dense_powers(gauss_half):
         ref.append(0.5 * np.sum(np.abs(p - nu), axis=0))
         p = A.T @ p
     np.testing.assert_allclose(_evolve_tv(P, starts, 20), np.array(ref), rtol=0, atol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def mixing_chain(gauss_half, grid):
+    """The chain and the 100 starts of tv_upper_bound_curve at h = 0.25,
+    tau = 2 on the 2,400-node box (the mixing benchmark's inputs)."""
+    P = build_markov(grid, gauss_half, 0.25)
+    return P, np.flatnonzero(np.abs(grid.axis_nodes()) < 2.0)[::TV_START_STRIDE]
+
+
+def test_trimmed_tv_matches_the_whole_box(mixing_chain):
+    # _evolve_tv drops the rows where reversibility bounds |p_n - nu|
+    # below 2^-65 in all (|x| > 7.58); the reference evolves the measures
+    # p_n themselves on every row, by the banded powers the dense-powers
+    # tests above check (200 dense products on 2,400 nodes take seconds)
+    P, starts = mixing_chain
+    assert starts.size == 100
+    assert _tv_window(P, starts, 200)[0].grid.size <= 1600
+    nu = P.meta["stationary"][:, None]
+    PT = replace(P, lscale=P.rscale, rscale=P.lscale)
+    p = np.zeros((P.grid.size, starts.size))
+    p[starts, np.arange(starts.size)] = 1.0
+    d = np.empty(p.shape)  # one scratch: a fresh (2400, 100) pair per step doubles the time
+    ref = [0.5 * np.abs(np.subtract(q, nu, out=d), out=d).sum(axis=0) for q in PT.powers(p, 200)]
+    np.testing.assert_allclose(_evolve_tv(P, starts, 200), np.array(ref), rtol=0, atol=1e-13)
+
+
+def test_tv_window_keeps_the_box_it_cannot_bound(mixing_chain, tempered_half, grid):
+    P, starts = mixing_chain
+    for wall in (0, grid.size - 1):  # the window keeps every start
+        assert _tv_window(P, np.append(starts, wall), 200)[0].grid.size == grid.size
+    # the tempered tail: nu of the two wall rows alone is past the cut
+    Pt = build_markov(grid, tempered_half, 0.25)
+    assert _tv_window(Pt, starts, 200)[0].grid.size == grid.size
+
+
+def test_tv_window_keeps_the_box_where_nu_underflows(gauss_half):
+    # on the 30-wide box nu is 0 at |x| > 27.35: beta = 1 + 1/0 would cut
+    # by 0 * inf = NaN, an invalid-value warning (an error here)
+    g = Grid(1, 30.0, 600)
+    P = build_markov(g, gauss_half, 0.5)
+    starts = np.array([10, 300])
+    assert P.meta["stationary"][10] == 0.0
+    assert _tv_window(P, starts, 5)[0].grid.size == g.size
+    tv = _evolve_tv(P, starts, 5)
+    assert np.all(np.isfinite(tv)) and tv[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "tempered"])
+def test_witness_bounds_the_exact_curve_from_a_far_start(gauss_half, tempered_half, grid, kind):
+    # finite speed: a step moves less than h, so for n <= n* =
+    # ceil((|x0| - tau)/h) - 2 the chain from x0 = 6 has no mass in
+    # |y| < tau and TV_n >= nu_grid(|y| < tau); the witness's quadrature
+    # 1 - nu_h(|y| >= tau) must stay below the whole exact curve. nu(x0)
+    # is tiny, so the TV window spans nearly the whole box.
+    dens = gauss_half if kind == "gaussian" else tempered_half
+    h, x0, tau = 0.25, 6.0, 2.0
+    n_star = math.ceil((x0 - tau) / h) - 2
+    assert n_star == 14
+    P = build_markov(grid, dens, h)
+    x = grid.axis_nodes()
+    tv = _evolve_tv(P, [int(np.argmin(np.abs(x - x0)))], n_star)[:, 0]
+    inner = np.sum(P.meta["stationary"][np.abs(x) < tau])
+    witness = tv_lower_bound_witness(dens, h, x0, tau, n_star)
+    assert tv.size == n_star + 1
+    assert np.all(tv >= inner) and np.all(tv >= witness.value)
 
 
 def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
