@@ -20,9 +20,10 @@ Three routes, matched to the operator shapes:
     for the eigenvectors, optionally only those below a bound.
   * count_at_most: Sylvester inertia of the symmetric banded scheme, by
     one unpivoted banded LDL^T sweep that carries every shift along at
-    once (LAPACK has no banded symmetric indefinite driver); a near-zero
-    or exploding pivot means that shift essentially hit an eigenvalue,
-    and only it is swept again, nudged by a tiny perturbation.
+    once (LAPACK has no banded symmetric indefinite driver). A shift
+    whose sweep meets a near-singular leading block of A - s*I, not
+    necessarily an eigenvalue of A, is counted from LAPACK's banded
+    eigenvalues instead.
 
 Every eigenpair solver ends in one _finish: eigenpairs sorted,
 eigenvectors with unit L^2(dx) norm (grid weight delta^d), true residuals
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConfigError, NoConvergence, ShiftHitsEigenvalue
+from .errors import ConfigError, NoConvergence
 from .operators import BANDED, DiscreteOperator, Grid, SchrodingerOperator
 from .report import Report
 
@@ -203,7 +204,6 @@ def dense_reference(op, k=None):
 _PIVOT_FLOOR = 1e-13
 _GROWTH_CAP = 1e10
 _NUDGE = 1e-12  # shifts move by this, relative, off computed eigenvalues
-_RETRIES = 3
 # Columns per staged chunk of _ldl_sweep; even, so that a column's window
 # buffer is fixed by its place in the chunk. Interleaved timings of the
 # three weyl_curve sweeps (10 shifts, K = 10, n = 800, 1200, 1600), one
@@ -218,7 +218,7 @@ _SWEEP_CHUNK = 16
 class ShiftCounts:
     shifts: np.ndarray  # as passed, order and duplicates kept
     counts: np.ndarray  # #{lambda <= s} for each shift
-    retries: int = 0
+    retries: int = 0  # shifts the sweep flagged, counted by LAPACK
 
 
 def _ldl_sweep(bands, shifts):
@@ -236,8 +236,8 @@ def _ldl_sweep(bands, shifts):
     enters. Once per chunk of _SWEEP_CHUNK columns the entering rows of
     A - s*I are staged for every shift, and the chunk's |l| are folded
     into the growth max. A pivot within _PIVOT_FLOOR of zero or factor
-    growth past _GROWTH_CAP, the symptoms of an eigenvalue at or near the
-    shift, fails that shift alone.
+    growth past _GROWTH_CAP, the symptoms of a near-singular leading
+    block of A - s*I, fails that shift alone.
     """
     Kb, n = bands.shape
     K, S = Kb - 1, shifts.size
@@ -287,31 +287,21 @@ def count_at_most(op, shifts):
 
     Each shift is evaluated at s + eps, eps = 1e-12 * max(|shifts|, 1),
     so a shift that lands on an eigenvalue (up to roundoff) resolves as
-    lambda <= s instead of flapping. A shift the sweep flags is swept
-    again alone, moved by a further eps, 2 eps, 3 eps, and
-    ShiftHitsEigenvalue is raised after those 3 retries. Eigenvalue
-    pairs closer than eps are not resolved.
+    lambda <= s instead of flapping. A shift the sweep flags (a leading
+    block of A - (s + eps)I near singular) is counted from LAPACK's
+    banded eigenvalues at the same s + eps. Eigenvalue pairs closer than
+    eps are not resolved.
     """
     if not isinstance(op, DiscreteOperator) or op.scheme != BANDED or not op.symmetric:
         raise ConfigError("count_at_most needs a symmetric banded DiscreteOperator")
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size == 0 or not np.all(np.isfinite(shifts)):
         raise ConfigError(f"shifts must be a non-empty list of finite numbers, got {shifts}")
-    eps = _NUDGE * max(float(np.max(np.abs(shifts))), 1.0)
-    unique, where = np.unique(shifts, return_inverse=True)
+    at = shifts + _NUDGE * max(float(np.max(np.abs(shifts))), 1.0)
     bands = op.to_banded()
-    counts = np.empty(unique.size, dtype=int)
-    todo, nudged = np.arange(unique.size), unique + eps
-    retries = 0
-    for attempt in range(_RETRIES + 1):
-        if attempt:
-            retries += todo.size
-            nudged[todo] += attempt * eps
-        neg, ok = _ldl_sweep(bands, nudged[todo])
-        counts[todo[ok]] = neg[ok]
-        todo = todo[~ok]
-        if todo.size == 0:
-            return ShiftCounts(shifts, counts[where], retries)
-    raise ShiftHitsEigenvalue(
-        f"shifts {unique[todo]} still hit eigenvalues after {_RETRIES} retries")
-
+    counts, ok = _ldl_sweep(bands, at)
+    if not ok.all():
+        # the sweep counts the strict negatives of A - (s + eps)I
+        ev = scipy.linalg.eigvals_banded(bands, lower=True)
+        counts[~ok] = np.searchsorted(ev, at[~ok], side="left")
+    return ShiftCounts(shifts, counts, int(np.count_nonzero(~ok)))

@@ -46,9 +46,5 @@ class NoConvergence(NumericalError):
         self.residuals = residuals
 
 
-class ShiftHitsEigenvalue(NumericalError):
-    """Inertia count hit a numerically singular shift after retries."""
-
-
 class RejectionBudgetExceeded(NumericalError):
     """Rejection sampler used up its trial budget; config is pathological."""

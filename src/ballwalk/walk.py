@@ -20,6 +20,7 @@ the outer rows while that stays below 2^-65.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -323,10 +324,18 @@ class UpperBoundReport(Report):
 
 
 def q_factor(density, h, tau):
+    """q(tau, h): e^{alpha tau (tau + 3h)} (Gaussian) or 1 / (rho(tau)
+    h^{d/2}) (tempered, rho radially nonincreasing). ConfigError unless
+    q is a finite float and a tempered rho(tau) a normal one."""
     if density.kind == "gaussian":
-        return math.exp(density.alpha * tau * (tau + 3.0 * h))
-    sup_inv = 1.0 / eval_density(density, tau)  # rho is radially nonincreasing
-    return sup_inv / math.sqrt(h) ** density.dim
+        power = density.alpha * tau * (tau + 3.0 * h)
+        q = math.exp(power) if power <= math.log(sys.float_info.max) else math.inf
+    else:
+        rho = float(eval_density(density, tau))
+        q = 1.0 / rho / math.sqrt(h) ** density.dim if rho >= sys.float_info.min else math.inf
+    if not math.isfinite(q):
+        raise ConfigError(f"q(tau, h) overflows a float at tau = {tau!r}, h = {h!r}")
+    return q
 
 
 def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
@@ -346,7 +355,7 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     The fit window keeps the domination check honest: the fitted constant
     has to keep dominating beyond the data that produced it. An n_max
     that is not an integer >= 2 (no step in the window), a tau or a gap
-    not finite and positive: ConfigError.
+    not finite and positive, or a q that overflows: ConfigError.
     """
     _require_tv_grid(grid, h)
     n_max = _require_int("n_max", n_max, 2)
@@ -358,9 +367,9 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::TV_START_STRIDE]
     if starts.size == 0:
         raise ConfigError("no grid starts inside |x| < tau")
+    q = q_factor(density, h, tau)
     tv = _evolve_tv(build_markov(grid, density, h), starts, n_max)
     env = tv.max(axis=1)
-    q = q_factor(density, h, tau)
     ns = np.arange(n_max + 1)
     shape = q * np.exp(-gap * ns)
     c_fit = float(np.max(env[: fit_horizon + 1] / shape[: fit_horizon + 1]))

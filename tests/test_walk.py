@@ -417,6 +417,20 @@ def test_witness_bounds_the_exact_curve_from_a_far_start(gauss_half, tempered_ha
     assert np.all(tv >= inner) and np.all(tv >= witness.value)
 
 
+@pytest.mark.parametrize("dens, tau", [(make_density("gaussian", 1, 0.5), 40.0),
+                                       (make_density("tempered", 1, 1.0, R=0.5), 800.0)],
+                         ids=["gaussian", "tempered"])
+def test_upper_bound_refuses_an_overflowing_q_before_evolving(dens, tau, monkeypatch):
+    # q = e^{alpha tau (tau + 3h)} = e^{830} (Gaussian) or 1/(rho(800) sqrt(h))
+    # with rho(800) = 0 (tempered): refused before the chain is built
+    def no_chain(*args):
+        raise AssertionError("build_markov ran before q was checked")
+
+    monkeypatch.setattr(walk, "build_markov", no_chain)
+    with pytest.raises(ConfigError, match="overflows"):
+        tv_upper_bound_curve(dens, 0.5, tau, 20, Grid(1, 8.0, 800), 0.05)
+
+
 def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
     with pytest.raises(ConfigError, match="delta <= h/20"):
         tv_upper_bound_curve(gauss_half, 0.25, 1.0, 20, Grid(1, 8.0, 200), 0.05)
