@@ -245,7 +245,7 @@ class WeylReport(Report):
     exponent: float
     c_dominating: float
     passed: bool
-    retries: int = 0  # inertia retries, summed over h
+    retries: int = 0  # flagged shifts counted by LAPACK, summed over h
 
 
 def weyl_curve(density, h_list):
@@ -254,13 +254,14 @@ def weyl_curve(density, h_list):
     growth exponent against 1 + lambda h^{-2}.
 
     T-tilde is the banded scheme on [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE.
-    All counts for one h come from one count_at_most call at the shifts
-    1 - lambda and 1. PASS iff the fitted exponent is <= d + 0.3; the
-    dominating constant max N / (1 + lambda h^{-2})^d is reported
-    alongside. Fewer than two distinct abscissae with N >= 1 leave the
-    exponent undetermined: it is reported as nan and the check fails;
-    with none, c_dominating is nan too. An empty h_list, or an h that is
-    not finite and positive, raises ConfigError before any count.
+    All counts, for every h, come from one count_at_most call on the
+    operators of the whole h_list at the shifts 1 - lambda and 1. PASS
+    iff the fitted exponent is <= d + 0.3; the dominating constant
+    max N / (1 + lambda h^{-2})^d is reported alongside. Fewer than two
+    distinct abscissae with N >= 1 leave the exponent undetermined: it is
+    reported as nan and the check fails; with none, c_dominating is nan
+    too. An empty h_list, or an h that is not finite and positive, raises
+    ConfigError before any count.
     """
     if density.kind != "gaussian":
         raise WrongDensityKind("the counting bound is checked on Gaussian densities")
@@ -268,12 +269,10 @@ def weyl_curve(density, h_list):
         raise ConfigError("the Weyl sweep needs at least one h")
 
     grids = [_box_grid(density, h) for h in h_list]
+    ops = [build_conjugated(g, density, h, scheme=BANDED) for h, g in zip(h_list, grids)]
+    counted = count_at_most(ops, np.append(1.0 - np.array(WEYL_LAMBDAS), 1.0))
     rows = []
-    retries = 0
-    for h, g in zip(h_list, grids):
-        op = build_conjugated(g, density, h, scheme=BANDED)
-        r = count_at_most(op, np.append(1.0 - np.array(WEYL_LAMBDAS), 1.0))
-        retries += r.retries
+    for h, r in zip(h_list, counted):
         for lam, below in zip(WEYL_LAMBDAS, r.counts[:-1]):
             n = r.counts[-1] - below
             rows.append((float(h), float(lam), int(n), 1.0 + lam / h**2))
@@ -290,7 +289,7 @@ def weyl_curve(density, h_list):
         exponent=exponent,
         c_dominating=float(c_dom),
         passed=bool(exponent <= density.dim + 0.3),
-        retries=retries,
+        retries=sum(r.retries for r in counted),
     )
 
 

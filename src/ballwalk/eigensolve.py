@@ -19,11 +19,12 @@ Three routes, matched to the operator shapes:
     is the d = 1 path's eigenvalues alone, without the inverse iteration
     for the eigenvectors, optionally only those below a bound.
   * count_at_most: Sylvester inertia of the symmetric banded scheme, by
-    one unpivoted banded LDL^T sweep that carries every shift along at
-    once (LAPACK has no banded symmetric indefinite driver). A shift
+    one unpivoted banded LDL^T sweep that carries every (operator, shift)
+    pair along at once, for a list of operators of any sizes and band
+    widths (LAPACK has no banded symmetric indefinite driver). A pair
     whose sweep meets a near-singular leading block of A - s*I, not
-    necessarily an eigenvalue of A, is counted from LAPACK's banded
-    eigenvalues instead.
+    necessarily an eigenvalue of A, is counted from that operator's
+    LAPACK banded eigenvalues instead.
 
 Every eigenpair solver ends in one _finish: eigenpairs sorted,
 eigenvectors with unit L^2(dx) norm (grid weight delta^d), true residuals
@@ -204,13 +205,16 @@ def dense_reference(op, k=None):
 _PIVOT_FLOOR = 1e-13
 _GROWTH_CAP = 1e10
 _NUDGE = 1e-12  # shifts move by this, relative, off computed eigenvalues
-# Columns per staged chunk of _ldl_sweep; even, so that a column's window
-# buffer is fixed by its place in the chunk. Interleaved timings of the
-# three weyl_curve sweeps (10 shifts, K = 10, n = 800, 1200, 1600), one
-# BLAS thread, 2 shared CPUs, best of 40: 8 columns take 24.5 ms, 16
-# 21.4, 32 21.2 and 64 20.7, against 35.5 ms for the per-column sweep
-# with the shifts outermost and no staging. 16 keeps the staged rows and
-# multipliers at 27 KB for these inputs.
+# Steps per staged chunk of _ldl_sweep; even, so that a step's window
+# buffer is fixed by its place in the chunk. Timed on weyl_curve's one
+# batched sweep (n = 800, 1200, 1600 at K = 9, 10 shifts, 30 columns),
+# one BLAS thread, 2 shared CPUs, best of 10 per round: in 40 interleaved
+# rounds of 8, 16 and 32 steps, 16 beat 8 in 35 and 32 beat 16 in 29;
+# in 20 more rounds of 16 against 32 alone, 32 won 17, median 22.0
+# against 25.3 ms (a loaded box: rounds swung from 18 to 55 ms). 16
+# stays: 32's edge is about 3% of the sweep, and the chunk-edge tests'
+# sizes follow this constant. It keeps the staged rows and multipliers
+# at 73 KB for these inputs.
 _SWEEP_CHUNK = 16
 
 
@@ -218,55 +222,71 @@ _SWEEP_CHUNK = 16
 class ShiftCounts:
     shifts: np.ndarray  # as passed, order and duplicates kept
     counts: np.ndarray  # #{lambda <= s} for each shift
-    retries: int = 0  # shifts the sweep flagged, counted by LAPACK
+    retries: int = 0  # this operator's shifts the sweep flagged, LAPACK counted
 
 
 def _ldl_sweep(bands, shifts):
-    """Negatives of A - s*I for every shift s, and which shifts passed.
+    """Negatives of A - s*I for every operator A and shift s, and which
+    (operator, shift) pairs passed, each as an (operators, shifts) array.
 
-    Unpivoted right-looking banded LDL^T, bands[k, i] = A[i, i+k]. Each
-    shift keeps the (K+1)x(K+1) trailing window W of its Schur complement
-    (only the lower triangle is read), and all shifts advance together in
-    two (K+1, K+1, S) window buffers that take turns, the shift axis
+    Unpivoted right-looking banded LDL^T, bands[o][k, i] = A_o[i, i+k],
+    with one column of the sweep per (operator, shift) pair. Each column
+    keeps the (K+1)x(K+1) trailing window W of its Schur complement (only
+    the lower triangle is read), and all columns advance together in two
+    (K+1, K+1, columns) window buffers that take turns, the column axis
     innermost so that each row of the trailing block is one contiguous
-    run. A column is five numpy calls on views made before the loop,
-    with no temporary: store the pivot, divide the pivot column by it
-    into the multipliers l, form l w^T in one scratch, subtract that from
-    the trailing block into the other buffer, and copy in the row that
-    enters. Once per chunk of _SWEEP_CHUNK columns the entering rows of
-    A - s*I are staged for every shift, and the chunk's |l| are folded
-    into the growth max. A pivot within _PIVOT_FLOOR of zero or factor
-    growth past _GROWTH_CAP, the symptoms of a near-singular leading
-    block of A - s*I, fails that shift alone.
+    run. A step is five numpy calls on views made before the loop, with
+    no temporary: store the pivot, divide the pivot column by it into
+    the multipliers l, form l w^T in one scratch, subtract that from the
+    trailing block into the other buffer, and copy in the row that
+    enters. Once per chunk of _SWEEP_CHUNK steps the entering rows of
+    A - s*I are staged for every column, from one copy of each
+    operator's rows with the shifts broadcast, and the chunk's |l| are
+    folded into the growth max. A pivot within _PIVOT_FLOOR of zero
+    (relative to that operator's scale) or factor growth past
+    _GROWTH_CAP, the symptoms of a near-singular leading block of
+    A - s*I, fails that pair alone.
+
+    A narrower band is zero-padded to the widest K: its extra
+    multipliers are zero, so every pivot keeps its bits. A shorter
+    operator runs on past its last row through rows decoupled from it,
+    with a diagonal of 1 for every shift, whose pivots are neither
+    counted nor checked and whose multipliers are zero.
     """
-    Kb, n = bands.shape
-    K, S = Kb - 1, shifts.size
-    R = np.zeros((n + Kb, Kb))  # R[p, K-k] = A[p, p-k], zero off the matrix
-    for k in range(min(Kb, n)):
-        R[k:n, K - k] = bands[k, : n - k]
-    W = np.zeros((2, Kb, Kb, S))  # column j's window is W[j % 2]
+    sizes = [b.shape[1] for b in bands]
+    Kb, n = max(b.shape[0] for b in bands), max(sizes)
+    K, P, S = Kb - 1, len(bands), shifts.size
+    R = np.zeros((n + Kb, Kb, P))  # R[p, K-k, o] = A_o[p, p-k], zero off A_o
+    for o, (b, n_o) in enumerate(zip(bands, sizes)):
+        for k in range(min(b.shape[0], n_o)):
+            R[k:n_o, K - k, o] = b[k, : n_o - k]
+    past = np.arange(n + Kb)[:, None] >= np.array(sizes)  # rows past A_o's end
+    W = np.zeros((2, Kb, Kb, P * S))  # step j's window is W[j % 2]
+    W4 = W.reshape(2, Kb, Kb, P, S)
     for m in range(Kb):
-        W[0, m, : m + 1] = R[m, K - m :, None]
-        W[0, m, m] -= shifts
+        W4[0, m, : m + 1] = R[m, K - m :, :, None]
+        W4[0, m, m] -= shifts
+        W4[0, m, m, past[m]] = 1.0
     # as the window: its pivot, the column below it, the trailing block
     # and the pivot row of that block (read from the lower triangle); as
     # the next window: the block the update lands in and the row that
     # enters
     window = [(w[0, 0], w[1:, :1], w[1:, 1:], w[None, 1:, 0]) for w in W]
     target = [(w[:K, :K], w[K]) for w in W]
-    entering = np.empty((_SWEEP_CHUNK, Kb, S))  # rows of A - s*I, by column
-    l = np.empty((_SWEEP_CHUNK, K, 1, S))  # multipliers, by column
-    lw = np.empty((K, K, S))
-    steps = [window[c % 2] + target[1 - c % 2] + (l[c], entering[c])
+    entering = np.empty((_SWEEP_CHUNK, Kb, P, S))  # rows of A - s*I, by step
+    l = np.empty((_SWEEP_CHUNK, K, 1, P * S))  # multipliers, by step
+    lw = np.empty((K, K, P * S))
+    steps = [window[c % 2] + target[1 - c % 2] + (l[c], entering[c].reshape(Kb, P * S))
              for c in range(_SWEEP_CHUNK)]
-    D = np.empty((n, S))
-    grow = np.zeros(S)
-    with np.errstate(all="ignore"):  # a failed shift's slice may overflow
+    D = np.empty((n, P * S))
+    grow = np.zeros(P * S)
+    with np.errstate(all="ignore"):  # a failed pair's column may overflow
         for j0 in range(0, n, _SWEEP_CHUNK):
             m = min(_SWEEP_CHUNK, n - j0)
             rows = R[j0 + Kb : j0 + Kb + m]
-            entering[:m] = rows[:, :, None]
-            np.subtract(rows[:, K, None], shifts, out=entering[:m, K])
+            entering[:m] = rows[..., None]
+            np.subtract(rows[:, K, :, None], shifts, out=entering[:m, K])
+            entering[:m, K][past[j0 + Kb : j0 + Kb + m]] = 1.0
             for j, (piv, col, trail, row, top, new, lj, ej) in zip(range(j0, j0 + m), steps):
                 D[j] = piv
                 np.divide(col, piv, out=lj)
@@ -275,33 +295,44 @@ def _ldl_sweep(bands, shifts):
                 new[...] = ej
             lm = np.abs(l[:m], out=l[:m])
             np.maximum(grow, np.max(lm, axis=(0, 1, 2), initial=0.0), out=grow)
-        scale = float(np.max(np.abs(bands))) + np.abs(shifts)
-        ok = np.all(np.abs(D) > _PIVOT_FLOOR * scale, axis=0)
-        ok &= grow <= _GROWTH_CAP
-    return np.sum(D < 0.0, axis=0), ok
+        D = D.reshape(n, P, S)
+        ok = (grow <= _GROWTH_CAP).reshape(P, S)
+        neg = np.empty((P, S), dtype=np.int64)
+        for o, (b, n_o) in enumerate(zip(bands, sizes)):
+            Do = D[:n_o, o]
+            scale = float(np.max(np.abs(b))) + np.abs(shifts)
+            ok[o] &= np.all(np.abs(Do) > _PIVOT_FLOOR * scale, axis=0)
+            neg[o] = np.sum(Do < 0.0, axis=0)
+    return neg, ok
 
 
-def count_at_most(op, shifts):
-    """#{lambda <= s} for every shift s of a symmetric banded
-    DiscreteOperator, by one multi-shift banded LDL^T (Sylvester inertia).
+def count_at_most(ops, shifts):
+    """#{lambda <= s} for every shift s of each operator in ops, a
+    non-empty list of symmetric banded DiscreteOperators, as one
+    ShiftCounts per operator, by one multi-shift banded LDL^T sweep over
+    all of them (Sylvester inertia).
 
     Each shift is evaluated at s + eps, eps = 1e-12 * max(|shifts|, 1),
     so a shift that lands on an eigenvalue (up to roundoff) resolves as
-    lambda <= s instead of flapping. A shift the sweep flags (a leading
-    block of A - (s + eps)I near singular) is counted from LAPACK's
-    banded eigenvalues at the same s + eps. Eigenvalue pairs closer than
-    eps are not resolved.
+    lambda <= s instead of flapping. A shift the sweep flags for an
+    operator (a leading block of A - (s + eps)I near singular) is counted
+    from LAPACK's banded eigenvalues of that operator at the same s + eps.
+    Eigenvalue pairs closer than eps are not resolved.
     """
-    if not isinstance(op, DiscreteOperator) or op.scheme != BANDED or not op.symmetric:
-        raise ConfigError("count_at_most needs a symmetric banded DiscreteOperator")
+    if not isinstance(ops, (list, tuple)) or not ops or not all(
+        isinstance(op, DiscreteOperator) and op.scheme == BANDED and op.symmetric for op in ops
+    ):
+        raise ConfigError("count_at_most needs a non-empty list of symmetric banded operators")
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size == 0 or not np.all(np.isfinite(shifts)):
         raise ConfigError(f"shifts must be a non-empty list of finite numbers, got {shifts}")
     at = shifts + _NUDGE * max(float(np.max(np.abs(shifts))), 1.0)
-    bands = op.to_banded()
-    counts, ok = _ldl_sweep(bands, at)
-    if not ok.all():
-        # the sweep counts the strict negatives of A - (s + eps)I
-        ev = scipy.linalg.eigvals_banded(bands, lower=True)
-        counts[~ok] = np.searchsorted(ev, at[~ok], side="left")
-    return ShiftCounts(shifts, counts, int(np.count_nonzero(~ok)))
+    bands = [op.to_banded() for op in ops]
+    counted = []
+    for b, counts, ok in zip(bands, *_ldl_sweep(bands, at)):
+        if not ok.all():
+            # the sweep counts the strict negatives of A - (s + eps)I
+            ev = scipy.linalg.eigvals_banded(b, lower=True)
+            counts[~ok] = np.searchsorted(ev, at[~ok], side="left")
+        counted.append(ShiftCounts(shifts, counts, int(np.count_nonzero(~ok))))
+    return counted

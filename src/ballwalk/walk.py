@@ -355,7 +355,8 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     The fit window keeps the domination check honest: the fitted constant
     has to keep dominating beyond the data that produced it. An n_max
     that is not an integer >= 2 (no step in the window), a tau or a gap
-    not finite and positive, or a q that overflows: ConfigError.
+    not finite and positive, a q that overflows, or a q e^{-n g} below
+    the smallest normal float inside the window: ConfigError.
     """
     _require_tv_grid(grid, h)
     n_max = _require_int("n_max", n_max, 2)
@@ -368,6 +369,8 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     if starts.size == 0:
         raise ConfigError("no grid starts inside |x| < tau")
     q = q_factor(density, h, tau)
+    if q * math.exp(-gap * fit_horizon) < sys.float_info.min:
+        raise ConfigError(f"q e^(-gap n) underflows by n = {fit_horizon} at gap = {gap!r}")
     tv = _evolve_tv(build_markov(grid, density, h), starts, n_max)
     env = tv.max(axis=1)
     ns = np.arange(n_max + 1)

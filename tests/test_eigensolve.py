@@ -327,7 +327,7 @@ def test_no_convergence_on_tiny_budget(banded_op, monkeypatch):
 
 def _interval_count(op, a, b):
     """Eigenvalues in (a, b], as a difference of two inertia counts."""
-    lo, hi = count_at_most(op, [a, b]).counts
+    lo, hi = count_at_most([op], [a, b])[0].counts
     return int(hi - lo)
 
 
@@ -357,16 +357,22 @@ def test_count_catches_top_eigenvalue_at_one(banded_op):
 def test_count_interval_rejects_infinite_bounds(banded_op):
     for bad in ([-np.inf, 1.0], [0.5, np.inf], [np.nan], []):
         with pytest.raises(ConfigError):
-            count_at_most(banded_op, bad)
+            count_at_most([banded_op], bad)
 
 
 def test_count_at_most_rejects_non_banded_operators(gauss_half):
     g = Grid(1, 9.0, 360)
+    banded = build_conjugated(g, gauss_half, 0.25, scheme=BANDED)
     for op in (build_conjugated(g, gauss_half, 0.25, scheme=MULTIPLIER),
                build_markov(g, gauss_half, 0.25),
                build_schrodinger(g, gauss_half)):
         with pytest.raises(ConfigError, match="symmetric banded"):
-            count_at_most(op, [0.5])
+            count_at_most([op], [0.5])
+        with pytest.raises(ConfigError, match="symmetric banded"):
+            count_at_most([banded, op], [0.5])
+    for ops in ([], banded):  # no operator, or one not in a list
+        with pytest.raises(ConfigError, match="symmetric banded"):
+            count_at_most(ops, [0.5])
 
 
 # --- multi-shift counts ---------------------------------------------------------
@@ -378,7 +384,7 @@ def test_count_at_most_weyl_grid_matches_eigvals_banded(gauss_half, h):
     op = build_conjugated(_box_grid(gauss_half, h), gauss_half, h, scheme=BANDED)
     shifts = np.append(1.0 - np.linspace(0.10, 0.30, 9), 1.0)  # weyl_curve's
     ev = scipy.linalg.eigvals_banded(op.to_banded(), lower=True)
-    r = count_at_most(op, shifts)
+    r = count_at_most([op], shifts)[0]
     assert r.retries == 0
     assert list(r.counts) == [int(np.sum(ev <= s + 1e-12)) for s in shifts]
 
@@ -386,9 +392,9 @@ def test_count_at_most_weyl_grid_matches_eigvals_banded(gauss_half, h):
 def test_count_at_most_order_and_duplicates(gauss_half):
     op = build_conjugated(Grid(1, 9.0, 360), gauss_half, 0.25, scheme=BANDED)
     shifts = [0.95, 0.5, 0.95, 0.7, 0.5]
-    sorted_unique = count_at_most(op, [0.5, 0.7, 0.95]).counts
+    sorted_unique = count_at_most([op], [0.5, 0.7, 0.95])[0].counts
     lookup = dict(zip([0.5, 0.7, 0.95], sorted_unique))
-    assert list(count_at_most(op, shifts).counts) == [lookup[s] for s in shifts]
+    assert list(count_at_most([op], shifts)[0].counts) == [lookup[s] for s in shifts]
     ev = np.linalg.eigvalsh(op.to_dense())
     assert list(sorted_unique) == [int(np.sum(ev <= s)) for s in (0.5, 0.7, 0.95)]
 
@@ -403,9 +409,9 @@ def test_count_at_most_forced_retry(gauss_half, N):
     a00 = op.to_banded()[0, 0]
     s = a00 - 1e-12
     assert s + 1e-12 == a00
-    r = count_at_most(op, [0.5, s, 0.95])
+    r = count_at_most([op], [0.5, s, 0.95])[0]
     assert r.retries == 1
-    clean = count_at_most(op, [0.5, 0.95])
+    clean = count_at_most([op], [0.5, 0.95])[0]
     assert clean.retries == 0
     assert [r.counts[0], r.counts[2]] == list(clean.counts)
     ev = np.linalg.eigvalsh(op.to_dense())
@@ -419,7 +425,7 @@ def test_count_at_most_counts_a_shift_on_a_pivot(banded_op, monkeypatch):
     a00 = banded_op.to_banded()[0, 0]
     ev = np.linalg.eigvalsh(banded_op.to_dense())
     assert np.min(np.abs(ev - a00)) > 1e-9
-    r = count_at_most(banded_op, [a00])
+    r = count_at_most([banded_op], [a00])[0]
     assert r.retries == 1
     assert list(r.counts) == [int(np.sum(ev <= a00))]
 
@@ -467,7 +473,7 @@ def test_ldl_sweep_matches_dense_across_chunk_edges(n, Kb):
     lam = np.linalg.eigvalsh(_dense(bands))
     for S in (1, 10):
         shifts = _shifts_away(rng, lam, S)
-        neg, ok = eigensolve._ldl_sweep(bands, shifts)
+        (neg,), (ok,) = eigensolve._ldl_sweep([bands], shifts)
         assert ok.all()
         assert list(neg) == [int(np.sum(lam < s)) for s in shifts]
 
@@ -499,13 +505,13 @@ def test_late_vanishing_pivot_flags_only_its_shift(j):
     mu = mus[np.argmax(np.abs(vecs[j]))]
     assert np.min(np.abs(lam - mu)) > 1e-9
     below, above = lam[0] - 0.5, lam[-1] + 0.5
-    neg, ok = eigensolve._ldl_sweep(bands, np.array([below, mu, above]))
+    (neg,), (ok,) = eigensolve._ldl_sweep([bands], np.array([below, mu, above]))
     assert list(ok) == [True, False, True]
     assert [neg[0], neg[2]] == [0, A.shape[0]]
     # count_at_most evaluates at s + eps, eps = 1e-12 * max(|shifts|, 1):
     # it lands on mu, is flagged, and LAPACK's eigenvalues count it
     s = mu - 1e-12 * max(abs(below), above, 1.0)
-    r = count_at_most(op, [below, s, above])
+    r = count_at_most([op], [below, s, above])[0]
     assert r.retries >= 1
     assert list(r.counts) == [0, int(np.sum(lam <= s)), A.shape[0]]
 
@@ -523,11 +529,93 @@ def test_growth_alone_flags_only_its_shift(j, monkeypatch):
     bands = _bands(A, Kb)
     lam = np.linalg.eigvalsh(A)
     shifts = np.append(_shifts_away(rng, lam, 4), s)
-    neg, ok = eigensolve._ldl_sweep(bands, shifts)
+    (neg,), (ok,) = eigensolve._ldl_sweep([bands], shifts)
     assert list(ok) == [True] * 4 + [False]
     assert list(neg[:4]) == [int(np.sum(lam < t)) for t in shifts[:4]]
     monkeypatch.setattr(eigensolve, "_GROWTH_CAP", np.inf)
-    assert eigensolve._ldl_sweep(bands, shifts)[1].all()
+    assert eigensolve._ldl_sweep([bands], shifts)[1].all()
+
+
+# --- one sweep over several operators -------------------------------------------
+
+def _one_at_a_time(bands, shifts):
+    alone = [eigensolve._ldl_sweep([b], shifts) for b in bands]
+    return np.vstack([neg for neg, _ in alone]), np.vstack([ok for _, ok in alone])
+
+
+def test_batched_sweep_matches_one_operator_at_a_time(gauss_half):
+    # weyl_curve's operators of mixed n and K: 686 nodes at K = 10, 800 and
+    # 1,600 at K = 9, batched in both orders
+    ops = [build_conjugated(_box_grid(gauss_half, h), gauss_half, h, scheme=BANDED)
+           for h in (0.35, 0.3, 0.15)]
+    bands = [op.to_banded() for op in ops]
+    assert [b.shape for b in bands] == [(11, 686), (10, 800), (10, 1600)]
+    shifts = np.append(1.0 - np.linspace(0.10, 0.30, 9), 1.0) + 1e-12  # weyl_curve's, nudged
+    for order in (bands, bands[::-1]):
+        neg, ok = eigensolve._ldl_sweep(order, shifts)
+        alone_neg, alone_ok = _one_at_a_time(order, shifts)
+        assert ok.all() and alone_ok.all()
+        np.testing.assert_array_equal(neg, alone_neg)
+
+
+def test_batched_sweep_pads_without_counting_or_flagging():
+    # random indefinite bands shorter and longer, narrower and wider than
+    # each other (one wider than its matrix); at the shift 0 a padded row
+    # of A - s*I would be all zero without its unit diagonal, and at 1e14
+    # that unit pivot is below the pivot floor, so it must not be checked
+    rng = np.random.default_rng(11)
+    bands = [rng.standard_normal(shape) for shape in [(2, 3), (11, 53), (25, 17), (3, _CHUNK)]]
+    lams = [np.linalg.eigvalsh(_dense(b)) for b in bands]
+    every = np.sort(np.concatenate(lams))
+    shifts = np.append(_shifts_away(rng, every, 9), [0.0, 1e14])
+    assert np.min(np.abs(every)) > 1e-3
+    neg, ok = eigensolve._ldl_sweep(bands, shifts)
+    assert ok.all()
+    assert neg.tolist() == [[int(np.sum(lam < s)) for s in shifts] for lam in lams]
+    alone_neg, alone_ok = _one_at_a_time(bands, shifts)
+    np.testing.assert_array_equal(neg, alone_neg)
+    assert alone_ok.all()
+
+
+@pytest.mark.parametrize("j", [_MIDDLE, _RAGGED])
+def test_batched_sweep_flags_only_the_vanishing_pair(j, weyl_op, monkeypatch):
+    # test_late_vanishing_pivot_flags_only_its_shift's operator, batched
+    # with a longer, narrower Weyl operator: only its own (operator, shift)
+    # pair is flagged, and LAPACK counts that operator alone
+    op = _weak_band(_N, j)
+    A = op.to_dense()
+    lam = np.linalg.eigvalsh(A)
+    mus, vecs = np.linalg.eigh(A[: j + 1, : j + 1])
+    mu = mus[np.argmax(np.abs(vecs[j]))]
+    below, above = lam[0] - 0.5, lam[-1] + 0.5
+    neg, ok = eigensolve._ldl_sweep([op.to_banded(), weyl_op.to_banded()],
+                                    np.array([below, mu, above]))
+    assert ok.tolist() == [[True, False, True], [True, True, True]]
+    assert [neg[0, 0], neg[0, 2]] == [0, _N]
+    s = mu - 1e-12 * max(abs(below), above, 1.0)
+    alone = count_at_most([weyl_op], [below, s, above])[0]
+    recounted = []
+    eigvals_banded = scipy.linalg.eigvals_banded
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded",
+                        lambda b, **kw: recounted.append(b.shape) or eigvals_banded(b, **kw))
+    weak, weyl = count_at_most([op, weyl_op], [below, s, above])
+    assert recounted == [(11, _N)]
+    assert (weak.retries, weyl.retries) == (1, 0)
+    assert list(weak.counts) == [0, int(np.sum(lam <= s)), _N]
+    assert list(weyl.counts) == list(alone.counts)
+
+
+def test_weyl_curve_sweeps_once(gauss_half, monkeypatch):
+    # one sweep for the whole h list, of mixed K, with each h's rows as
+    # its own weyl_curve gives them
+    singles = [weyl_curve(gauss_half, [h]).rows for h in (0.35, 0.3)]
+    sweeps = []
+    sweep = eigensolve._ldl_sweep
+    monkeypatch.setattr(eigensolve, "_ldl_sweep",
+                        lambda bands, shifts: sweeps.append(len(bands)) or sweep(bands, shifts))
+    rep = weyl_curve(gauss_half, [0.35, 0.3])
+    assert sweeps == [2]
+    assert rep.rows == singles[0] + singles[1]
 
 
 def test_weyl_rows_equal_per_interval_counts(gauss_half, weyl_op):

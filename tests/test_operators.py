@@ -589,7 +589,7 @@ def test_symmetry_follows_the_scales(gauss_half):
         with pytest.raises(ConfigError, match="symmetric"):
             top_k(A, 2)
         with pytest.raises(ConfigError, match="symmetric"):
-            count_at_most(A, [0.5, 1.0])
+            count_at_most([A], [0.5, 1.0])
         with pytest.raises(NumericalError, match="symmetric"):
             A.to_banded()
 

@@ -431,6 +431,28 @@ def test_upper_bound_refuses_an_overflowing_q_before_evolving(dens, tau, monkeyp
         tv_upper_bound_curve(dens, 0.5, tau, 20, Grid(1, 8.0, 800), 0.05)
 
 
+def test_upper_bound_refuses_an_underflowing_shape_before_evolving(gauss_half, monkeypatch):
+    # q e^{-g n} = e^{1.25 - 800 n} is 0 by n = 1, so the fit would divide
+    # by zero on the window n <= 10: refused before the chain is built
+    def no_chain(*args):
+        raise AssertionError("build_markov ran before q e^{-g n} was checked")
+
+    monkeypatch.setattr(walk, "build_markov", no_chain)
+    with pytest.raises(ConfigError, match="underflows"):
+        tv_upper_bound_curve(gauss_half, 0.5, 1.0, 20, Grid(1, 8.0, 800), 800.0)
+
+
+@pytest.mark.parametrize("tau, h", [(1.0, 0.25), (3.0, 0.1)])
+def test_q_factor_values(gauss_half, tempered_half, tau, h):
+    # Gaussian: e^{alpha tau (tau + 3h)}, in any dimension
+    for dens in (gauss_half, make_density("gaussian", 2, 1.5)):
+        want = math.exp(dens.alpha * tau * (tau + 3.0 * h))
+        assert walk.q_factor(dens, h, tau) == pytest.approx(want, rel=1e-14)
+    # tempered (d = 1): 1 / (rho(tau) h^{1/2}), on the tail rho = beta e^{-alpha tau}
+    want = 1.0 / (tempered_half.beta * math.exp(-tempered_half.alpha * tau) * math.sqrt(h))
+    assert walk.q_factor(tempered_half, h, tau) == pytest.approx(want, rel=1e-14)
+
+
 def test_upper_bound_rejects_tv_grids_it_cannot_evolve(gauss_half):
     with pytest.raises(ConfigError, match="delta <= h/20"):
         tv_upper_bound_curve(gauss_half, 0.25, 1.0, 20, Grid(1, 8.0, 200), 0.05)
