@@ -97,14 +97,16 @@ def mu_reference(density, k_max):
 # eigenvalue asymptotics
 
 def _top_levels(density, h, k):
-    """The k largest eigenvalues of the multiplier T-tilde on
-    [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE. lambda_0 must be 1 within
-    LAMBDA_ZERO_TOL, or the box or taper is too tight (ConfigError)."""
+    """top_k's result for the k largest eigenvalues of the multiplier
+    T-tilde on [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE. lambda_0 must be
+    1 within LAMBDA_ZERO_TOL, or the box or taper is too tight
+    (ConfigError)."""
     op = build_conjugated(_box_grid(density, h), density, h, scheme=MULTIPLIER)
-    lam = top_k(op, k).eigenvalues
+    res = top_k(op, k)
+    lam = res.eigenvalues
     if abs(lam[0] - 1.0) > LAMBDA_ZERO_TOL:
         raise ConfigError(f"lambda_0({h}) = {lam[0]!r} is not 1: box or taper too tight")
-    return lam
+    return res
 
 
 @dataclass
@@ -117,6 +119,7 @@ class AsymptoticsReport(Report):
     orders: np.ndarray  # p_k for k = 1..k_max
     c_fits: np.ndarray
     gaps: np.ndarray  # g(h) = 1 - lambda_1(h)
+    matvecs: list  # ARPACK's operator applications, one count per h
     passed: bool
     gamma: float
 
@@ -144,7 +147,8 @@ def verify_asymptotics(density, k_max, h_list):
     gam = gamma_d(density.dim)
     mu = mu_reference(density, k_max)
 
-    lams = np.array([_top_levels(density, h, k_max + 1) for h in h_list])
+    solves = [_top_levels(density, h, k_max + 1) for h in h_list]
+    lams = np.array([r.eigenvalues for r in solves])
     hs = np.array(h_list)
     predicted = 1.0 - gam * np.outer(hs**2, mu)
     residuals = np.abs(predicted - lams)
@@ -167,6 +171,7 @@ def verify_asymptotics(density, k_max, h_list):
         orders=orders,
         c_fits=c_fits,
         gaps=1.0 - lams[:, 1],
+        matvecs=[r.matvecs for r in solves],
         passed=ok,
         gamma=gam,
     )
@@ -303,6 +308,7 @@ class GapReport(Report):
     lambda_1: float
     comparison: float  # h^2 gamma_d min(mu_1, (1-alpha_cfg) kappa)
     alpha_cfg: float
+    matvecs: int  # ARPACK's operator applications for lambda_1
 
 
 def _mu_1_if_below(density, floor):
@@ -327,7 +333,8 @@ def spectral_gap(density, h):
     Like verify_asymptotics, it refuses (ConfigError) an h that is not
     finite and positive, and a grid where lambda_0 is not 1 within
     LAMBDA_ZERO_TOL."""
-    lam = _top_levels(density, h, 2)
+    res = _top_levels(density, h, 2)
+    lam = res.eigenvalues
     kappa = kappa_analytic(density)
     floor = (1.0 - ALPHA_CFG) * kappa if math.isfinite(kappa) else math.inf
     comparison = h**2 * gamma_d(density.dim) * min(_mu_1_if_below(density, floor), floor)
@@ -337,4 +344,5 @@ def spectral_gap(density, h):
         lambda_1=float(lam[1]),
         comparison=float(comparison),
         alpha_cfg=ALPHA_CFG,
+        matvecs=res.matvecs,
     )

@@ -9,7 +9,19 @@ Three routes, matched to the operator shapes:
     the gate rather than at machine precision; _finish's true residuals
     then gate every returned pair at RESIDUAL_RTOL. Repeated eigenvalues
     still surface only through rounding across the restarts, so the
-    degenerate-level tests are the arbiter of multiplicities.
+    degenerate-level tests are the arbiter of multiplicities. On a d = 1
+    multiplier operator A = D_a circ(G_1) D_a, ARPACK starts from the sum
+    of the top k eigenvectors of its banded twin B, the banded T-tilde
+    with A's own weight a: one banded Cholesky factor of sigma I - B at
+    sigma = 1 + 1e-3 and one loose shift-invert Lanczos run. Its OPinv
+    is the negated Cholesky solve, (B - sigma I)^{-1}: scipy maps the
+    Ritz values back through 1/(lambda - sigma), so (sigma I - B)^{-1}
+    gives the right vectors with wrong eigenvalues. B differs from A only
+    in the kernel, so the start already lies near A's top eigenvectors
+    and A's run takes fewer matvecs. Every other operator, or one whose
+    sigma I - B is not positive definite, starts from a vector fixed by a
+    seed. The result records which start it took and how many matvecs
+    ARPACK asked for.
   * bottom_k: LAPACK Sturm bisection (eigh_tridiagonal) on the two
     diagonals of the d = 1 Schrodinger matrix. A d = 2 operator is the
     Kronecker sum L_1 (+) L_1 of its d = 1 factor, so its bottom levels
@@ -39,8 +51,8 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConfigError, NoConvergence
-from .operators import BANDED, DiscreteOperator, Grid, SchrodingerOperator
+from .errors import ConfigError, KernelUnderResolved, NoConvergence
+from .operators import BANDED, MULTIPLIER, DiscreteOperator, Grid, SchrodingerOperator, _conjugated
 from .report import Report
 
 CLUSTER_RTOL = 1e-8
@@ -48,6 +60,8 @@ MAX_K = 50
 RESIDUAL_RTOL = 1e-9  # true-residual gate, relative to the spectral scale
 
 _LANCZOS_SEED = 0x9E3779B97F4A7C15  # fixed: solves must be reproducible
+_TWIN_SIGMA = 1.0 + 1e-3  # shift-invert target just above the top of a T-tilde
+_TWIN_TOL = 1e-4  # the twin's vectors only start A's run; A's tol gates the result
 
 
 @dataclass
@@ -58,6 +72,8 @@ class EigenResult(Report):
     method: str  # DenseReference | ARPACK | SturmBisection | SturmKroneckerSum
     grid_meta: dict = field(metadata={"json": "grid"})
     clusters: list = field(default_factory=list)  # (value, size) pairs
+    matvecs: int = 0  # operator applications ARPACK asked for (not _finish's)
+    start: str = None  # ARPACK's start vector: "banded twin" or "seeded"
 
 
 def _cluster(values):
@@ -76,7 +92,7 @@ def _cluster(values):
     return out
 
 
-def _finish(op, vals, vecs, method, ascending=False, scale=None):
+def _finish(op, vals, vecs, method, ascending=False, scale=None, **cost):
     """Sort, L^2(dx)-normalize and attach the true matvec residuals of
     op; with a scale, every residual must be <= RESIDUAL_RTOL * scale
     (NoConvergence otherwise)."""
@@ -97,7 +113,7 @@ def _finish(op, vals, vecs, method, ascending=False, scale=None):
     meta = {"dim": grid.dim, "L": grid.L, "N": grid.N}
     if isinstance(op, DiscreteOperator):
         meta["h"] = op.h
-    return EigenResult(vals, vecs, resid, method, meta, _cluster(vals))
+    return EigenResult(vals, vecs, resid, method, meta, _cluster(vals), **cost)
 
 
 def _require_k(op, k):
@@ -106,25 +122,66 @@ def _require_k(op, k):
         raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
 
 
+def _twin_start(op, k, v0):
+    """Start vector for ARPACK on a d = 1 multiplier operator A: the sum
+    of the k eigenvectors nearest _TWIN_SIGMA of its banded twin B, the
+    banded T-tilde with A's own weight (B differs from A only in the
+    kernel), from one shift-invert Lanczos run started at v0 on one
+    banded Cholesky factor of sigma I - B. None for any other operator, for a radius the
+    band cannot resolve, or where sigma I - B is not positive definite
+    (B reaches sigma)."""
+    if op.scheme != MULTIPLIER or op.grid.dim != 1:
+        return None
+    try:
+        ab = -_conjugated(op.grid, op.h, BANDED, op.lscale).to_banded()
+        ab[0] += _TWIN_SIGMA
+        chol = scipy.linalg.cholesky_banded(ab, lower=True)
+    except (KernelUnderResolved, np.linalg.LinAlgError):  # no twin, or B reaches sigma
+        return None
+    n = op.grid.size
+    # OPinv must apply (B - sigma I)^{-1}: with (sigma I - B)^{-1} the
+    # vectors still come out right, but scipy reports wrong eigenvalues
+    inv = LinearOperator(
+        (n, n), dtype=float,
+        matvec=lambda x: -scipy.linalg.cho_solve_banded((chol, True), x, check_finite=False))
+    # shift-invert ARPACK never applies B itself, only OPinv
+    _, vecs = eigsh(inv, k=k, sigma=_TWIN_SIGMA, OPinv=inv, v0=v0, tol=_TWIN_TOL)
+    return vecs.sum(axis=1)
+
+
 def top_k(op, k):
     """k largest eigenvalues (descending, with multiplicities) of a
     symmetric DiscreteOperator, by ARPACK's implicitly restarted Lanczos
-    on the matvec with its default restart budget, from a start vector
-    fixed by _LANCZOS_SEED. ARPACK stops at RESIDUAL_RTOL / 100 and every
-    pair's true residual must be <= RESIDUAL_RTOL * max|lambda|;
-    multiplicities come from rounding and are pinned by the
-    degenerate-level tests."""
+    on the matvec with its default restart budget. A d = 1 multiplier
+    operator starts from _twin_start's vector, which already lies near
+    its top k eigenvectors; any other operator, or one whose twin has no
+    Cholesky factor, from a vector fixed by _LANCZOS_SEED. The result
+    records the start and the matvecs ARPACK asked for. Whatever the
+    start, ARPACK stops at RESIDUAL_RTOL / 100 and every pair's true
+    residual must be <= RESIDUAL_RTOL * max|lambda|; multiplicities come
+    from rounding and are pinned by the degenerate-level tests."""
     if not isinstance(op, DiscreteOperator) or not op.symmetric:
         raise ConfigError("top_k needs a symmetric DiscreteOperator")
     _require_k(op, k)
     n = op.grid.size
-    A = LinearOperator((n, n), matvec=op.matvec, dtype=float)
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    matvecs = 0
+
+    def matvec(u):
+        nonlocal matvecs
+        matvecs += 1
+        return op.matvec(u)
+
+    seeded = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    v0, start = _twin_start(op, k, seeded), "banded twin"
+    if v0 is None:
+        v0, start = seeded, "seeded"
+    A = LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
         vals, vecs = eigsh(A, k=k, which="LA", v0=v0, tol=RESIDUAL_RTOL / 100)
     except ArpackNoConvergence as exc:
         raise NoConvergence(str(exc)) from exc
-    return _finish(op, vals, vecs, "ARPACK", scale=np.max(np.abs(vals)))
+    return _finish(op, vals, vecs, "ARPACK", scale=np.max(np.abs(vals)),
+                   matvecs=matvecs, start=start)
 
 
 def bottom_k(op, k):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ballwalk import analysis
+from ballwalk import analysis, eigensolve
 from ballwalk.analysis import (
     essential_band,
     mu_reference,
@@ -153,6 +153,37 @@ def test_asymptotics_json_roundtrip(asym):
     assert blob["passed"] is True
     np.testing.assert_allclose(blob["orders"], asym.orders)
     assert len(blob["eigenvalues"]) == len(H_SWEEP)
+
+
+def test_solve_costs_json_roundtrip(asym, gauss_half):
+    blob = json.loads(asym.to_json())
+    assert blob["matvecs"] == asym.matvecs
+    assert len(asym.matvecs) == len(H_SWEEP) and min(asym.matvecs) > 0
+    rep = spectral_gap(gauss_half, 0.25)
+    blob = json.loads(rep.to_json())
+    assert blob["matvecs"] == rep.matvecs > 0
+
+
+def test_twin_start_leaves_the_asymptotics_unchanged(asym, gauss_half, monkeypatch):
+    monkeypatch.setattr(eigensolve, "_twin_start", lambda *args: None)  # seeded start
+    seeded = verify_asymptotics(gauss_half, 3, H_SWEEP)
+    np.testing.assert_allclose(asym.eigenvalues, seeded.eigenvalues, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(asym.orders, seeded.orders, rtol=0, atol=1e-9)
+    assert asym.passed == seeded.passed
+    assert sum(asym.matvecs) < sum(seeded.matvecs)
+
+
+# the two gap calls of the spectral bench workload
+@pytest.mark.parametrize("kind, h", [("gaussian", 0.1), ("tempered", 0.25)])
+def test_twin_start_leaves_the_gap_unchanged(kind, h, gauss_half, tempered_unit, monkeypatch):
+    density = gauss_half if kind == "gaussian" else tempered_unit
+    rep = spectral_gap(density, h)
+    monkeypatch.setattr(eigensolve, "_twin_start", lambda *args: None)
+    seeded = spectral_gap(density, h)
+    assert rep.lambda_1 == pytest.approx(seeded.lambda_1, rel=0, abs=1e-13)
+    assert rep.gap == pytest.approx(seeded.gap, rel=0, abs=1e-13)
+    assert rep.comparison == seeded.comparison
+    assert rep.matvecs < seeded.matvecs
 
 
 # --- essential band ---------------------------------------------------------------

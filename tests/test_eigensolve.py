@@ -88,6 +88,49 @@ def test_top_k_multiplier_matches_dense(gauss_half):
     np.testing.assert_allclose(r.eigenvalues, lam, atol=1e-9)
 
 
+# the d = 1 multiplier T-tilde of the drivers starts ARPACK from its banded
+# twin; the tempered k = 2 and 4 cases have box modes crowding lambda_1.
+# The matvec pins sit well below the seeded start's 252 and 317.
+@pytest.mark.parametrize("kind, h, k, max_matvecs", [
+    ("tempered", 0.25, 2, 230),
+    ("tempered", 0.25, 4, None),
+    ("gaussian", 0.25, 4, None),
+    ("gaussian", 0.1, 2, 130),
+])
+def test_top_k_twin_start_matches_dense(kind, h, k, max_matvecs):
+    density = make_density(kind, 1, 1.0 if kind == "tempered" else 0.5,
+                           R=0.5 if kind == "tempered" else None)
+    T = build_conjugated(_box_grid(density, h), density, h, scheme=MULTIPLIER)
+    r = top_k(T, k)
+    lam = np.linalg.eigvalsh(T.to_dense())[::-1][:k]
+    np.testing.assert_allclose(r.eigenvalues, lam, rtol=0, atol=1e-12)
+    assert r.start == "banded twin"
+    assert r.matvecs > 0
+    if max_matvecs is not None:
+        assert r.matvecs <= max_matvecs
+
+
+def test_top_k_falls_back_to_the_seeded_start(gauss_half):
+    # scaled by 1.1, the banded twin's top eigenvalue (about 1.21) lies
+    # above the shift, so sigma I - B has no Cholesky factor
+    T = build_conjugated(_box_grid(gauss_half, 0.25), gauss_half, 0.25, scheme=MULTIPLIER)
+    big = 1.1 * T.lscale
+    T = dataclasses.replace(T, lscale=big, rscale=big)
+    r = top_k(T, 4)
+    lam = scipy.linalg.eigh(T.to_dense(), eigvals_only=True)[::-1][:4]
+    np.testing.assert_allclose(r.eigenvalues, lam, rtol=0, atol=1e-12)
+    assert r.eigenvalues[0] > 1.2
+    assert r.start == "seeded"
+
+
+def test_top_k_seeds_a_multiplier_operator_without_a_banded_twin(identity_op):
+    # h < 3 delta: the band cannot resolve the radius, the symbol needs none
+    r = top_k(dataclasses.replace(identity_op, h=0.2), 3)
+    np.testing.assert_allclose(r.eigenvalues, 1.0, atol=1e-12)
+    assert r.start == "seeded"
+    assert top_k(identity_op, 3).start == "banded twin"
+
+
 def test_dense_reference_agrees(banded_op):
     r = dense_reference(banded_op, k=6)
     s = top_k(banded_op, 6)
@@ -638,3 +681,14 @@ def test_eigen_result_json(banded_op):
         (pytest.approx(v), s) for v, s in r.clusters
     ]
 
+
+
+def test_eigen_result_json_carries_the_solve_cost(banded_op, gauss_half):
+    T = build_conjugated(_box_grid(gauss_half, 0.5), gauss_half, 0.5, scheme=MULTIPLIER)
+    for r, start in [(top_k(T, 3), "banded twin"), (top_k(banded_op, 3), "seeded")]:
+        blob = json.loads(r.to_json())
+        assert blob["start"] == r.start == start
+        assert blob["matvecs"] == r.matvecs > 0
+    # Sturm bisection asks for no matvec and has no Lanczos start
+    blob = json.loads(bottom_k(build_schrodinger(Grid(1, 7.0, 70), gauss_half), 3).to_json())
+    assert blob["matvecs"] == 0 and blob["start"] is None

@@ -55,7 +55,7 @@ def _window_eigenvalues(op):
                          ids=["gaussian", "tempered"])
 @pytest.mark.parametrize("h", [0.5, 0.25, 0.1])
 def test_multiplier_top_levels_match_h40(density, atol, h):
-    lam = _top_levels(density, h, 3)
+    lam = _top_levels(density, h, 3).eigenvalues
     fine = top_k(_operator(density, h, MULTIPLIER, rule=40), 3).eigenvalues
     np.testing.assert_allclose(lam, fine, rtol=0, atol=atol)
 
