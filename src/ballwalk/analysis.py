@@ -97,11 +97,13 @@ def mu_reference(density, k_max):
 # eigenvalue asymptotics
 
 def _top_levels(density, h, k):
-    """top_k's result for the k largest eigenvalues of the multiplier
-    T-tilde on [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE. lambda_0 must be
-    1 within LAMBDA_ZERO_TOL, or the box or taper is too tight
-    (ConfigError)."""
-    op = build_conjugated(_box_grid(density, h), density, h, scheme=MULTIPLIER)
+    """top_k's result for the k largest eigenvalues of T-tilde on
+    [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE: the banded chain in d = 1,
+    the multiplier scheme in d = 2. lambda_0 must be 1 within
+    LAMBDA_ZERO_TOL, or the box or the d = 2 taper is too tight
+    (ConfigError); the d = 1 chain has lambda_0 = 1 by construction."""
+    scheme = BANDED if density.dim == 1 else MULTIPLIER
+    op = build_conjugated(_box_grid(density, h), density, h, scheme=scheme)
     res = top_k(op, k)
     lam = res.eigenvalues
     if abs(lam[0] - 1.0) > LAMBDA_ZERO_TOL:
@@ -119,15 +121,17 @@ class AsymptoticsReport(Report):
     orders: np.ndarray  # p_k for k = 1..k_max
     c_fits: np.ndarray
     gaps: np.ndarray  # g(h) = 1 - lambda_1(h)
-    matvecs: list  # ARPACK's operator applications, one count per h
+    matvecs: list  # ARPACK's solves (d = 1) or matvecs (d = 2), one count per h
     passed: bool
     gamma: float
 
 
 def verify_asymptotics(density, k_max, h_list):
     """Fit the order of |1 - gamma_d mu_k h^2 - lambda_k(h)| against h,
-    with lambda_k(h) from the multiplier scheme on [-BOX_L, BOX_L]^d at
-    delta <= h/GRID_RULE (ConfigError where lambda_0 is not 1).
+    with lambda_k(h) the top levels of T-tilde from _top_levels (the
+    banded chain in d = 1, the multiplier scheme in d = 2) on
+    [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE (ConfigError where
+    lambda_0 is not 1).
 
     PASS means every k = 1..k_max fits order >= 3.5 and the smallest-h
     residual stays within twice its own h^4 trend line (so the last point
@@ -308,7 +312,7 @@ class GapReport(Report):
     lambda_1: float
     comparison: float  # h^2 gamma_d min(mu_1, (1-alpha_cfg) kappa)
     alpha_cfg: float
-    matvecs: int  # ARPACK's operator applications for lambda_1
+    matvecs: int  # ARPACK's solves (d = 1) or matvecs (d = 2) for lambda_1
 
 
 def _mu_1_if_below(density, floor):
@@ -327,7 +331,8 @@ def _mu_1_if_below(density, floor):
 
 
 def spectral_gap(density, h):
-    """Gap 1 - lambda_1 of the multiplier scheme on [-BOX_L, BOX_L]^d at
+    """Gap 1 - lambda_1 of T-tilde from _top_levels (the banded chain in
+    d = 1, the multiplier scheme in d = 2) on [-BOX_L, BOX_L]^d at
     delta <= h/GRID_RULE, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa),
     with mu_1 solved only where it can be below the floor (_mu_1_if_below).
     Like verify_asymptotics, it refuses (ConfigError) an h that is not

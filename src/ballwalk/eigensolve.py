@@ -2,26 +2,24 @@
 
 Three routes, matched to the operator shapes:
 
-  * top_k: ARPACK's implicitly restarted Lanczos (scipy eigsh) on the
-    matvec alone, so it works for the FFT multiplier scheme where no
-    matrix exists. ARPACK stops once each Ritz pair's residual estimate
-    is below RESIDUAL_RTOL / 100 relative to its Ritz value, 100x under
-    the gate rather than at machine precision; _finish's true residuals
-    then gate every returned pair at RESIDUAL_RTOL. Repeated eigenvalues
-    still surface only through rounding across the restarts, so the
-    degenerate-level tests are the arbiter of multiplicities. On a d = 1
-    multiplier operator A = D_a circ(G_1) D_a, ARPACK starts from the sum
-    of the top k eigenvectors of its banded twin B, the banded T-tilde
-    with A's own weight a: one banded Cholesky factor of sigma I - B at
-    sigma = 1 + 1e-3 and one loose shift-invert Lanczos run. Its OPinv
+  * top_k: ARPACK's implicitly restarted Lanczos (scipy eigsh), one
+    route per scheme. A symmetric banded operator B is solved in
+    shift-invert mode: one banded Cholesky factor of sigma I - B at
+    sigma = 1 + 1e-3, just above the top of a T-tilde, and Lanczos on
+    its solves, so the eigenvalues nearest 1 converge first. Its OPinv
     is the negated Cholesky solve, (B - sigma I)^{-1}: scipy maps the
     Ritz values back through 1/(lambda - sigma), so (sigma I - B)^{-1}
-    gives the right vectors with wrong eigenvalues. B differs from A only
-    in the kernel, so the start already lies near A's top eigenvectors
-    and A's run takes fewer matvecs. Every other operator, or one whose
-    sigma I - B is not positive definite, starts from a vector fixed by a
-    seed. The result records which start it took and how many matvecs
-    ARPACK asked for.
+    would give the right vectors with wrong eigenvalues. A multiplier
+    operator, which has no matrix, is solved on its matvec alone. Both
+    start from a vector fixed by a seed, and ARPACK stops once each Ritz
+    pair's residual estimate is below RESIDUAL_RTOL / 100 relative to
+    its Ritz value, 100x under the gate rather than at machine
+    precision; _finish's true residuals then gate every returned pair
+    at RESIDUAL_RTOL. Repeated eigenvalues still surface only through
+    rounding across the restarts, so the degenerate-level tests are the
+    arbiter of multiplicities. The result records how many operator
+    applications ARPACK asked for: solves on the banded route, matvecs
+    on the multiplier one.
   * bottom_k: LAPACK Sturm bisection (eigh_tridiagonal) on the two
     diagonals of the d = 1 Schrodinger matrix. A d = 2 operator is the
     Kronecker sum L_1 (+) L_1 of its d = 1 factor, so its bottom levels
@@ -51,8 +49,8 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConfigError, KernelUnderResolved, NoConvergence
-from .operators import BANDED, MULTIPLIER, DiscreteOperator, Grid, SchrodingerOperator, _conjugated
+from .errors import ConfigError, NoConvergence
+from .operators import BANDED, DiscreteOperator, Grid, SchrodingerOperator
 from .report import Report
 
 CLUSTER_RTOL = 1e-8
@@ -60,8 +58,7 @@ MAX_K = 50
 RESIDUAL_RTOL = 1e-9  # true-residual gate, relative to the spectral scale
 
 _LANCZOS_SEED = 0x9E3779B97F4A7C15  # fixed: solves must be reproducible
-_TWIN_SIGMA = 1.0 + 1e-3  # shift-invert target just above the top of a T-tilde
-_TWIN_TOL = 1e-4  # the twin's vectors only start A's run; A's tol gates the result
+_SHIFT = 1.0 + 1e-3  # banded shift-invert target, just above the top of a T-tilde
 
 
 @dataclass
@@ -72,8 +69,7 @@ class EigenResult(Report):
     method: str  # DenseReference | ARPACK | SturmBisection | SturmKroneckerSum
     grid_meta: dict = field(metadata={"json": "grid"})
     clusters: list = field(default_factory=list)  # (value, size) pairs
-    matvecs: int = 0  # operator applications ARPACK asked for (not _finish's)
-    start: str = None  # ARPACK's start vector: "banded twin" or "seeded"
+    matvecs: int = 0  # ARPACK's operator applications, solves or matvecs (not _finish's)
 
 
 def _cluster(values):
@@ -122,66 +118,49 @@ def _require_k(op, k):
         raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
 
 
-def _twin_start(op, k, v0):
-    """Start vector for ARPACK on a d = 1 multiplier operator A: the sum
-    of the k eigenvectors nearest _TWIN_SIGMA of its banded twin B, the
-    banded T-tilde with A's own weight (B differs from A only in the
-    kernel), from one shift-invert Lanczos run started at v0 on one
-    banded Cholesky factor of sigma I - B. None for any other operator, for a radius the
-    band cannot resolve, or where sigma I - B is not positive definite
-    (B reaches sigma)."""
-    if op.scheme != MULTIPLIER or op.grid.dim != 1:
-        return None
-    try:
-        ab = -_conjugated(op.grid, op.h, BANDED, op.lscale).to_banded()
-        ab[0] += _TWIN_SIGMA
-        chol = scipy.linalg.cholesky_banded(ab, lower=True)
-    except (KernelUnderResolved, np.linalg.LinAlgError):  # no twin, or B reaches sigma
-        return None
-    n = op.grid.size
-    # OPinv must apply (B - sigma I)^{-1}: with (sigma I - B)^{-1} the
-    # vectors still come out right, but scipy reports wrong eigenvalues
-    inv = LinearOperator(
-        (n, n), dtype=float,
-        matvec=lambda x: -scipy.linalg.cho_solve_banded((chol, True), x, check_finite=False))
-    # shift-invert ARPACK never applies B itself, only OPinv
-    _, vecs = eigsh(inv, k=k, sigma=_TWIN_SIGMA, OPinv=inv, v0=v0, tol=_TWIN_TOL)
-    return vecs.sum(axis=1)
-
-
 def top_k(op, k):
     """k largest eigenvalues (descending, with multiplicities) of a
     symmetric DiscreteOperator, by ARPACK's implicitly restarted Lanczos
-    on the matvec with its default restart budget. A d = 1 multiplier
-    operator starts from _twin_start's vector, which already lies near
-    its top k eigenvectors; any other operator, or one whose twin has no
-    Cholesky factor, from a vector fixed by _LANCZOS_SEED. The result
-    records the start and the matvecs ARPACK asked for. Whatever the
-    start, ARPACK stops at RESIDUAL_RTOL / 100 and every pair's true
-    residual must be <= RESIDUAL_RTOL * max|lambda|; multiplicities come
-    from rounding and are pinned by the degenerate-level tests."""
+    with its default restart budget, started from a vector fixed by
+    _LANCZOS_SEED: in shift-invert mode at _SHIFT on one banded Cholesky
+    factor for the banded scheme (ConfigError where _SHIFT I - A has none,
+    that is where A reaches _SHIFT), on the matvec for the multiplier
+    scheme. The result records the solves or matvecs ARPACK asked for.
+    ARPACK stops at RESIDUAL_RTOL / 100 and every pair's true residual
+    must be <= RESIDUAL_RTOL * max|lambda|; multiplicities come from
+    rounding and are pinned by the degenerate-level tests."""
     if not isinstance(op, DiscreteOperator) or not op.symmetric:
         raise ConfigError("top_k needs a symmetric DiscreteOperator")
     _require_k(op, k)
     n = op.grid.size
-    matvecs = 0
+    applied = 0
 
-    def matvec(u):
-        nonlocal matvecs
-        matvecs += 1
-        return op.matvec(u)
+    def counted(apply):
+        def f(u):
+            nonlocal applied
+            applied += 1
+            return apply(u)
+        return LinearOperator((n, n), matvec=f, dtype=float)
 
-    seeded = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    v0, start = _twin_start(op, k, seeded), "banded twin"
-    if v0 is None:
-        v0, start = seeded, "seeded"
-    A = LinearOperator((n, n), matvec=matvec, dtype=float)
+    mode = {"which": "LA"}
+    if op.scheme == BANDED:
+        ab = -op.to_banded()
+        ab[0] += _SHIFT
+        try:
+            chol = scipy.linalg.cholesky_banded(ab, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"sigma I - A has no Cholesky factor at sigma = {_SHIFT}: "
+                              "A reaches the shift") from exc
+        # OPinv must apply (A - sigma I)^{-1}; in this mode ARPACK applies
+        # OPinv alone, never A
+        mode = {"sigma": _SHIFT, "OPinv": counted(
+            lambda x: -scipy.linalg.cho_solve_banded((chol, True), x, check_finite=False))}
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     try:
-        vals, vecs = eigsh(A, k=k, which="LA", v0=v0, tol=RESIDUAL_RTOL / 100)
+        vals, vecs = eigsh(counted(op.matvec), k=k, v0=v0, tol=RESIDUAL_RTOL / 100, **mode)
     except ArpackNoConvergence as exc:
         raise NoConvergence(str(exc)) from exc
-    return _finish(op, vals, vecs, "ARPACK", scale=np.max(np.abs(vals)),
-                   matvecs=matvecs, start=start)
+    return _finish(op, vals, vecs, "ARPACK", scale=np.max(np.abs(vals)), matvecs=applied)
 
 
 def bottom_k(op, k):

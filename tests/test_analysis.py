@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ballwalk import analysis, eigensolve
+from ballwalk import analysis
 from ballwalk.analysis import (
     essential_band,
     mu_reference,
@@ -20,6 +20,7 @@ from ballwalk.analysis import (
 )
 from ballwalk.densities import make_density, tempered_A_h
 from ballwalk.errors import ConfigError, InsufficientHPoints, WrongDensityKind
+from ballwalk.operators import BANDED, build_conjugated
 
 H_SWEEP = [0.5, 0.35, 0.25, 0.18]
 
@@ -119,20 +120,34 @@ def test_asymptotics_refuses_a_k_max_that_is_not_an_integer(gauss_half, k_max):
         verify_asymptotics(gauss_half, k_max, H_SWEEP)
 
 
-def test_asymptotics_guards_lambda_zero(gauss_half, monkeypatch):
-    # box barely wider than the taper buffer: ground value degrades and
-    # the report must refuse rather than fit garbage
-    monkeypatch.setattr(analysis, "BOX_L", 7.5)
-    with pytest.raises(ConfigError):
-        verify_asymptotics(gauss_half, 1, [0.5, 0.35, 0.25])
+@pytest.fixture
+def tight_d2_box(monkeypatch):
+    # a d = 2 box barely wider than the taper buffer (5 at alpha = 1), on
+    # a coarse grid: the ground value degrades to lambda_0 = 0.9943 at
+    # h = 0.5, and a report must refuse rather than fit garbage
+    monkeypatch.setattr(analysis, "BOX_L", 5.5)
+    monkeypatch.setattr(analysis, "GRID_RULE", 3)
+    return make_density("gaussian", 2, 1.0)
 
 
-def test_gap_guards_lambda_zero(gauss_half, monkeypatch):
-    # the same too-tight box: lambda_0 = 1 - 3.7e-3 at h = 0.25, and a gap
-    # read off that grid would be the taper's, not the operator's
-    monkeypatch.setattr(analysis, "BOX_L", 7.5)
+def test_asymptotics_guards_lambda_zero(tight_d2_box):
     with pytest.raises(ConfigError, match="lambda_0"):
-        spectral_gap(gauss_half, 0.25)
+        verify_asymptotics(tight_d2_box, 1, [0.5, 0.35, 0.25])
+
+
+def test_gap_guards_lambda_zero(tight_d2_box):
+    # a gap read off that grid would be the taper's, not the operator's
+    with pytest.raises(ConfigError, match="lambda_0"):
+        spectral_gap(tight_d2_box, 0.5)
+
+
+def test_banded_lambda_zero_holds_on_a_tight_box(gauss_half, monkeypatch):
+    # the d = 1 banded chain has no taper: lambda_0 = 1 even on the box
+    # the multiplier scheme was refused on (1 - 3.7e-3 at h = 0.25)
+    monkeypatch.setattr(analysis, "BOX_L", 7.5)
+    for h in (0.5, 0.35, 0.25):
+        assert abs(analysis._top_levels(gauss_half, h, 2).eigenvalues[0] - 1.0) <= 1e-13
+    assert verify_asymptotics(gauss_half, 1, [0.5, 0.35, 0.25]).eigenvalues.shape == (3, 2)
 
 
 # every driver refuses an h outside (0, inf) up front, with one message
@@ -164,26 +179,19 @@ def test_solve_costs_json_roundtrip(asym, gauss_half):
     assert blob["matvecs"] == rep.matvecs > 0
 
 
-def test_twin_start_leaves_the_asymptotics_unchanged(asym, gauss_half, monkeypatch):
-    monkeypatch.setattr(eigensolve, "_twin_start", lambda *args: None)  # seeded start
-    seeded = verify_asymptotics(gauss_half, 3, H_SWEEP)
-    np.testing.assert_allclose(asym.eigenvalues, seeded.eigenvalues, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(asym.orders, seeded.orders, rtol=0, atol=1e-9)
-    assert asym.passed == seeded.passed
-    assert sum(asym.matvecs) < sum(seeded.matvecs)
-
-
-# the two gap calls of the spectral bench workload
-@pytest.mark.parametrize("kind, h", [("gaussian", 0.1), ("tempered", 0.25)])
-def test_twin_start_leaves_the_gap_unchanged(kind, h, gauss_half, tempered_unit, monkeypatch):
-    density = gauss_half if kind == "gaussian" else tempered_unit
+# the tempered alpha = 0.5 tail was too slow for the multiplier taper on
+# BOX_L = 12 (lambda_0 = 0.99995 at h = 0.4); the banded chain runs it
+@pytest.mark.parametrize("h, n", [(0.4, 600), (0.25, 960)])
+def test_gap_runs_a_slow_tempered_tail(h, n):
+    density = make_density("tempered", 1, 0.5, R=0.5)
+    op = build_conjugated(analysis._box_grid(density, h), density, h, scheme=BANDED)
+    assert op.grid.size == n
+    lam = np.linalg.eigvalsh(op.to_dense())[::-1][:2]
+    lam_0 = analysis._top_levels(density, h, 2).eigenvalues[0]
+    assert lam_0 == pytest.approx(1.0, rel=0, abs=1e-13)
     rep = spectral_gap(density, h)
-    monkeypatch.setattr(eigensolve, "_twin_start", lambda *args: None)
-    seeded = spectral_gap(density, h)
-    assert rep.lambda_1 == pytest.approx(seeded.lambda_1, rel=0, abs=1e-13)
-    assert rep.gap == pytest.approx(seeded.gap, rel=0, abs=1e-13)
-    assert rep.comparison == seeded.comparison
-    assert rep.matvecs < seeded.matvecs
+    assert rep.lambda_1 == pytest.approx(lam[1], rel=0, abs=1e-12)
+    assert 0.0 < rep.comparison < rep.gap < 1.0
 
 
 # --- essential band ---------------------------------------------------------------

@@ -88,47 +88,41 @@ def test_top_k_multiplier_matches_dense(gauss_half):
     np.testing.assert_allclose(r.eigenvalues, lam, atol=1e-9)
 
 
-# the d = 1 multiplier T-tilde of the drivers starts ARPACK from its banded
-# twin; the tempered k = 2 and 4 cases have box modes crowding lambda_1.
-# The matvec pins sit well below the seeded start's 252 and 317.
-@pytest.mark.parametrize("kind, h, k, max_matvecs", [
-    ("tempered", 0.25, 2, 230),
-    ("tempered", 0.25, 4, None),
-    ("gaussian", 0.25, 4, None),
-    ("gaussian", 0.1, 2, 130),
+# the d = 1 drivers' banded T-tilde by shift-invert Lanczos; the tempered
+# k = 2 and 4 cases have box modes crowding lambda_1. The Gaussian cases
+# converge in the first Lanczos pass of ncv = 20 vectors, 21 solves.
+@pytest.mark.parametrize("kind, h, k, max_solves", [
+    ("tempered", 0.25, 2, 45),
+    ("tempered", 0.25, 4, 60),
+    ("gaussian", 0.25, 4, 21),
+    ("gaussian", 0.1, 2, 21),
 ])
-def test_top_k_twin_start_matches_dense(kind, h, k, max_matvecs):
+def test_top_k_shift_invert_matches_dense(kind, h, k, max_solves):
     density = make_density(kind, 1, 1.0 if kind == "tempered" else 0.5,
                            R=0.5 if kind == "tempered" else None)
-    T = build_conjugated(_box_grid(density, h), density, h, scheme=MULTIPLIER)
+    T = build_conjugated(_box_grid(density, h), density, h, scheme=BANDED)
     r = top_k(T, k)
     lam = np.linalg.eigvalsh(T.to_dense())[::-1][:k]
     np.testing.assert_allclose(r.eigenvalues, lam, rtol=0, atol=1e-12)
-    assert r.start == "banded twin"
-    assert r.matvecs > 0
-    if max_matvecs is not None:
-        assert r.matvecs <= max_matvecs
+    assert 0 < r.matvecs <= max_solves
 
 
-def test_top_k_falls_back_to_the_seeded_start(gauss_half):
-    # scaled by 1.1, the banded twin's top eigenvalue (about 1.21) lies
-    # above the shift, so sigma I - B has no Cholesky factor
-    T = build_conjugated(_box_grid(gauss_half, 0.25), gauss_half, 0.25, scheme=MULTIPLIER)
+def test_top_k_refuses_a_banded_operator_that_reaches_the_shift(gauss_half):
+    # scaled by 1.1, the banded T-tilde's top eigenvalue (about 1.21) lies
+    # above the shift, so sigma I - T has no Cholesky factor
+    T = build_conjugated(_box_grid(gauss_half, 0.25), gauss_half, 0.25, scheme=BANDED)
     big = 1.1 * T.lscale
     T = dataclasses.replace(T, lscale=big, rscale=big)
-    r = top_k(T, 4)
-    lam = scipy.linalg.eigh(T.to_dense(), eigvals_only=True)[::-1][:4]
-    np.testing.assert_allclose(r.eigenvalues, lam, rtol=0, atol=1e-12)
-    assert r.eigenvalues[0] > 1.2
-    assert r.start == "seeded"
+    with pytest.raises(ConfigError, match=r"sigma = 1\.001"):
+        top_k(T, 4)
 
 
 def test_top_k_seeds_a_multiplier_operator_without_a_banded_twin(identity_op):
-    # h < 3 delta: the band cannot resolve the radius, the symbol needs none
+    # h < 3 delta: the band cannot resolve the radius, the symbol needs
+    # none, and the multiplier route solves on the matvec alone
     r = top_k(dataclasses.replace(identity_op, h=0.2), 3)
     np.testing.assert_allclose(r.eigenvalues, 1.0, atol=1e-12)
-    assert r.start == "seeded"
-    assert top_k(identity_op, 3).start == "banded twin"
+    assert r.method == "ARPACK" and r.matvecs > 0
 
 
 def test_dense_reference_agrees(banded_op):
@@ -358,12 +352,14 @@ def test_k_validation(banded_op):
         top_k(banded_op, MAX_K + 1)
 
 
-def test_no_convergence_on_tiny_budget(banded_op, monkeypatch):
-    # top_k runs on ARPACK's default restart budget; cut it to 4 restarts
+def test_no_convergence_on_tiny_budget(gauss_half, monkeypatch):
+    # top_k runs on ARPACK's default restart budget; cut it to 4 restarts.
+    # A multiplier operator: a banded shift-invert solve converges within 4
+    T = build_conjugated(_box_grid(gauss_half, 0.1), gauss_half, 0.1, scheme=MULTIPLIER)
     arpack = eigensolve.eigsh
     monkeypatch.setattr(eigensolve, "eigsh", lambda *a, **kw: arpack(*a, maxiter=4, **kw))
     with pytest.raises(NoConvergence):
-        top_k(banded_op, 5)
+        top_k(T, 5)
 
 
 # --- inertia counts -----------------------------------------------------------
@@ -684,11 +680,11 @@ def test_eigen_result_json(banded_op):
 
 
 def test_eigen_result_json_carries_the_solve_cost(banded_op, gauss_half):
+    # solves on the banded route, matvecs on the multiplier one
     T = build_conjugated(_box_grid(gauss_half, 0.5), gauss_half, 0.5, scheme=MULTIPLIER)
-    for r, start in [(top_k(T, 3), "banded twin"), (top_k(banded_op, 3), "seeded")]:
+    for r in (top_k(T, 3), top_k(banded_op, 3)):
         blob = json.loads(r.to_json())
-        assert blob["start"] == r.start == start
         assert blob["matvecs"] == r.matvecs > 0
-    # Sturm bisection asks for no matvec and has no Lanczos start
+    # Sturm bisection asks for neither
     blob = json.loads(bottom_k(build_schrodinger(Grid(1, 7.0, 70), gauss_half), 3).to_json())
-    assert blob["matvecs"] == 0 and blob["start"] is None
+    assert blob["matvecs"] == 0
