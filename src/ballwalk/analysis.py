@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import (_mass_quadrature, _require_h, _require_int, eval_density, kappa_analytic,
-                        tempered_A_h)
+from .densities import (MASS_RTOL, _mass_quadrature, _require_h, _require_int, eval_density,
+                        kappa_analytic, tempered_A_h)
 from .eigensolve import bottom_values, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
@@ -26,7 +26,6 @@ GRID_RULE = 10  # their T-tilde grids have delta <= h/GRID_RULE (tests/test_grid
 WEYL_LAMBDAS = tuple(np.linspace(0.10, 0.30, 9))  # weyl_curve's sweep; 0.3 stands in for delta_0
 MU_DELTAS = (4e-3, 2e-3)  # Richardson pair for the -Lap + V reference levels
 MU_1_MARGIN = 1e-2  # spectral_gap skips the pair when mu_1(MU_DELTAS[0]) > floor (1 + this)
-BAND_H_SWEEP = (0.4, 0.3, 0.2, 0.15)  # h values of the A_h residual fit
 
 
 def _even_grid(L, h, rule):
@@ -189,58 +188,41 @@ class BandReport(Report):
     h: float
     compact: bool
     M: float
-    A_h: float = float("nan")
-    A_h_probe: float = float("nan")
+    A_h: float = float("nan")  # closed form alpha h / sinh(alpha h)
+    A_h_probe: float = float("nan")  # max of 2 h rho / m_h over the tail probes
     band: tuple = ()
     kappa: float = float("nan")
-    lemma_residuals: dict = field(default_factory=dict)
-    c_fit: float = float("nan")
     passed: bool = True
 
 
 def essential_band(density, h):
-    """Band [M A_h, A_h] with the second-order residual check on A_h.
+    """Band [M A_h, A_h] of T-tilde, with A_h = alpha h / sinh(alpha h)
+    from tempered_A_h.
 
     Gaussian densities have no essential band (the operator is compact);
-    the report says so instead of erroring. The residual gate fits one C
-    over BAND_H_SWEEP plus h and requires every |A_h - 1 + kappa gamma h^2|
-    to stay within 1.5x the common h^4 trend, matching how tightly the tail
-    expansion actually holds. An h that is not finite and positive raises
-    ConfigError.
+    the report says so instead of erroring. For the tempered family,
+    a_h^2 = 2 h rho / m_h is evaluated at four tail points |x| >= R + h
+    with m_h from the ball-mass quadrature, not from A_h's closed form;
+    PASS iff every one is within MASS_RTOL * A_h of A_h, and A_h_probe is
+    their max. An h that is not finite and positive raises ConfigError.
     """
     _require_h(h)
-    if density.kind not in ("gaussian", "tempered"):
-        raise WrongDensityKind(f"no band model for density kind {density.kind!r}")
     M = find_min_M(density.dim)[1]
     if density.kind == "gaussian":
         return BandReport(h=h, compact=True, M=M)
 
-    gam = gamma_d(density.dim)
-    kappa = kappa_analytic(density)
     A_h = tempered_A_h(density, h)
-    # a_h^2 = 2h rho / m_h in the tail, m_h by quadrature, not A_h's closed form
     probes = density.R + 2.0 + 0.5 * np.arange(4) + h
-    m = _mass_quadrature(density, probes, h)
-    A_probe = float(np.max(2.0 * h * eval_density(density, probes) / m))
-
-    resid = {}
-    for hh in sorted(set(BAND_H_SWEEP + (h,)), reverse=True):
-        resid[hh] = abs(tempered_A_h(density, hh) - (1.0 - kappa * gam * hh**2))
-    hs = np.array(sorted(resid, reverse=True))
-    rs = np.array([resid[hh] for hh in hs])
-    c_fit = _fit_through_origin(hs**4, rs)
-    passed = bool(np.all(rs <= 1.5 * c_fit * hs**4))
+    a2 = 2.0 * h * eval_density(density, probes) / _mass_quadrature(density, probes, h)
     return BandReport(
         h=h,
         compact=False,
         M=M,
         A_h=A_h,
-        A_h_probe=A_probe,
+        A_h_probe=float(np.max(a2)),
         band=(M * A_h, A_h),
-        kappa=kappa,
-        lemma_residuals=resid,
-        c_fit=c_fit,
-        passed=passed,
+        kappa=kappa_analytic(density),
+        passed=bool(np.all(np.abs(a2 - A_h) <= MASS_RTOL * A_h)),
     )
 
 

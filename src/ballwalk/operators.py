@@ -246,10 +246,13 @@ class DiscreteOperator:
             raise NumericalError(f"refusing dense assembly at N={n}")
         if self.scheme == BANDED:
             C = scipy.linalg.toeplitz(np.pad(self.stencil, (0, n))[:n])
-        elif self.grid.dim != 1:
-            raise NumericalError("dense assembly of the 2-D multiplier scheme is not supported")
-        else:  # C[i, j] = kernel[(j - i) mod n], the circulant kernel of the symbol
-            C = scipy.linalg.circulant(np.fft.irfft(self.symbol, n=self.grid.N)).T
+        else:  # C[i, j] = kernel[(j - i) mod N per axis], the circulant of the symbol
+            d, N = self.grid.dim, self.grid.N
+            kernel = np.fft.irfftn(self.symbol, s=(N,) * d, axes=range(d))
+            D = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
+            # axis a's offsets vary along row axis a and column axis d + a
+            C = kernel[tuple(D.reshape([N if b in (a, d + a) else 1 for b in range(2 * d)])
+                             for a in range(d))].reshape(n, n)
         return self.lscale[:, None] * C * self.rscale[None, :]
 
     def to_banded(self):

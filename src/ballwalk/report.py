@@ -13,14 +13,13 @@ import numpy as np
 
 
 def _plain(v):
-    """Arrays and numpy scalars as Python values, tuples as lists, dict
-    keys as their repr (so float keys sort as strings)."""
+    """Arrays and numpy scalars as Python values, tuples as lists."""
     if isinstance(v, (np.ndarray, np.generic)):
         return v.tolist()
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
     if isinstance(v, dict):
-        return {k if isinstance(k, str) else repr(k): _plain(x) for k, x in v.items()}
+        return {k: _plain(x) for k, x in v.items()}
     return v
 
 

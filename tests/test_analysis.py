@@ -18,7 +18,7 @@ from ballwalk.analysis import (
     verify_asymptotics,
     weyl_curve,
 )
-from ballwalk.densities import make_density, tempered_A_h
+from ballwalk.densities import MASS_RTOL, make_density, tempered_A_h
 from ballwalk.errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from ballwalk.operators import BANDED, build_conjugated
 
@@ -90,6 +90,18 @@ def test_asymptotics_prediction_structure(asym):
 def test_order_fit_stability(gauss_half, asym):
     dropped = verify_asymptotics(gauss_half, 3, H_SWEEP[1:])
     assert np.max(np.abs(asym.orders - dropped.orders)) < 0.3
+
+
+def test_asymptotics_fails_on_wrong_reference_levels(gauss_half, asym, monkeypatch):
+    # mu_1..mu_3 off by 0.02 leave an h^2 term in every residual: the
+    # fitted orders fall below ORDER_MIN and the report must fail
+    mu_reference = analysis.mu_reference
+    monkeypatch.setattr(analysis, "mu_reference",
+                        lambda d, k: mu_reference(d, k) + np.r_[0.0, [0.02] * k])
+    rep = verify_asymptotics(gauss_half, 3, H_SWEEP)
+    assert not rep.passed
+    assert np.all(rep.orders < asym.orders)
+    assert rep.orders.min() < analysis.ORDER_MIN
 
 
 def test_cross_theorem_single_constant(gauss_half):
@@ -205,8 +217,6 @@ def test_band_report_tempered(tempered_unit):
     assert rep.band[0] == pytest.approx(rep.M * rep.A_h, rel=1e-14)
     assert rep.kappa == 1.0
     assert rep.passed
-    # the tail expansion constant: |A_h - 1 + kappa h^2/6| / h^4 -> 7/360
-    assert rep.c_fit == pytest.approx(7.0 / 360.0, rel=0.05)
 
 
 def test_band_report_gaussian_compact(gauss_half):
@@ -216,13 +226,23 @@ def test_band_report_gaussian_compact(gauss_half):
     assert math.isnan(rep.A_h)
 
 
-def test_band_lemma_residual_gate(tempered_unit):
-    # |A_h - 1 + kappa gamma h^2| / h^4 stays in the narrow analytic window
-    # around the sinh quartic term 7/360 over the whole sweep
-    resid = essential_band(tempered_unit, 0.2).lemma_residuals
-    assert sorted(resid) == [0.15, 0.2, 0.3, 0.4]
-    for h, r in resid.items():
-        assert 0.0185 <= r / h**4 <= 0.0200
+@pytest.mark.parametrize("alpha, h", [(4.0, 1.0), (2.0, 2.0)])
+def test_band_gate_reads_the_tail_quadrature(alpha, h):
+    # the probes' 2 h rho / m_h meet the closed form alpha h / sinh(alpha h)
+    # well inside the quadrature tolerance, also where the h^2 series is poor
+    rep = essential_band(make_density("tempered", 1, alpha, R=0.5), h)
+    assert rep.passed
+    assert abs(rep.A_h_probe - rep.A_h) <= 1e-13 * rep.A_h
+
+
+def test_band_gate_fails_on_a_wrong_mass(tempered_unit, monkeypatch):
+    # masses off by twice MASS_RTOL move every probe outside the gate
+    quad = analysis._mass_quadrature
+    monkeypatch.setattr(analysis, "_mass_quadrature",
+                        lambda d, r, h: quad(d, r, h) * (1.0 + 2.0 * MASS_RTOL))
+    rep = essential_band(tempered_unit, 0.2)
+    assert not rep.passed
+    assert rep.A_h == 0.2 / math.sinh(0.2)
 
 
 def test_band_json(tempered_unit):

@@ -443,6 +443,16 @@ def test_exact_A_h_rejects_gaussian(gauss_half):
         tempered_A_h(gauss_half, 0.2)
 
 
+def test_exact_A_h_second_order_residual():
+    # |A_h - 1 + kappa gamma h^2| / h^4 stays in the narrow analytic window
+    # around the sinh quartic term 7/360 over the whole sweep
+    dens = make_density("tempered", 1, 1.0, R=0.5)
+    kg = kappa_analytic(dens) * gamma_d(1)
+    for h in (0.4, 0.3, 0.2, 0.15):
+        r = abs(tempered_A_h(dens, h) - (1.0 - kg * h**2))
+        assert 0.0185 <= r / h**4 <= 0.0200
+
+
 # --- properties --------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)

@@ -117,7 +117,7 @@ def test_top_k_refuses_a_banded_operator_that_reaches_the_shift(gauss_half):
         top_k(T, 4)
 
 
-def test_top_k_seeds_a_multiplier_operator_without_a_banded_twin(identity_op):
+def test_top_k_multiplier_route_needs_no_band(identity_op):
     # h < 3 delta: the band cannot resolve the radius, the symbol needs
     # none, and the multiplier route solves on the matvec alone
     r = top_k(dataclasses.replace(identity_op, h=0.2), 3)
@@ -192,6 +192,14 @@ def test_top_k_degenerate_levels_d2(conjugated_d2):
     assert [s for _, s in r.clusters] == [1, 2, 2, 1]
     assert r.method == "ARPACK"
     assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
+
+
+def test_top_k_d2_multiplier_matches_dense():
+    # the d = 2 multiplier route against eigh of the assembled circulant
+    T = build_conjugated(Grid(2, 6.0, 40), make_density("gaussian", 2, 1.0), 0.9)
+    r = top_k(T, 6)
+    lam = np.linalg.eigvalsh(T.to_dense())[::-1][:6]
+    np.testing.assert_allclose(r.eigenvalues, lam, rtol=0, atol=1e-12)
 
 
 # the d = 2 bottom_k sums the levels of the d = 1 factor, the construction

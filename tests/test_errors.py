@@ -14,15 +14,25 @@ import inspect
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ballwalk import errors
-from ballwalk.densities import ball_mass_grid, make_density
-from ballwalk.errors import ConfigError
-from ballwalk.operators import BANDED, Grid, build_ball_average, build_conjugated, build_markov
+from ballwalk import errors, walk
+from ballwalk.densities import ball_mass_grid, eval_density, make_density
+from ballwalk.eigensolve import bottom_k
+from ballwalk.errors import ConfigError, NumericalError, RejectionBudgetExceeded
+from ballwalk.operators import (
+    BANDED,
+    Grid,
+    build_ball_average,
+    build_conjugated,
+    build_markov,
+    build_schrodinger,
+)
 from ballwalk.walk import (
     WalkConfig,
     make_rng,
+    nu_h_tail,
     sample_stationary,
     simulate_paths,
     step_sample,
@@ -135,3 +145,37 @@ def test_bad_count_refused_at_every_entry_point(name, call):
     with pytest.raises(ConfigError, match=rf"^{name} must be (an integer|at least)"):
         call(rng)
     assert rng.uniform() == make_rng(4).uniform()  # no draw was made
+
+
+GAUSS_2D = make_density("gaussian", 2, 0.5)
+
+
+@pytest.mark.parametrize("error, match, call", [
+    (ConfigError, "implemented for d = 1", lambda: build_markov(Grid(2, 6.0, 48), GAUSS_2D, 0.5)),
+    (ConfigError, "implemented for d = 1",
+     lambda: sample_stationary(GAUSS_2D, 0.25, make_rng(4), size=10)),
+    (ConfigError, "implemented for d = 1", lambda: nu_h_tail(GAUSS_2D, 0.25, 1.0)),
+    (ConfigError, "trailing axis of length 2", lambda: eval_density(GAUSS_2D, np.zeros(3))),
+    (ConfigError, "expects a SchrodingerOperator",
+     lambda: bottom_k(build_conjugated(Grid(1, 4.0, 64), GAUSS, 0.5, scheme=BANDED), 2)),
+    (NumericalError, "refusing dense assembly at N=4900",
+     lambda: build_schrodinger(Grid(2, 7.0, 70), GAUSS_2D).to_dense()),
+], ids=["build_markov-d2", "sample_stationary-d2", "nu_h_tail-d2", "eval_density-d2-shape",
+        "bottom_k-discrete", "schrodinger-to_dense-cap"])
+def test_unsupported_input_refused(error, match, call):
+    # d = 1 only paths, a point of the wrong shape, the wrong operator
+    # class and a dense matrix past the size cap each raise, typed
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_nu_h_tail_is_zero_past_the_decay_cut():
+    assert nu_h_tail(GAUSS, 0.25, 10.0) == 0.0
+
+
+def test_step_batch_stops_at_the_rejection_budget(monkeypatch):
+    # at x = 8 the envelope rho(x - h) rejects most proposals: with one
+    # trial allowed per path, some of the 64 paths are left stuck
+    monkeypatch.setattr(walk, "REJECTION_BUDGET", 1)
+    with pytest.raises(RejectionBudgetExceeded, match="after 1 trials"):
+        walk._step_batch(GAUSS, 0.25, np.full(64, 8.0), make_rng(3))

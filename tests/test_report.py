@@ -3,8 +3,8 @@
 Each report is built from literal values, with no solver in the loop, so
 its to_json() bytes are the same on any machine. The expected strings
 were captured from the per-class to_json methods the shared serializer
-replaced; numpy scalars, 2-D arrays, nan, inf, an empty band and float
-dict keys that sort differently as strings ('10.0' < '2.0') are covered.
+replaced; numpy scalars, 2-D arrays, nan, inf and an empty band are
+covered.
 """
 
 import math
@@ -42,8 +42,6 @@ def _reports():
             A_h_probe=np.float64(0.99335548172757),
             band=(np.float64(-0.2157902), 0.9933554817275746),
             kappa=1.0,
-            lemma_residuals={2.0: 1.5e-05, 10.0: third, 0.2: 4.4e-06},
-            c_fit=0.0027,
             passed=np.bool_(False),
         ),
         "band_gaussian": BandReport(h=0.25, compact=True, M=-0.21723362821122166),
@@ -86,8 +84,8 @@ def _reports():
 
 GOLDEN = {
     'asymptotics': '{"c_fits": [0.0104], "eigenvalues": [[1.0, 0.9466666666666667], [1.0, 0.3333333333333333], [1.0, 0.9866]], "gamma": 0.16666666666666666, "gaps": [0.0533, 0.03, 0.0134], "h": [0.4, 0.3, 0.2], "matvecs": [35, 36, 64], "mu": [0.0, 2.0], "orders": [3.97], "passed": true, "predicted": [[1.0, 0.9466], [1.0, 0.97], [1.0, 0.9866666666666667]], "residuals": [[0.0, 6.66e-05], [0.0, NaN], [0.0, 2.1e-06]]}',
-    'band_gaussian': '{"A_h": NaN, "A_h_probe": NaN, "M": -0.21723362821122166, "band": [], "c_fit": NaN, "compact": true, "h": 0.25, "kappa": NaN, "lemma_residuals": {}, "passed": true}',
-    'band_tempered': '{"A_h": 0.9933554817275746, "A_h_probe": 0.99335548172757, "M": -0.21723362821122166, "band": [-0.2157902, 0.9933554817275746], "c_fit": 0.0027, "compact": false, "h": 0.2, "kappa": 1.0, "lemma_residuals": {"0.2": 4.4e-06, "10.0": 0.3333333333333333, "2.0": 1.5e-05}, "passed": false}',
+    'band_gaussian': '{"A_h": NaN, "A_h_probe": NaN, "M": -0.21723362821122166, "band": [], "compact": true, "h": 0.25, "kappa": NaN, "passed": true}',
+    'band_tempered': '{"A_h": 0.9933554817275746, "A_h_probe": 0.99335548172757, "M": -0.21723362821122166, "band": [-0.2157902, 0.9933554817275746], "compact": false, "h": 0.2, "kappa": 1.0, "passed": false}',
     'eigen': '{"clusters": [[1.0, 1], [0.9916666666666667, 1]], "eigenvalues": [1.0, 0.9916666666666667], "grid": {"L": 12.0, "N": 720, "dim": 1, "h": 0.3}, "matvecs": 177, "method": "ARPACK", "residuals": [1e-15, 2.5e-15]}',
     'gap': '{"alpha_cfg": 0.9, "comparison": 0.3333333333333333, "gap": 0.0016658, "h": 0.1, "lambda_1": 0.9983342, "matvecs": 92}',
     'paths': '{"ns": [0, 1, 2], "paths": 1000, "rng": "philox4x64", "seed": 7, "tv_exact": [1.0, 0.97, 0.94], "tv_mc": [1.0, 0.98, 0.95], "tv_mc_se": [0.0019, 0.3333333333333333, 0.0068]}',
