@@ -103,7 +103,11 @@ def _tempered_norm_integral(alpha, R):
 
 def eval_density(density, x):
     """rho(x). For d = 2, x has the coordinate pair on its last axis."""
-    r = _radius(density, x)
+    return _rho_at_radius(density, _radius(density, x))
+
+
+def _rho_at_radius(density, r):
+    """rho at the radius r >= 0 (an array or a scalar), in any dim."""
     if density.kind == GAUSSIAN:
         return density.beta * np.exp(-density.alpha * r * r)
     return density.beta * np.exp(-density.alpha * _s(density.R, r))

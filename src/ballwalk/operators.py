@@ -14,9 +14,10 @@ Four operators on a truncated uniform grid:
 The first three share one form, A = diag(lscale) C diag(rscale) with C a
 symmetric Toeplitz band or circulant, so A's transpose swaps the scales.
 Grid nodes are cell centers, x_i = -L + (i + 1/2) delta. The banded scheme
-restricts the infinite banded matrix to the box (zero extension), and all
-its products are DiscreteOperator.powers: one matmul per step of a stack
-of Toeplitz blocks with both scales folded in, built once per operator.
+restricts the infinite banded matrix to the box (zero extension) and
+caches nothing: a vector product is one band convolution (_band_apply),
+and DiscreteOperator.powers steps an (n, S) block by one matmul per step
+of a stack of Toeplitz blocks with both scales folded in, built per call.
 Its T and T-tilde are one chain, the ball walk of rho restricted to the
 box: both are normalized by the in-box stencil mass m = C rho, so T is
 exactly stochastic with the stationary law nu ~ rho m (_banded_chain).
@@ -105,8 +106,6 @@ def band_weights(h, delta):
     # solve u (K-1)^2 + v K^2 = m2 with u + v = mass
     u = (mass * K * K - m2) / (2.0 * K - 1.0)
     v = mass - u
-    if u <= 0 or v <= 0:
-        raise NumericalError(f"edge weights not positive at h/delta={h/delta}")
     c[K - 1] = u
     c[K] = v
     return c
@@ -145,16 +144,12 @@ def taper_profile(grid, h, alpha):
 _BLOCK_ROWS = 12
 
 
-def _toeplitz_block(c):
-    """The B x (B + 2K) block T[r, r + K + m] = c[|m|], |m| <= K: the rows
-    of the symmetric band C for one block of B outputs, against that
-    block's window of the input padded with K zeros at each end."""
+def _band_apply(c, u):
+    """C u for the symmetric band C[i, j] = c[|i - j|], |i - j| <= K, cut
+    to the len(u) nodes (zero extension): one full convolution, which also
+    holds when 2K + 1 > len(u)."""
     K = len(c) - 1
-    full = np.concatenate([c[:0:-1], c])
-    T = np.zeros((_BLOCK_ROWS, _BLOCK_ROWS + 2 * K))
-    for r in range(_BLOCK_ROWS):
-        T[r, r : r + 2 * K + 1] = full
-    return T
+    return np.convolve(u, np.concatenate([c[:0:-1], c]))[K : K + len(u)]
 
 
 @dataclass
@@ -163,8 +158,8 @@ class DiscreteOperator:
     C[i, j] = stencil[|i - j|], |i - j| <= K (banded scheme), or the
     circulant of the real symbol on the periodic box (multiplier scheme).
     A^T swaps lscale and rscale, so A is symmetric when they are equal.
-    powers is the one banded kernel: matvec is one step of it,
-    walk._evolve an (n, S) block of them."""
+    The banded scheme has one kernel per operand: matvec is a band
+    convolution, powers (walk._evolve) a block GEMM."""
 
     scheme: str
     grid: Grid
@@ -184,8 +179,7 @@ class DiscreteOperator:
         if u.shape != (self.grid.size,):
             raise ConfigError(f"expected shape ({self.grid.size},), got {u.shape}")
         if self.scheme == BANDED:
-            *_, y = self.powers(u[:, None], 1)
-            return y[:, 0]
+            return self.lscale * _band_apply(self.stencil, self.rscale * u)
         # rfft on the last axis, then fft on each leading one (d = 2 has
         # one): what rfftn does, without its n-d argument handling
         N, lead = self.grid.N, range(self.grid.dim - 1)
@@ -197,37 +191,33 @@ class DiscreteOperator:
             w = np.fft.ifft(w, axis=ax)
         return self.lscale * np.fft.irfft(w, n=N).ravel()
 
-    @functools.cached_property
-    def _stack(self):
-        """A in blocks of B = _BLOCK_ROWS rows, the (rows / B, B, B + 2K)
-        stack powers multiplies (rows = n padded to a multiple of B with
-        zero rows): each Toeplitz block times lscale on its rows and its
-        window of the zero-padded rscale on its columns. Built on the first
-        banded product, so to_banded alone never builds it; new scales take
-        a new operator (dataclasses.replace), not an edit in place."""
-        B, K, pad = _BLOCK_ROWS, len(self.stencil) - 1, -self.grid.size % _BLOCK_ROWS
-        lrows = np.pad(self.lscale, (0, pad)).reshape(-1, B, 1)
-        rcols = sliding_window_view(np.pad(self.rscale, (K, K + pad)), B + 2 * K)[::B, None]
-        return _toeplitz_block(self.stencil) * lrows * rcols
-
     def powers(self, q0, n_max):
         """Yield A^k q0, k = 0 .. n_max, for an (n, S) block q0.
 
-        The powers live inside two zero-padded (K + rows + K, S) buffers
-        that swap every step. Each buffer gets its overlapping (B + 2K) x S
-        windows, B rows apart, and its interior as (rows / B, B, S) once;
-        a step is then one np.matmul of _stack against one buffer's
-        windows, straight into the other's interior (the zero rows of the
-        last block clear the rows it spills into). Each power is an (n, S)
-        view that the step two powers later overwrites. The next step reads
-        that same view, so an in-place edit of a yielded power, made before
-        the next one is asked for, carries into every later power.
+        A is taken in blocks of B = _BLOCK_ROWS rows (rows = n padded to a
+        multiple of B with zero rows): the (rows / B, B, B + 2K) stack of
+        the Toeplitz block T[r, r + K + m] = c[|m|], |m| <= K, times lscale
+        on its rows and its window of the zero-padded rscale on its
+        columns. The powers live inside two zero-padded (K + rows + K, S)
+        buffers that swap every step. Each buffer gets its overlapping
+        (B + 2K) x S windows, B rows apart, and its interior as
+        (rows / B, B, S) once; a step is then one np.matmul of the stack
+        against one buffer's windows, straight into the other's interior
+        (the zero rows of the last block clear the rows it spills into).
+        Each power is an (n, S) view that the step two powers later
+        overwrites. The next step reads that same view, so an in-place edit
+        of a yielded power, made before the next one is asked for, carries
+        into every later power.
         """
         if self.scheme != BANDED:
             raise ConfigError("powers needs the banded scheme")
         (n, S), K, B = q0.shape, len(self.stencil) - 1, _BLOCK_ROWS
-        stack = self._stack
-        rows = len(stack) * B
+        pad = -n % B
+        rows = n + pad
+        full = np.pad(np.concatenate([self.stencil[:0:-1], self.stencil]), (0, B - 1))
+        lrows = np.pad(self.lscale, (0, pad)).reshape(-1, B, 1)
+        rcols = sliding_window_view(np.pad(self.rscale, (K, K + pad)), B + 2 * K)[::B, None]
+        stack = scipy.linalg.toeplitz(np.pad(full[:1], (0, B - 1)), full) * lrows * rcols
         # per buffer: the power, its windows, its interior as blocks
         cur, nxt = ((buf[K : K + n],
                      sliding_window_view(buf, B + 2 * K, axis=0)[::B].swapaxes(1, 2),
@@ -297,20 +287,18 @@ def _banded_chain(grid, density, h):
     """The ball walk of rho restricted to the box, on the banded stencil.
 
     Returns the one-sided stencil c, rho at the N nodes and the in-box
-    stencil mass m = C rho, one full convolution cut to the grid (which
-    also holds when 2K + 1 > N). With that m, T = diag(1/m) C diag(rho)
-    is row-stochastic, and nu proportional to rho * m is exactly
-    stationary and reversible for it.
+    stencil mass m = C rho, the band convolution the banded matvec also
+    uses. With that m, T = diag(1/m) C diag(rho) is row-stochastic, and
+    nu proportional to rho * m is exactly stationary and reversible for it.
     """
     _require_h(h)
     if grid.dim != 1 or density.dim != 1:
         raise ConfigError("the banded chain is implemented for d = 1")
     _require_resolved(grid, h)
     c = band_weights(h, grid.delta)
-    K = len(c) - 1
     x = grid.axis_nodes()
     rho = eval_density(density, x)
-    m = np.convolve(rho, np.concatenate([c[:0:-1], c]))[K : K + grid.N]
+    m = _band_apply(c, rho)
     _require_mass(density, x, m)
     return c, rho, m
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .densities import (_adaptive_gl, _adaptive_gl_batch, _radius, _require_h, _require_int,
-                        ball_mass_grid, eval_density)
+                        _rho_at_radius, ball_mass_grid, eval_density)
 from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
 from .operators import Grid, build_markov
 from .report import Report
@@ -70,10 +70,7 @@ def _step_batch(density, h, xs, rng):
         x = out[idx]
         u = rng.uniform(-1.0, 1.0, size=x.shape)
         y = x + h * u
-        near = np.maximum(_radius(density, x) - h, 0.0)
-        if density.dim == 2:
-            near = np.column_stack([near, np.zeros_like(near)])
-        sup = eval_density(density, near)
+        sup = _rho_at_radius(density, np.maximum(_radius(density, x) - h, 0.0))
         ok = rng.uniform(size=idx.size) * sup <= eval_density(density, y)
         ok &= _radius(density, u) <= 1.0  # always true for d = 1
         out[idx[ok]] = y[ok]
@@ -133,8 +130,15 @@ def _decay_cut(density, extra=0.0):
     return density.R + 45.0 / density.alpha + extra
 
 
+def _require_tau(tau):
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ConfigError(f"tau must be finite and >= 0, got {tau!r}")
+
+
 def nu_h_tail(density, h, tau):
-    """nu_h(|y| >= tau) by quadrature (d = 1)."""
+    """nu_h(|y| >= tau) by quadrature (d = 1); ConfigError unless tau is
+    finite and >= 0."""
+    _require_tau(tau)
     if density.dim != 1:
         raise ConfigError("nu_h quadrature is implemented for d = 1")
     cut = _decay_cut(density, extra=h)
@@ -153,7 +157,9 @@ def nu_h_tail(density, h, tau):
 def p_tau(density, h, tau):
     """The tail weight the lower-bound theorem pairs with the witness:
     e^{-2 alpha tau (tau - h)} for the Gaussian family, the squared-density
-    tail integral for the tempered one."""
+    tail integral for the tempered one; ConfigError unless tau is finite
+    and >= 0."""
+    _require_tau(tau)
     if density.kind == "gaussian":
         return math.exp(-2.0 * density.alpha * tau * (tau - h))
     rho2 = lambda x: eval_density(density, x) ** 2
@@ -240,13 +246,9 @@ def _evolve_tv(P, starts, n_max):
     the (n_max + 1, S) table TV_n = 1 . |e_n| / 2, one abs and one GEMV per
     chunk of _TV_CHUNK_ROWS rows through one (chunk, S) scratch.
 
-    The block holds only the rows of _tv_window. P is reversible for nu,
-    so p_n(y) = nu(y) P^n(y, x0) / nu(x0) <= nu(y) / nu(x0), and
-    |e_n(y)| <= beta nu(y) with beta = 1 + 1 / min_s nu(x_s). P^T cut to
-    a row window W does not grow the 1-norm, so against the whole box each
-    TV_n moves by at most (n + 1) beta nu(W^c) / 2: with
-    beta nu(W^c) <= _TV_TRIM / (n_max + 1), every TV_n is within
-    _TV_TRIM = 2^-65 of the whole box's.
+    The block holds only the rows of _tv_window, so every TV_n is within
+    _TV_TRIM = 2^-65 of the whole box's (the bound is in the module
+    docstring).
     """
     P, starts = _tv_window(P, starts, n_max)
     n, S = P.grid.size, len(starts)
@@ -438,6 +440,11 @@ def simulate_paths(config, grid):
     the grid chain's nu being stationary, so nothing is evolved. The grid
     must pass _require_tv_grid, and x0 must be None or finite inside the
     box, |x0| < grid.L (ConfigError otherwise).
+
+    From x0, tv_mc[0] is not comparable with tv_exact[0]: the paths start
+    at x0, binned by floor, and the exact curve at the nearest node. At
+    x0 = 2.0 on Grid(1, 12, 2400), a cell boundary, those are cell 1400
+    and node 1399, so tv_mc[0] is about 0 against tv_exact[0] about 1.
 
     The per-n estimator is the signed measure difference on the exact
     curve's maximizing set A*_n = {p_n > nu}: a binomial proportion, so it

@@ -33,6 +33,7 @@ from ballwalk.walk import (
     WalkConfig,
     make_rng,
     nu_h_tail,
+    p_tau,
     sample_stationary,
     simulate_paths,
     step_sample,
@@ -112,13 +113,20 @@ def test_bad_h_refused_at_every_entry_point(call, h):
     lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, math.inf),
     lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, -1.0),
     lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, 0.0),
+    lambda: nu_h_tail(GAUSS, 0.25, -1.0),
+    lambda: nu_h_tail(GAUSS, 0.25, math.nan),
+    lambda: nu_h_tail(GAUSS, 0.25, math.inf),
+    lambda: p_tau(GAUSS, 0.25, math.nan),
+    lambda: p_tau(make_density("tempered", 1, 1.0, R=0.5), 0.25, -1.0),
 ], ids=["gaussian-alpha-inf", "gaussian-alpha-nan", "tempered-alpha-inf", "tempered-R-inf",
         "tempered-R-nan", "grid-L-inf", "grid-L-nan", "gap-nan", "gap-inf", "gap-negative",
-        "gap-zero"])
+        "gap-zero", "nu_h_tail-tau-negative", "nu_h_tail-tau-nan", "nu_h_tail-tau-inf",
+        "p_tau-tau-nan", "p_tau-tau-negative"])
 def test_non_finite_inputs_refused(call):
     # alpha = inf once gave a Density with beta = inf, R or L = inf a bare
-    # RuntimeWarning, and a nan or negative gap a silent c_fit = nan or a
-    # "dominated" verdict against a growing bound
+    # RuntimeWarning, a nan or negative gap a silent c_fit = nan or a
+    # "dominated" verdict against a growing bound, and a tau < 0 or nan a
+    # "probability" nu_h_tail of 1.84 or 0.0 and a p_tau of nan
     with pytest.raises(ConfigError, match="finite"):
         call()
 

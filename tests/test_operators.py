@@ -106,6 +106,28 @@ def test_band_weights_positive(h, ratio):
     assert np.all(c > 0)
 
 
+def test_band_weights_edge_pair_bounded_below():
+    # in units of delta the edge pair depends on t = h / delta alone:
+    # u = ((t - K + 3/2) K^2 - t^3/3 + S) / (2K - 1) and v = t - K + 3/2 - u,
+    # S = sum of j^2 for j <= K - 2. Scanned over K = 2 .. 399 with 20,000
+    # t per K in (K, K + 1], u >= 1/3 (reached at h = 3 delta) and v > 7/18
+    # (its infimum as h -> 2 delta from above): the pair is never near 0
+    frac = np.arange(1, 20001) / 20000.0
+    lo_u = lo_v = np.inf
+    for K in range(2, 400):
+        t = K + frac
+        S = (K - 2) * (K - 1) * (2 * K - 3) / 6.0
+        mass = t - (K - 1.5)
+        u = (mass * K * K - (t**3 / 3.0 - S)) / (2 * K - 1)
+        lo_u, lo_v = min(lo_u, u.min()), min(lo_v, (mass - u).min())
+        for i in (0, 4999, 9999, 19999):  # the closed form is band_weights' pair
+            c = band_weights(t[i], 1.0)
+            assert len(c) - 1 == K
+            np.testing.assert_allclose(c[-2:], [u[i], mass[i] - u[i]], rtol=0, atol=1e-10)
+    assert lo_u >= 1.0 / 3.0 - 1e-15
+    assert lo_v > 7.0 / 18.0
+
+
 def test_kernel_under_resolved():
     with pytest.raises(KernelUnderResolved):
         band_weights(0.25, 0.13)  # K = 1
@@ -499,8 +521,13 @@ def test_banded_block_product_matches_dense(g, h, K):
         A = op.to_dense()
         for u in rng.standard_normal((3, g.size)):
             ref = A @ u
-            np.testing.assert_allclose(op.matvec(u), ref, rtol=0,
-                                       atol=1e-12 * np.max(np.abs(ref)))
+            y = op.matvec(u)
+            np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+            # the vector kernel (a band convolution) against the block one,
+            # relative to |A| |u|, the scale both sums round on
+            *_, step = op.powers(u[:, None], 1)
+            np.testing.assert_allclose(y, step[:, 0], rtol=0,
+                                       atol=1e-15 * np.max(np.abs(A) @ np.abs(u)))
     # the block path of the kernel: the exact TV evolution carries its
     # starts as the columns of one (n, S) block, checked against dense
     # powers of the Markov matrix's transpose
@@ -562,6 +589,13 @@ def test_products_leave_operand_alone(gauss_half):
     assert y.shape == u.shape
     assert not np.shares_memory(y, u)
     np.testing.assert_array_equal(u, before)
+    # powers copies its start block in: no power it yields is q0's memory
+    q0 = np.random.default_rng(6).standard_normal((g.size, 3))
+    before = q0.copy()
+    for q in P.powers(q0, 3):
+        assert not np.shares_memory(q, q0)
+        q += 1.0  # an edit of a power carries forward, not back into q0
+    np.testing.assert_array_equal(q0, before)
 
 
 def test_operand_shapes_rejected(gauss_half):
