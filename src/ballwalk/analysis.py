@@ -15,7 +15,7 @@ from .densities import (MASS_RTOL, _mass_quadrature, _require_h, _require_int, e
 from .eigensolve import bottom_values, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
-from .operators import BANDED, MULTIPLIER, Grid, build_conjugated, build_schrodinger
+from .operators import BANDED, Grid, build_conjugated, build_schrodinger
 from .report import Report
 
 LAMBDA_ZERO_TOL = 1e-6  # lambda_0 must sit at 1 for every h
@@ -97,12 +97,11 @@ def mu_reference(density, k_max):
 
 def _top_levels(density, h, k):
     """top_k's result for the k largest eigenvalues of T-tilde on
-    [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE: the banded chain in d = 1,
-    the multiplier scheme in d = 2. lambda_0 must be 1 within
+    [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE, in build_conjugated's
+    default scheme (operators._SCHEME_OF_DIM). lambda_0 must be 1 within
     LAMBDA_ZERO_TOL, or the box or the d = 2 taper is too tight
     (ConfigError); the d = 1 chain has lambda_0 = 1 by construction."""
-    scheme = BANDED if density.dim == 1 else MULTIPLIER
-    op = build_conjugated(_box_grid(density, h), density, h, scheme=scheme)
+    op = build_conjugated(_box_grid(density, h), density, h)
     res = top_k(op, k)
     lam = res.eigenvalues
     if abs(lam[0] - 1.0) > LAMBDA_ZERO_TOL:
@@ -127,10 +126,9 @@ class AsymptoticsReport(Report):
 
 def verify_asymptotics(density, k_max, h_list):
     """Fit the order of |1 - gamma_d mu_k h^2 - lambda_k(h)| against h,
-    with lambda_k(h) the top levels of T-tilde from _top_levels (the
-    banded chain in d = 1, the multiplier scheme in d = 2) on
-    [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE (ConfigError where
-    lambda_0 is not 1).
+    with lambda_k(h) the top levels of T-tilde from _top_levels (scheme:
+    operators._SCHEME_OF_DIM) on [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE
+    (ConfigError where lambda_0 is not 1).
 
     PASS means every k = 1..k_max fits order >= 3.5 and the smallest-h
     residual stays within twice its own h^4 trend line (so the last point
@@ -245,8 +243,9 @@ def weyl_curve(density, h_list):
     growth exponent against 1 + lambda h^{-2}.
 
     T-tilde is the banded scheme on [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE.
-    All counts, for every h, come from one count_at_most call on the
-    operators of the whole h_list at the shifts 1 - lambda and 1. PASS
+    It is similar to the row-stochastic Markov form, so all its n
+    eigenvalues are at most 1 and N(lambda, h) = n - #{<= 1 - lambda},
+    all from one count_at_most call on the whole h_list's operators. PASS
     iff the fitted exponent is <= d + 0.3; the dominating constant
     max N / (1 + lambda h^{-2})^d is reported alongside. Fewer than two
     distinct abscissae with N >= 1 leave the exponent undetermined: it is
@@ -261,12 +260,11 @@ def weyl_curve(density, h_list):
 
     grids = [_box_grid(density, h) for h in h_list]
     ops = [build_conjugated(g, density, h, scheme=BANDED) for h, g in zip(h_list, grids)]
-    counted = count_at_most(ops, np.append(1.0 - np.array(WEYL_LAMBDAS), 1.0))
+    counted = count_at_most(ops, 1.0 - np.array(WEYL_LAMBDAS))
     rows = []
-    for h, r in zip(h_list, counted):
-        for lam, below in zip(WEYL_LAMBDAS, r.counts[:-1]):
-            n = r.counts[-1] - below
-            rows.append((float(h), float(lam), int(n), 1.0 + lam / h**2))
+    for h, g, r in zip(h_list, grids, counted):
+        for lam, below in zip(WEYL_LAMBDAS, r.counts):
+            rows.append((float(h), float(lam), int(g.size - below), 1.0 + lam / h**2))
 
     pts = [(s, n) for _, _, n, s in rows if n >= 1]
     if len({s for s, _ in pts}) >= 2:
@@ -313,9 +311,9 @@ def _mu_1_if_below(density, floor):
 
 
 def spectral_gap(density, h):
-    """Gap 1 - lambda_1 of T-tilde from _top_levels (the banded chain in
-    d = 1, the multiplier scheme in d = 2) on [-BOX_L, BOX_L]^d at
-    delta <= h/GRID_RULE, next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa),
+    """Gap 1 - lambda_1 of T-tilde from _top_levels (scheme:
+    operators._SCHEME_OF_DIM) on [-BOX_L, BOX_L]^d at delta <= h/GRID_RULE,
+    next to h^2 gamma_d min(mu_1, (1 - ALPHA_CFG) kappa),
     with mu_1 solved only where it can be below the floor (_mu_1_if_below).
     Like verify_asymptotics, it refuses (ConfigError) an h that is not
     finite and positive, and a grid where lambda_0 is not 1 within

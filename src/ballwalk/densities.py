@@ -190,7 +190,8 @@ def ball_mass_grid(density, x, h):
     core = np.ones(flat.shape, dtype=bool)
     if density.kind == TEMPERED:
         core = flat < density.R + h
-        out[~core] = _tail_mass(density, flat[~core], h)
+        if not core.all():
+            out[~core] = _tail_mass(density, flat[~core], h)
     radii, where = np.unique(flat[core], return_inverse=True)
     out[core] = _mass_quadrature(density, radii, h)[where]
     return out.reshape(r.shape)[()]
@@ -199,7 +200,16 @@ def ball_mass_grid(density, x, h):
 def _tail_mass(density, r, h):
     # the ball sits in the pure-exponential tail: rho(r) 2 sinh(alpha h)/alpha
     a = density.alpha
-    return eval_density(density, r) * 2.0 * math.sinh(a * h) / a
+    return eval_density(density, r) * 2.0 * _sinh(a * h) / a
+
+
+def _sinh(ah):
+    """math.sinh(alpha h), ConfigError where it overflows (alpha h past
+    about 710)."""
+    try:
+        return math.sinh(ah)
+    except OverflowError:
+        raise ConfigError(f"sinh(alpha h) overflows at alpha h = {ah!r}") from None
 
 
 def _mass_quadrature(density, r, h):
@@ -244,12 +254,13 @@ def tempered_A_h(density, h):
 
     On |x| >= R + h the ball sits entirely in the pure-exponential region,
     so a_h^2 = 2 h rho / m_h = alpha h / sinh(alpha h) exactly, independent
-    of x; the limsup is attained everywhere on that shell.
+    of x; the limsup is attained everywhere on that shell. ConfigError
+    where sinh(alpha h) overflows.
     """
     if density.kind != TEMPERED:
         raise ConfigError("exact A_h formula applies to the tempered family")
     ah = density.alpha * h
-    return ah / math.sinh(ah)
+    return ah / _sinh(ah)
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,13 @@ def bottom_values(op, k, upto=math.inf):
     residuals to gate; with upto = inf they are bottom_k's to the bit. A
     finite upto bisects only the eigenvalues at most upto, so fewer than
     k may come back, at a cost that grows with how many there are; they
-    agree with bottom_k's to the bisection tolerance, not to the bit."""
+    agree with bottom_k's to the bisection tolerance, not to the bit. An
+    upto that is NaN or -inf raises ConfigError."""
     if not isinstance(op, SchrodingerOperator) or op.grid.dim != 1:
         raise ConfigError("bottom_values expects a d = 1 SchrodingerOperator")
     _require_k(op, k)
-    if math.isnan(upto):
-        raise ConfigError("upto must not be NaN")
+    if not upto > -math.inf:
+        raise ConfigError(f"upto must not be NaN or -inf, got {upto!r}")
     A = op.matrix
     if upto == math.inf:
         select, bounds = "i", (0, k - 1)

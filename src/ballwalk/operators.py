@@ -3,7 +3,8 @@
 Four operators on a truncated uniform grid:
 
   * T-tilde = D_a T-bar D_a, the ball average T-bar conjugated by the weight
-    a_h, in a banded quadrature or a periodic Fourier-multiplier scheme;
+    a_h, in a banded quadrature or a periodic Fourier-multiplier scheme,
+    by default banded in d = 1 and multiplier in d = 2 (_SCHEME_OF_DIM);
     T-bar itself is T-tilde at a = 1 (one constructor builds both),
   * T, the Markov form (row-stochastic, exactly similar to the banded
     T-tilde),
@@ -21,7 +22,7 @@ of a stack of Toeplitz blocks with both scales folded in, built per call.
 Its T and T-tilde are one chain, the ball walk of rho restricted to the
 box: both are normalized by the in-box stencil mass m = C rho, so T is
 exactly stochastic with the stationary law nu ~ rho m (_banded_chain).
-The multiplier scheme works on the periodic box, one FFT axis at a time,
+The multiplier scheme works on the periodic box, one n-d real FFT pair,
 and tapers the conjugation weight to zero inside a buffer strip so
 wrap-around never sees mass.
 
@@ -42,13 +43,14 @@ import scipy.linalg
 import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .densities import (GAUSSIAN, _require_h, _require_mass, eval_density, eval_potential,
-                        make_density, weight_a_h)
+from .densities import (GAUSSIAN, _require_h, _require_int, _require_mass, eval_density,
+                        eval_potential, make_density, weight_a_h)
 from .errors import ConfigError, KernelUnderResolved, NumericalError
 from .multiplier import eval_Gd
 
 BANDED = "banded"
 MULTIPLIER = "multiplier"
+_SCHEME_OF_DIM = {1: BANDED, 2: MULTIPLIER}  # the constructors' scheme where none is named
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,9 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        if _require_int("dim", self.dim, 1) not in (1, 2):
             raise ConfigError(f"grid dim must be 1 or 2, got {self.dim}")
-        if self.N < 8 or self.N % 2 != 0:
+        if _require_int("N", self.N, 8) % 2 != 0:
             raise ConfigError("N must be even and at least 8")
         if not (math.isfinite(self.L) and self.L > 0):
             raise ConfigError(f"L must be finite and positive, got {self.L!r}")
@@ -180,16 +182,9 @@ class DiscreteOperator:
             raise ConfigError(f"expected shape ({self.grid.size},), got {u.shape}")
         if self.scheme == BANDED:
             return self.lscale * _band_apply(self.stencil, self.rscale * u)
-        # rfft on the last axis, then fft on each leading one (d = 2 has
-        # one): what rfftn does, without its n-d argument handling
-        N, lead = self.grid.N, range(self.grid.dim - 1)
-        w = np.fft.rfft((self.rscale * u).reshape((N,) * self.grid.dim))
-        for ax in lead:
-            w = np.fft.fft(w, axis=ax)
-        w *= self.symbol
-        for ax in lead:
-            w = np.fft.ifft(w, axis=ax)
-        return self.lscale * np.fft.irfft(w, n=N).ravel()
+        shape, axes = (self.grid.N,) * self.grid.dim, range(self.grid.dim)
+        w = self.symbol * np.fft.rfftn((self.rscale * u).reshape(shape), s=shape, axes=axes)
+        return self.lscale * np.fft.irfftn(w, s=shape, axes=axes).ravel()
 
     def powers(self, q0, n_max):
         """Yield A^k q0, k = 0 .. n_max, for an (n, S) block q0.
@@ -211,6 +206,8 @@ class DiscreteOperator:
         """
         if self.scheme != BANDED:
             raise ConfigError("powers needs the banded scheme")
+        if np.ndim(q0) != 2 or len(q0) != self.grid.size:
+            raise ConfigError(f"expected an ({self.grid.size}, S) block, got {np.shape(q0)}")
         (n, S), K, B = q0.shape, len(self.stencil) - 1, _BLOCK_ROWS
         pad = -n % B
         rows = n + pad
@@ -278,9 +275,9 @@ def _conjugated(grid, h, scheme, a):
     return DiscreteOperator(scheme, grid, h, stencil=c, lscale=s, rscale=s)
 
 
-def build_ball_average(grid, h, scheme=MULTIPLIER):
+def build_ball_average(grid, h, scheme=None):
     """Plain ball average T-bar (no density attached): T-tilde at a = 1."""
-    return _conjugated(grid, h, scheme, np.ones(grid.size))
+    return _conjugated(grid, h, scheme or _SCHEME_OF_DIM[grid.dim], np.ones(grid.size))
 
 
 def _banded_chain(grid, density, h):
@@ -303,7 +300,7 @@ def _banded_chain(grid, density, h):
     return c, rho, m
 
 
-def build_conjugated(grid, density, h, scheme=MULTIPLIER):
+def build_conjugated(grid, density, h, scheme=None):
     """Symmetric conjugated operator T-tilde = D_a T-bar D_a.
 
     The banded scheme is the chain of _banded_chain in symmetric form,
@@ -315,6 +312,7 @@ def build_conjugated(grid, density, h, scheme=MULTIPLIER):
     _require_h(h)
     if density.dim != grid.dim:
         raise ConfigError("grid and density dimension mismatch")
+    scheme = scheme or _SCHEME_OF_DIM[grid.dim]
     if scheme == BANDED:
         c, rho, m = _banded_chain(grid, density, h)
         s = np.sqrt(rho / m)

@@ -455,12 +455,14 @@ def simulate_paths(config, grid):
     The standard error is the Agresti-Coull one, which stays away from
     zero when every path or none lands in the set.
 
-    The estimator bins continuum paths onto the grid chain's cells, so it
-    carries a discretisation offset: one step of the grid chain spreads
-    over fewer cells than the continuum ball covers (up to delta/2 short
-    on each side). The offset is the estimator's, not the sampler's. It
-    is largest at n = 1 (about 15 SE with 20k paths from x0 = 2 at
-    delta = 0.01), a few SE at n = 2, and it shrinks with delta.
+    The continuum paths and the grid chain differ by O(delta), and the
+    difference belongs to the grid chain, not to the estimator or the
+    sampler: a grid row reaches only (K + 1/2) delta = h - delta/2 from
+    its node, where the continuum ball reaches h, so about delta/(2h) of
+    the n = 1 mass falls outside the witness set. From a node start the
+    n = 1 offset is about -2.07 delta (about 15 SE with 20k paths from
+    x0 = 2 at delta = 0.01); it is a few SE at n = 2 and halves with
+    delta.
     """
     _require_tv_grid(grid, config.h)
     if config.x0 is not None and not abs(float(config.x0)) < grid.L:

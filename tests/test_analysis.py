@@ -19,8 +19,9 @@ from ballwalk.analysis import (
     weyl_curve,
 )
 from ballwalk.densities import MASS_RTOL, make_density, tempered_A_h
+from ballwalk.eigensolve import count_at_most
 from ballwalk.errors import ConfigError, InsufficientHPoints, WrongDensityKind
-from ballwalk.operators import BANDED, build_conjugated
+from ballwalk.operators import BANDED, Grid, build_conjugated
 
 H_SWEEP = [0.5, 0.35, 0.25, 0.18]
 
@@ -265,6 +266,20 @@ def test_weyl_curve_exponent(gauss_half):
     for h in (0.3, 0.2, 0.15):
         ns = [n for (hh, _), n in sorted(counts.items()) if hh == h]
         assert ns == sorted(ns)
+
+
+def test_weyl_count_at_one_is_every_node():
+    # weyl_curve reads N(lambda, h) as n minus the count at 1 - lambda,
+    # because the banded T-tilde is similar to a row-stochastic matrix:
+    # #{lambda <= 1} is n on every one of 70 operators, Gaussian and
+    # tempered, over weyl_curve's h range and two boxes, in one sweep
+    dens = [make_density("gaussian", 1, a) for a in (0.25, 0.5, 1.0, 2.0)]
+    dens += [make_density("tempered", 1, 1.0, R=R) for R in (0.1, 0.5, 8.0)]
+    ops = [build_conjugated(Grid(1, L, analysis._even_grid(L, h, analysis.GRID_RULE)), d, h)
+           for d in dens for h in (0.5, 0.3, 0.2, 0.15, 0.1) for L in (6.0, 12.0)]
+    assert len(ops) == 70 and all(op.scheme == BANDED for op in ops)
+    counted = count_at_most(ops, [1.0])
+    assert [int(r.counts[0]) for r in counted] == [op.grid.size for op in ops]
 
 
 def test_weyl_below_gap_counts_one(gauss_half, monkeypatch):

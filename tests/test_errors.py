@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 
 from ballwalk import errors, walk
-from ballwalk.densities import ball_mass_grid, eval_density, make_density
-from ballwalk.eigensolve import bottom_k
+from ballwalk.analysis import essential_band
+from ballwalk.densities import ball_mass_grid, eval_density, make_density, tempered_A_h
+from ballwalk.eigensolve import bottom_k, bottom_values
 from ballwalk.errors import ConfigError, NumericalError, RejectionBudgetExceeded
 from ballwalk.operators import (
     BANDED,
+    MULTIPLIER,
     Grid,
     build_ball_average,
     build_conjugated,
@@ -86,7 +88,7 @@ def _paths_with_h(h):
     lambda h, rng: _paths_with_h(h),
     lambda h, rng: tv_upper_bound_curve(GAUSS, h, 1.0, 20, GRID, 0.05),
     lambda h, rng: tv_lower_bound_witness(GAUSS, h, 6.0, 2.0, 3),
-    lambda h, rng: build_conjugated(GRID, GAUSS, h),
+    lambda h, rng: build_conjugated(GRID, GAUSS, h, scheme=MULTIPLIER),
     lambda h, rng: build_conjugated(GRID, GAUSS, h, scheme=BANDED),
     lambda h, rng: build_markov(GRID, GAUSS, h),
     lambda h, rng: build_ball_average(GRID, h, scheme=BANDED),
@@ -156,6 +158,7 @@ def test_bad_count_refused_at_every_entry_point(name, call):
 
 
 GAUSS_2D = make_density("gaussian", 2, 0.5)
+TEMPERED = make_density("tempered", 1, 1.0, R=0.5)
 
 
 @pytest.mark.parametrize("error, match, call", [
@@ -168,13 +171,27 @@ GAUSS_2D = make_density("gaussian", 2, 0.5)
      lambda: bottom_k(build_conjugated(Grid(1, 4.0, 64), GAUSS, 0.5, scheme=BANDED), 2)),
     (NumericalError, "refusing dense assembly at N=4900",
      lambda: build_schrodinger(Grid(2, 7.0, 70), GAUSS_2D).to_dense()),
+    (ConfigError, "sinh", lambda: tempered_A_h(TEMPERED, 800.0)),
+    (ConfigError, "sinh", lambda: essential_band(TEMPERED, 800.0)),
+    (ConfigError, "sinh", lambda: ball_mass_grid(TEMPERED, 1000.0, 800.0)),
+    (ConfigError, "upto",
+     lambda: bottom_values(build_schrodinger(Grid(1, 8.0, 200), GAUSS), 2, upto=-math.inf)),
 ], ids=["build_markov-d2", "sample_stationary-d2", "nu_h_tail-d2", "eval_density-d2-shape",
-        "bottom_k-discrete", "schrodinger-to_dense-cap"])
+        "bottom_k-discrete", "schrodinger-to_dense-cap", "tempered_A_h-sinh",
+        "essential_band-sinh", "ball_mass_grid-tail-sinh", "bottom_values-upto-minus-inf"])
 def test_unsupported_input_refused(error, match, call):
     # d = 1 only paths, a point of the wrong shape, the wrong operator
-    # class and a dense matrix past the size cap each raise, typed
+    # class and a dense matrix past the size cap each raise, typed; so do
+    # a sinh(alpha h) that overflows (alpha h = 800) and an upto of -inf,
+    # which raised a bare OverflowError and LAPACK's ValueError
     with pytest.raises(error, match=match):
         call()
+
+
+def test_core_mass_needs_no_tail_closed_form():
+    # a core point never reads the tail's sinh: at h = 800 the ball holds
+    # all of rho, which the quadrature finds
+    assert ball_mass_grid(TEMPERED, 1.0, 800.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_nu_h_tail_is_zero_past_the_decay_cut():

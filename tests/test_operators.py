@@ -59,6 +59,11 @@ def test_grid_validation():
         Grid(1, 1.0, 6)  # too small
     with pytest.raises(ConfigError):
         Grid(1, -2.0, 16)
+    # a float count once built a grid whose slices failed downstream
+    with pytest.raises(ConfigError, match="N must be an integer"):
+        Grid(1, 12.0, 2400.0)
+    with pytest.raises(ConfigError, match="dim must be an integer"):
+        Grid(1.0, 12.0, 2400)
 
 
 def test_grid_geometry():
@@ -145,6 +150,19 @@ def test_scheme_validation(gauss_half):
         build_conjugated(Grid(2, 6.0, 48), gauss_half, 0.5)  # dim mismatch
 
 
+def test_default_scheme_follows_the_dimension(gauss_half):
+    # banded in d = 1: it builds on a box too narrow for the multiplier's
+    # taper buffer (7.07 at alpha = 0.5); the multiplier in d = 2
+    g = Grid(1, 6.0, 240)
+    assert build_conjugated(g, gauss_half, 0.25).scheme == BANDED
+    assert build_ball_average(g, 0.25).scheme == BANDED
+    with pytest.raises(ConfigError, match="taper buffer"):
+        build_conjugated(g, gauss_half, 0.25, scheme=MULTIPLIER)
+    g2 = Grid(2, 8.0, 96)
+    assert build_conjugated(g2, make_density("gaussian", 2, 1.0), 0.5).scheme == MULTIPLIER
+    assert build_ball_average(g2, 0.5).scheme == MULTIPLIER
+
+
 # --- ball average: constants and Fourier modes ------------------------------
 
 def test_constant_fixing():
@@ -171,12 +189,12 @@ def test_multiplier_scheme_diagonalizes_grid_modes():
 
 
 def test_multiplier_matvec_matches_rfftn():
-    # the matvec transforms one axis at a time; the result is exactly the
-    # n-d real transform pair's, in d = 1 and d = 2
+    # the matvec is exactly the n-d real transform pair over the grid's
+    # axes, lscale * irfftn(symbol * rfftn(rscale * u)), in d = 1 and d = 2
     rng = np.random.default_rng(7)
     for g, h in ((Grid(1, 12.0, 960), 0.25), (Grid(2, 8.0, 96), 0.6)):
         dens = make_density("gaussian", g.dim, 1.0)
-        T = build_conjugated(g, dens, h)
+        T = build_conjugated(g, dens, h, scheme=MULTIPLIER)
         u = rng.standard_normal(g.size)
         shape, axes = (g.N,) * g.dim, range(g.dim)
         w = np.fft.rfftn((T.rscale * u).reshape(shape), s=shape, axes=axes)
@@ -607,6 +625,10 @@ def test_operand_shapes_rejected(gauss_half):
             P.matvec(bad)
     with pytest.raises(ConfigError):
         build_ball_average(g, 0.25, scheme=MULTIPLIER).matvec(np.ones((n, 2)))
+    # powers takes an (n, S) block: these once raised an untyped ValueError
+    for bad in (np.ones((n + 1, 2)), np.ones((250, 2)), np.ones(n), np.ones((n, 2, 2))):
+        with pytest.raises(ConfigError, match="block"):
+            next(P.powers(bad, 1))
 
 
 def test_symmetry_follows_the_scales(gauss_half):

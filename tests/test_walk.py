@@ -60,10 +60,11 @@ def grid():
 
 
 # From x0 = 2 the MC paths start at 2 while the grid chain starts at the
-# nearest node, and one step of the grid chain covers slightly fewer cells
-# than the continuum ball: a discretisation offset of the estimator, large
-# at n = 1 and a few SE at n = 2 with 20k paths. 10k paths keep n = 2
-# clear of the gate; a sampler with a biased envelope misses it by far.
+# nearest node, and a grid row reaches only h - delta/2 where the
+# continuum ball reaches h, so about delta/(2h) of the n = 1 mass misses
+# the witness set: an O(delta) offset of the grid chain, large at n = 1
+# and a few SE at n = 2 with 20k paths. 10k paths keep n = 2 clear of
+# the gate; a sampler with a biased envelope misses it by far.
 @pytest.mark.parametrize("x0, paths", [(2.0, 10_000), (None, 20_000)])
 def test_mc_tv_matches_exact(gauss_half, grid, x0, paths):
     cfg = WalkConfig(gauss_half, 0.25, x0=x0, paths=paths, n_max=100, seed=1)
