@@ -255,8 +255,9 @@ def tempered_A_h(density, h):
     On |x| >= R + h the ball sits entirely in the pure-exponential region,
     so a_h^2 = 2 h rho / m_h = alpha h / sinh(alpha h) exactly, independent
     of x; the limsup is attained everywhere on that shell. ConfigError
-    where sinh(alpha h) overflows.
+    unless h is finite and positive, or where sinh(alpha h) overflows.
     """
+    _require_h(h)
     if density.kind != TEMPERED:
         raise ConfigError("exact A_h formula applies to the tempered family")
     ah = density.alpha * h

@@ -21,10 +21,10 @@ Three routes, matched to the operator shapes:
     applications ARPACK asked for: solves on the banded route, matvecs
     on the multiplier one.
   * bottom_k: LAPACK Sturm bisection (eigh_tridiagonal) on the two
-    diagonals of the d = 1 Schrodinger matrix. A d = 2 operator is the
-    Kronecker sum L_1 (+) L_1 of its d = 1 factor, so its bottom levels
-    are the smallest sums lambda_i + lambda_j of one d = 1 Sturm solve,
-    with eigenvectors u_i (x) u_j; the two orders of a pair give the same
+    diagonals of the d = 1 Schrodinger matrix. In d = 2 it reads the
+    d = 1 line L_1 off the matrix, whose bottom levels are then the
+    smallest sums lambda_i + lambda_j of one d = 1 Sturm solve, with
+    eigenvectors u_i (x) u_j; the two orders of a pair give the same
     float, so degenerate levels come out exactly paired. bottom_values
     is the d = 1 path's eigenvalues alone, without the inverse iteration
     for the eigenvectors, optionally only those below a bound.
@@ -50,7 +50,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigError, NoConvergence
-from .operators import BANDED, DiscreteOperator, Grid, SchrodingerOperator
+from .operators import BANDED, DiscreteOperator, SchrodingerOperator
 from .report import Report
 
 CLUSTER_RTOL = 1e-8
@@ -166,25 +166,25 @@ def top_k(op, k):
 def bottom_k(op, k):
     """k smallest eigenvalues of a SchrodingerOperator, ascending, by
     Sturm bisection on a tridiagonal matrix: in d = 1 the operator's own,
-    whose first k pairs are the result; in d = 2 its d = 1 factor L_1
-    (ConfigError without one on the same axis), whose first min(k, N)
-    pairs give the k smallest sums lambda_i + lambda_j with eigenvectors
-    u_i (x) u_j in row-major node order. Every true residual, taken
-    against the operator's own matrix, must be <= RESIDUAL_RTOL times the
-    largest absolute row sum, a Gershgorin bound on the spectral radius,
-    so a factor that disagrees with the matrix raises NoConvergence."""
+    whose first k pairs are the result; in d = 2 the d = 1 line L_1 read
+    off the matrix (half its diagonal at the nodes x = y, and the
+    couplings inside one row of nodes), whose first min(k, N) pairs give
+    the k smallest sums lambda_i + lambda_j with eigenvectors u_i (x) u_j
+    in row-major node order. The matrix is L_1 (+) L_1, up to V's
+    rounding, exactly when V(x, y) = V_1(x) + V_1(y). Every true residual,
+    taken against the matrix, must be <= RESIDUAL_RTOL times the largest
+    absolute row sum, a Gershgorin bound on the spectral radius, so any
+    other V raises NoConvergence."""
     if not isinstance(op, SchrodingerOperator):
         raise ConfigError("bottom_k expects a SchrodingerOperator")
     _require_k(op, k)
     grid = op.grid
-    line = op if grid.dim == 1 else op.factor
-    if line is None or line.grid != Grid(1, grid.L, grid.N):
-        raise ConfigError("a d = 2 SchrodingerOperator needs its d = 1 factor on the same axis")
-    A = line.matrix
+    A = op.matrix
+    diag, off = A.diagonal(), A.diagonal(1)
+    if grid.dim == 2:
+        diag, off = diag[:: grid.N + 1] / 2, off[: grid.N - 1]
     m = min(k, grid.N)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        A.diagonal(), A.diagonal(1), select="i", select_range=(0, m - 1)
-    )
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))
     method = "SturmBisection"
     if grid.dim == 2:
         sums = np.add.outer(vals, vals).ravel()
@@ -193,7 +193,7 @@ def bottom_k(op, k):
         vals = sums[pick]
         vecs = (vecs[:, None, i] * vecs[None, :, j]).reshape(grid.size, k)
         method = "SturmKroneckerSum"
-    scale = float(abs(op.matrix).sum(axis=1).max())
+    scale = float(abs(A).sum(axis=1).max())
     return _finish(op, vals, vecs, method, ascending=True, scale=scale)
 
 

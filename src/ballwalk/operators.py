@@ -43,8 +43,8 @@ import scipy.linalg
 import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .densities import (GAUSSIAN, _require_h, _require_int, _require_mass, eval_density,
-                        eval_potential, make_density, weight_a_h)
+from .densities import (_require_h, _require_int, _require_mass, eval_density, eval_potential,
+                        weight_a_h)
 from .errors import ConfigError, KernelUnderResolved, NumericalError
 from .multiplier import eval_Gd
 
@@ -343,13 +343,10 @@ def build_markov(grid, density, h):
 @dataclass
 class SchrodingerOperator:
     """L = -Laplacian + V as one scipy.sparse CSR matrix on the grid's
-    nodes (row-major in d = 2), second-order stencil, Dirichlet walls. In
-    d = 2, factor is the d = 1 operator L_1 on one axis with
-    matrix = L_1 (+) L_1, which bottom_k solves instead of the matrix."""
+    nodes (row-major in d = 2), second-order stencil, Dirichlet walls."""
 
     grid: Grid
     matrix: scipy.sparse.csr_array
-    factor: "SchrodingerOperator" = None
 
     def matvec(self, u):
         return self.matrix @ np.asarray(u, dtype=float)
@@ -360,27 +357,15 @@ class SchrodingerOperator:
         return self.matrix.toarray()
 
 
-def _schrodinger_matrix(grid, density):
+def build_schrodinger(grid, density):
+    """-Lap + V: the Dirichlet second difference D = tridiag(-1, 2, -1) /
+    delta^2 on one axis, its Kronecker sum D (+) D on the d = 2 grid (no
+    coupling across row ends), plus diag(V)."""
+    if density.dim != grid.dim:
+        raise ConfigError("grid and density dimension mismatch")
     V = np.asarray(eval_potential(density, grid.nodes()), dtype=float)
     if not np.all(np.isfinite(V)):
         raise NumericalError("potential not finite on the grid")
     D = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(grid.N, grid.N))
     lap = functools.reduce(scipy.sparse.kronsum, [D / grid.delta**2] * grid.dim)
-    return scipy.sparse.csr_array(lap + scipy.sparse.diags_array(V))
-
-
-def build_schrodinger(grid, density):
-    """-Lap + V: the Dirichlet second difference D = tridiag(-1, 2, -1) /
-    delta^2 on one axis, its Kronecker sum D (+) D on the d = 2 grid (no
-    coupling across row ends), plus diag(V). Every d = 2 density is the
-    Gaussian e^{-alpha |x|^2}, whose V(x, y) is V_1(x) + V_1(y) for the
-    d = 1 Gaussian of the same alpha, so the d = 2 operator carries that
-    d = 1 operator on one axis as its factor."""
-    if density.dim != grid.dim:
-        raise ConfigError("grid and density dimension mismatch")
-    factor = None
-    if grid.dim == 2:
-        line = Grid(1, grid.L, grid.N)
-        d1 = make_density(GAUSSIAN, 1, density.alpha)
-        factor = SchrodingerOperator(line, _schrodinger_matrix(line, d1))
-    return SchrodingerOperator(grid, _schrodinger_matrix(grid, density), factor)
+    return SchrodingerOperator(grid, scipy.sparse.csr_array(lap + scipy.sparse.diags_array(V)))

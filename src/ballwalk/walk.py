@@ -136,8 +136,9 @@ def _require_tau(tau):
 
 
 def nu_h_tail(density, h, tau):
-    """nu_h(|y| >= tau) by quadrature (d = 1); ConfigError unless tau is
-    finite and >= 0."""
+    """nu_h(|y| >= tau) by quadrature (d = 1); ConfigError unless h is
+    finite and positive and tau finite and >= 0."""
+    _require_h(h)
     _require_tau(tau)
     if density.dim != 1:
         raise ConfigError("nu_h quadrature is implemented for d = 1")
@@ -157,8 +158,9 @@ def nu_h_tail(density, h, tau):
 def p_tau(density, h, tau):
     """The tail weight the lower-bound theorem pairs with the witness:
     e^{-2 alpha tau (tau - h)} for the Gaussian family, the squared-density
-    tail integral for the tempered one; ConfigError unless tau is finite
-    and >= 0."""
+    tail integral for the tempered one; ConfigError unless h is finite
+    and positive and tau finite and >= 0."""
+    _require_h(h)
     _require_tau(tau)
     if density.kind == "gaussian":
         return math.exp(-2.0 * density.alpha * tau * (tau - h))
@@ -327,8 +329,11 @@ class UpperBoundReport(Report):
 
 def q_factor(density, h, tau):
     """q(tau, h): e^{alpha tau (tau + 3h)} (Gaussian) or 1 / (rho(tau)
-    h^{d/2}) (tempered, rho radially nonincreasing). ConfigError unless
-    q is a finite float and a tempered rho(tau) a normal one."""
+    h^{d/2}) (tempered, rho radially nonincreasing). ConfigError unless h
+    is finite and positive, tau finite and >= 0, q a finite float and a
+    tempered rho(tau) a normal one."""
+    _require_h(h)
+    _require_tau(tau)
     if density.kind == "gaussian":
         power = density.alpha * tau * (tau + 3.0 * h)
         q = math.exp(power) if power <= math.log(sys.float_info.max) else math.inf
@@ -407,6 +412,7 @@ class WalkConfig:
         _require_h(self.h)
         _require_int("paths", self.paths, 1)
         _require_int("n_max", self.n_max, 0)
+        _require_int("seed", self.seed, 0)
 
 
 @dataclass

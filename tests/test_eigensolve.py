@@ -202,9 +202,9 @@ def test_top_k_d2_multiplier_matches_dense():
     np.testing.assert_allclose(r.eigenvalues, lam, rtol=0, atol=1e-12)
 
 
-# the d = 2 bottom_k sums the levels of the d = 1 factor, the construction
-# _kronsum_levels repeats, so the dense eigh of the assembled matrix is the
-# independent oracle for it
+# the d = 2 bottom_k sums the levels of the d = 1 line read off the
+# matrix, the construction _kronsum_levels repeats, so the dense eigh of
+# the assembled matrix is the independent oracle for it
 
 def _kronsum_levels(grid, alpha, k):
     """The k lowest levels of the d = 2 Gaussian -Lap + V on grid, as
@@ -235,7 +235,7 @@ def test_bottom_k_d2_multiplicities_match_kronsum():
 
 # k = 2, 3, 5, 6 cut inside and at the edge of the degenerate pairs of the
 # levels [1, 2, 2, 1]; k = 50 on an 8 x 8 grid asks for more levels than
-# the factor has (N = 8)
+# the d = 1 line has (N = 8)
 @pytest.mark.parametrize("N, k", [(32, 2), (32, 3), (32, 5), (32, 6), (8, 50)])
 def test_bottom_k_d2_matches_dense(N, k):
     L = 7.0 if N == 32 else 4.0
@@ -249,20 +249,22 @@ def test_bottom_k_d2_matches_dense(N, k):
     assert np.all(r.residuals <= RESIDUAL_RTOL / 10 * np.max(np.abs(r.eigenvalues)))
 
 
-def test_bottom_k_d2_refuses_a_missing_or_wrong_factor():
+def test_bottom_k_d2_refuses_a_non_separable_matrix():
+    # bottom_k reads its d = 1 line off the matrix, so a matrix that is not
+    # that line's Kronecker sum fails the residual gate, which is taken
+    # against the matrix: a bump at one node, and V(x, y) = V_1(x) + 2 V_1(y),
+    # separable but with two different axes, so half the diagonal at x = y
+    # is neither axis's line
     op = build_schrodinger(Grid(2, 7.0, 32), make_density("gaussian", 2, 0.5))
-    other = build_schrodinger(Grid(2, 6.0, 32), make_density("gaussian", 2, 0.5)).factor
-    for factor in (None, other):
-        with pytest.raises(ConfigError, match="d = 1 factor"):
-            bottom_k(dataclasses.replace(op, factor=factor), 3)
-    # a matrix that is not the factor's Kronecker sum fails the residual
-    # gate, which is taken against the matrix
     bump = np.zeros(op.grid.size)
     bump[op.grid.size // 2 + op.grid.N // 2] = 1e-3
-    bad = dataclasses.replace(op, matrix=scipy.sparse.csr_array(
-        op.matrix + scipy.sparse.diags_array(bump)))
-    with pytest.raises(NoConvergence):
-        bottom_k(bad, 3)
+    v1 = eval_potential(make_density("gaussian", 1, 0.5), op.grid.axis_nodes())
+    skew = np.add.outer(np.zeros(op.grid.N), v1).ravel()  # one more V_1(y)
+    for extra in (bump, skew):
+        bad = dataclasses.replace(op, matrix=scipy.sparse.csr_array(
+            op.matrix + scipy.sparse.diags_array(extra)))
+        with pytest.raises(NoConvergence):
+            bottom_k(bad, 3)
 
 
 def test_dense_reference_d2_schrodinger_matches_kronsum():

@@ -5,8 +5,8 @@ ballwalk.errors: a lint over the source keeps a bare ValueError (or any
 other builtin) from coming back. Every entry point where a ball radius h
 enters refuses one that is not finite and positive with the same
 ConfigError, before any draw, solve or quadrature, and every entry point
-where a count enters (k_max, size, paths, n_max, n) refuses one that is
-not an integer in range with one ConfigError naming the argument.
+where a count enters (k_max, size, paths, n_max, n, seed) refuses one that
+is not an integer in range with one ConfigError naming the argument.
 """
 
 import ast
@@ -36,6 +36,7 @@ from ballwalk.walk import (
     make_rng,
     nu_h_tail,
     p_tau,
+    q_factor,
     sample_stationary,
     simulate_paths,
     step_sample,
@@ -68,6 +69,7 @@ def test_every_raise_is_a_typed_error():
 
 
 GAUSS = make_density("gaussian", 1, 0.5)
+TEMPERED = make_density("tempered", 1, 1.0, R=0.5)
 GRID = Grid(1, 12.0, 2400)
 
 
@@ -92,11 +94,20 @@ def _paths_with_h(h):
     lambda h, rng: build_conjugated(GRID, GAUSS, h, scheme=BANDED),
     lambda h, rng: build_markov(GRID, GAUSS, h),
     lambda h, rng: build_ball_average(GRID, h, scheme=BANDED),
+    lambda h, rng: tempered_A_h(TEMPERED, h),
+    lambda h, rng: p_tau(GAUSS, h, 1.0),
+    lambda h, rng: nu_h_tail(GAUSS, h, 100.0),
+    lambda h, rng: q_factor(TEMPERED, h, 1.0),
 ], ids=["ball_mass_grid", "step_sample", "step_sample-d2", "sample_stationary", "WalkConfig",
         "simulate_paths", "tv_upper_bound_curve", "tv_lower_bound_witness", "build_conjugated",
-        "build_conjugated-banded", "build_markov", "build_ball_average"])
+        "build_conjugated-banded", "build_markov", "build_ball_average", "tempered_A_h", "p_tau",
+        "nu_h_tail", "q_factor"])
 def test_bad_h_refused_at_every_entry_point(call, h):
-    # at h = nan the step sampler used to spin its whole rejection budget
+    # at h = nan the step sampler used to spin its whole rejection budget;
+    # unchecked, tempered_A_h divided by zero at h = 0 and returned a value
+    # at h < 0, p_tau and nu_h_tail (tau = 100, past the decay cut)
+    # returned one at h < 0, and q_factor hit a math domain error at h < 0
+    # and called a NaN h an overflow
     rng = make_rng(4)
     with pytest.raises(ConfigError, match="h must be finite and positive"):
         call(h, rng)
@@ -120,15 +131,17 @@ def test_bad_h_refused_at_every_entry_point(call, h):
     lambda: nu_h_tail(GAUSS, 0.25, math.inf),
     lambda: p_tau(GAUSS, 0.25, math.nan),
     lambda: p_tau(make_density("tempered", 1, 1.0, R=0.5), 0.25, -1.0),
+    lambda: q_factor(GAUSS, 0.25, -1.0),
 ], ids=["gaussian-alpha-inf", "gaussian-alpha-nan", "tempered-alpha-inf", "tempered-R-inf",
         "tempered-R-nan", "grid-L-inf", "grid-L-nan", "gap-nan", "gap-inf", "gap-negative",
         "gap-zero", "nu_h_tail-tau-negative", "nu_h_tail-tau-nan", "nu_h_tail-tau-inf",
-        "p_tau-tau-nan", "p_tau-tau-negative"])
+        "p_tau-tau-nan", "p_tau-tau-negative", "q_factor-tau-negative"])
 def test_non_finite_inputs_refused(call):
     # alpha = inf once gave a Density with beta = inf, R or L = inf a bare
     # RuntimeWarning, a nan or negative gap a silent c_fit = nan or a
     # "dominated" verdict against a growing bound, and a tau < 0 or nan a
-    # "probability" nu_h_tail of 1.84 or 0.0 and a p_tau of nan
+    # "probability" nu_h_tail of 1.84 or 0.0, a p_tau of nan and a q_factor
+    # at tau = -1
     with pytest.raises(ConfigError, match="finite"):
         call()
 
@@ -141,16 +154,21 @@ def test_non_finite_inputs_refused(call):
     ("paths", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, paths=math.nan)),
     ("paths", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, paths="10")),
     ("n_max", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, n_max=math.nan)),
+    ("seed", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, seed=None)),
+    ("seed", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, seed=-1)),
+    ("seed", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, seed=1.5)),
+    ("seed", lambda rng: WalkConfig(GAUSS, 0.25, x0=1.0, seed="3")),
     ("n_max", lambda rng: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 2.5, GRID, 0.05)),
     ("n", lambda rng: tv_lower_bound_witness(GAUSS, 0.25, 6.0, 2.0, 2.5)),
     ("n", lambda rng: tv_lower_bound_witness(GAUSS, 0.25, 6.0, 2.0, -3)),
 ], ids=["size-nan", "size-negative", "size-fractional", "paths-fractional", "paths-nan",
-        "paths-string", "n_max-nan", "tv-n_max-fractional", "witness-n-fractional",
-        "witness-n-negative"])
+        "paths-string", "n_max-nan", "seed-none", "seed-negative", "seed-fractional",
+        "seed-string", "tv-n_max-fractional", "witness-n-fractional", "witness-n-negative"])
 def test_bad_count_refused_at_every_entry_point(name, call):
     # unchecked, these gave an untyped ValueError or TypeError, an empty
     # sample at size -3, 2 draws at size 2.7, and a witness reporting n = 2
-    # for n = 2.5
+    # for n = 2.5; seed = None drew OS entropy, so the run could not be
+    # repeated
     rng = make_rng(4)
     with pytest.raises(ConfigError, match=rf"^{name} must be (an integer|at least)"):
         call(rng)
@@ -158,7 +176,6 @@ def test_bad_count_refused_at_every_entry_point(name, call):
 
 
 GAUSS_2D = make_density("gaussian", 2, 0.5)
-TEMPERED = make_density("tempered", 1, 1.0, R=0.5)
 
 
 @pytest.mark.parametrize("error, match, call", [

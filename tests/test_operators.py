@@ -422,13 +422,6 @@ def test_schrodinger_matrix_matches_stencil(dim):
         hi = np.take(idx, np.arange(1, g.N), axis=axis).ravel()
         A[lo, hi] = A[hi, lo] = -1.0 / g.delta**2
     np.testing.assert_array_equal(L.to_dense(), A)
-    if dim == 1:
-        assert L.factor is None
-    else:  # the d = 1 factor's Kronecker sum is the matrix up to V's rounding
-        F = L.factor.matrix
-        assert L.factor.grid == Grid(1, g.L, g.N)
-        np.testing.assert_allclose(scipy.sparse.kronsum(F, F).toarray(), A,
-                                   rtol=0, atol=1e-14 * np.abs(A).max())
     u = np.random.default_rng(2).standard_normal(g.size)
     np.testing.assert_allclose(L.matvec(u), A @ u, rtol=1e-13, atol=1e-13 * np.abs(A).max())
 
