@@ -260,10 +260,10 @@ def weyl_curve(density, h_list):
 
     grids = [_box_grid(density, h) for h in h_list]
     ops = [build_conjugated(g, density, h, scheme=BANDED) for h, g in zip(h_list, grids)]
-    counted = count_at_most(ops, 1.0 - np.array(WEYL_LAMBDAS))
+    counts, flagged = count_at_most(ops, 1.0 - np.array(WEYL_LAMBDAS))
     rows = []
-    for h, g, r in zip(h_list, grids, counted):
-        for lam, below in zip(WEYL_LAMBDAS, r.counts):
+    for h, g, row in zip(h_list, grids, counts):
+        for lam, below in zip(WEYL_LAMBDAS, row):
             rows.append((float(h), float(lam), int(g.size - below), 1.0 + lam / h**2))
 
     pts = [(s, n) for _, _, n, s in rows if n >= 1]
@@ -278,7 +278,7 @@ def weyl_curve(density, h_list):
         exponent=exponent,
         c_dominating=float(c_dom),
         passed=bool(exponent <= density.dim + 0.3),
-        retries=sum(r.retries for r in counted),
+        retries=int(flagged.sum()),
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, i0e
 
-from .errors import ConfigError, NumericalError, QuadratureNotConverged
+from .errors import ConfigError, NumericalError, QuadratureNotConverged, WrongDensityKind
 from .multiplier import unit_ball_volume
 
 GAUSSIAN = "gaussian"
@@ -51,8 +51,7 @@ def make_density(kind, dim, alpha, R=None):
         raise ConfigError(f"unknown density kind {kind!r}")
     if dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {dim!r}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ConfigError(f"alpha must be finite and positive, got {alpha!r}")
+    _require_positive("alpha", alpha)
     if kind == GAUSSIAN:
         if R is not None and R != 0.0:
             raise ConfigError("gaussian density takes no transition radius R")
@@ -135,11 +134,15 @@ def kappa_analytic(density):
     return density.alpha**2
 
 
+def _require_positive(name, value):
+    """ConfigError naming the argument unless value is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _require_h(h):
-    """The one check on a ball radius, wherever h enters: ConfigError
-    unless h is finite and positive."""
-    if not (math.isfinite(h) and h > 0):
-        raise ConfigError(f"h must be finite and positive, got {h!r}")
+    """The one check on a ball radius, wherever h enters."""
+    _require_positive("h", h)
 
 
 def _require_int(name, value, least):
@@ -259,7 +262,7 @@ def tempered_A_h(density, h):
     """
     _require_h(h)
     if density.kind != TEMPERED:
-        raise ConfigError("exact A_h formula applies to the tempered family")
+        raise WrongDensityKind("exact A_h formula applies to the tempered family")
     ah = density.alpha * h
     return ah / _sinh(ah)
 

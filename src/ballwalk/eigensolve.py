@@ -36,10 +36,11 @@ Three routes, matched to the operator shapes:
     necessarily an eigenvalue of A, is counted from that operator's
     LAPACK banded eigenvalues instead.
 
-Every eigenpair solver ends in one _finish: eigenpairs sorted,
-eigenvectors with unit L^2(dx) norm (grid weight delta^d), true residuals
-through the operator's matvec, and the RESIDUAL_RTOL gate for every
-route but the dense reference.
+Every eigenpair solver ends in one _finish: eigenpairs sorted (ascending
+for a SchrodingerOperator, descending otherwise), eigenvectors with unit
+L^2(dx) norm (grid weight delta^d), true residuals through the operator's
+matvec, and the RESIDUAL_RTOL gate for every route but the dense
+reference.
 """
 
 import math
@@ -49,6 +50,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from .densities import _require_int
 from .errors import ConfigError, NoConvergence
 from .operators import BANDED, DiscreteOperator, SchrodingerOperator
 from .report import Report
@@ -88,13 +90,14 @@ def _cluster(values):
     return out
 
 
-def _finish(op, vals, vecs, method, ascending=False, scale=None, **cost):
-    """Sort, L^2(dx)-normalize and attach the true matvec residuals of
-    op; with a scale, every residual must be <= RESIDUAL_RTOL * scale
-    (NoConvergence otherwise)."""
+def _finish(op, vals, vecs, method, scale=None, **cost):
+    """Sort (ascending for a SchrodingerOperator, descending otherwise),
+    L^2(dx)-normalize and attach the true matvec residuals of op; with a
+    scale, every residual must be <= RESIDUAL_RTOL * scale (NoConvergence
+    otherwise)."""
     vals = np.asarray(vals, dtype=float)
     order = np.argsort(vals)
-    if not ascending:
+    if not isinstance(op, SchrodingerOperator):
         order = order[::-1]
     vals, vecs = vals[order], vecs[:, order]
     grid = op.grid
@@ -113,8 +116,9 @@ def _finish(op, vals, vecs, method, ascending=False, scale=None, **cost):
 
 
 def _require_k(op, k):
+    k = _require_int("k", k, 1)
     n = op.grid.size
-    if not (1 <= k <= min(MAX_K, n - 1)):
+    if not k <= min(MAX_K, n - 1):
         raise ConfigError(f"k must be in [1, {min(MAX_K, n - 1)}]")
 
 
@@ -194,7 +198,7 @@ def bottom_k(op, k):
         vecs = (vecs[:, None, i] * vecs[None, :, j]).reshape(grid.size, k)
         method = "SturmKroneckerSum"
     scale = float(abs(A).sum(axis=1).max())
-    return _finish(op, vals, vecs, method, ascending=True, scale=scale)
+    return _finish(op, vals, vecs, method, scale=scale)
 
 
 def bottom_values(op, k, upto=math.inf):
@@ -233,7 +237,7 @@ def dense_reference(op, k=None):
         _require_k(op, k)
         subset = (0, k - 1) if schrod else (n - k, n - 1)
     vals, vecs = scipy.linalg.eigh(op.to_dense(), subset_by_index=subset)
-    return _finish(op, vals, vecs, "DenseReference", ascending=schrod)
+    return _finish(op, vals, vecs, "DenseReference")
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +259,10 @@ _NUDGE = 1e-12  # shifts move by this, relative, off computed eigenvalues
 _SWEEP_CHUNK = 16
 
 
-@dataclass
-class ShiftCounts:
-    shifts: np.ndarray  # as passed, order and duplicates kept
-    counts: np.ndarray  # #{lambda <= s} for each shift
-    retries: int = 0  # this operator's shifts the sweep flagged, LAPACK counted
-
-
 def _ldl_sweep(bands, shifts):
     """Negatives of A - s*I for every operator A and shift s, and which
-    (operator, shift) pairs passed, each as an (operators, shifts) array.
+    (operator, shift) pairs passed, as (operators, shifts) int64 and bool
+    arrays.
 
     Unpivoted right-looking banded LDL^T, bands[o][k, i] = A_o[i, i+k],
     with one column of the sweep per (operator, shift) pair. Each column
@@ -344,17 +342,17 @@ def _ldl_sweep(bands, shifts):
 
 
 def count_at_most(ops, shifts):
-    """#{lambda <= s} for every shift s of each operator in ops, a
-    non-empty list of symmetric banded DiscreteOperators, as one
-    ShiftCounts per operator, by one multi-shift banded LDL^T sweep over
-    all of them (Sylvester inertia).
+    """(counts, flagged), both (operators, shifts): counts[o, i] =
+    #{lambda <= shifts[i]} of ops[o], a non-empty list of symmetric banded
+    DiscreteOperators, by one multi-shift banded LDL^T sweep over all of
+    them (Sylvester inertia), and flagged marks the pairs LAPACK counted.
 
     Each shift is evaluated at s + eps, eps = 1e-12 * max(|shifts|, 1),
     so a shift that lands on an eigenvalue (up to roundoff) resolves as
-    lambda <= s instead of flapping. A shift the sweep flags for an
-    operator (a leading block of A - (s + eps)I near singular) is counted
-    from LAPACK's banded eigenvalues of that operator at the same s + eps.
-    Eigenvalue pairs closer than eps are not resolved.
+    lambda <= s instead of flapping. A pair the sweep flags (a leading
+    block of A - (s + eps)I near singular) is counted from LAPACK's banded
+    eigenvalues of that operator at the same s + eps. Eigenvalue pairs
+    closer than eps are not resolved.
     """
     if not isinstance(ops, (list, tuple)) or not ops or not all(
         isinstance(op, DiscreteOperator) and op.scheme == BANDED and op.symmetric for op in ops
@@ -365,11 +363,10 @@ def count_at_most(ops, shifts):
         raise ConfigError(f"shifts must be a non-empty list of finite numbers, got {shifts}")
     at = shifts + _NUDGE * max(float(np.max(np.abs(shifts))), 1.0)
     bands = [op.to_banded() for op in ops]
-    counted = []
-    for b, counts, ok in zip(bands, *_ldl_sweep(bands, at)):
-        if not ok.all():
-            # the sweep counts the strict negatives of A - (s + eps)I
-            ev = scipy.linalg.eigvals_banded(b, lower=True)
-            counts[~ok] = np.searchsorted(ev, at[~ok], side="left")
-        counted.append(ShiftCounts(shifts, counts, int(np.count_nonzero(~ok))))
-    return counted
+    counts, ok = _ldl_sweep(bands, at)
+    flagged = ~ok
+    for o in np.flatnonzero(flagged.any(axis=1)):
+        # the sweep counts the strict negatives of A - (s + eps)I
+        ev = scipy.linalg.eigvals_banded(bands[o], lower=True)
+        counts[o, flagged[o]] = np.searchsorted(ev, at[flagged[o]], side="left")
+    return counts, flagged

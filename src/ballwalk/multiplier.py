@@ -42,15 +42,16 @@ def _check_dim(d):
 
 
 def eval_Gd(d, r):
-    """Radial multiplier value G_d(r) for r >= 0 (scalar or array).
+    """Radial multiplier value G_d(r) for r >= 0 (scalar or array); a
+    negative or NaN r raises ConfigError.
 
     Both dimensions use closed forms, accurate to a few ulps (tested against
     an adaptive quadrature of the dimensional-reduction integral).
     """
     _check_dim(d)
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ConfigError("radial argument must be >= 0")
+    if not np.all(r >= 0):
+        raise ConfigError("radial argument must be >= 0, got a negative or NaN (non-finite) value")
     if d == 1:
         # sin(r)/r, stable at 0 through numpy's normalized sinc
         out = np.sinc(r / math.pi)

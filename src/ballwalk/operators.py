@@ -43,8 +43,8 @@ import scipy.linalg
 import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .densities import (_require_h, _require_int, _require_mass, eval_density, eval_potential,
-                        weight_a_h)
+from .densities import (_require_h, _require_int, _require_mass, _require_positive, eval_density,
+                        eval_potential, weight_a_h)
 from .errors import ConfigError, KernelUnderResolved, NumericalError
 from .multiplier import eval_Gd
 
@@ -66,8 +66,7 @@ class Grid:
             raise ConfigError(f"grid dim must be 1 or 2, got {self.dim}")
         if _require_int("N", self.N, 8) % 2 != 0:
             raise ConfigError("N must be even and at least 8")
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ConfigError(f"L must be finite and positive, got {self.L!r}")
+        _require_positive("L", self.L)
 
     @property
     def delta(self):
@@ -95,8 +94,11 @@ def band_weights(h, delta):
     c_m = delta for m <= K-2; the edge pair (c_{K-1}, c_K) matches mass
     and second moment of 1_{|t|<h} dt exactly. K is the largest integer
     with K delta < h, so every weight multiplies a cell with |x_j - x_i|
-    strictly inside the ball.
+    strictly inside the ball. ConfigError unless h and delta are finite
+    and positive.
     """
+    _require_h(h)
+    _require_positive("delta", delta)
     K = int(math.floor(h / delta))
     if K * delta >= h:
         K -= 1
@@ -127,7 +129,10 @@ def _smootherstep(t):
 
 def taper_profile(grid, h, alpha):
     """Multiplier-scheme wall taper: 1 in the bulk, smooth drop to 0 over a
-    buffer strip of width max(5h, 5/sqrt(alpha)) at each wall."""
+    buffer strip of width max(5h, 5/sqrt(alpha)) at each wall. ConfigError
+    unless h and alpha are finite and positive."""
+    _require_h(h)
+    _require_positive("alpha", alpha)
     buf = max(5.0 * h, 5.0 / math.sqrt(alpha))
     if buf >= grid.L:
         raise ConfigError(f"box half-width {grid.L} smaller than taper buffer {buf}")

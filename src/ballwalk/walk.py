@@ -38,7 +38,8 @@ TV_START_STRIDE = 4  # every 4th node inside |x| < tau starts a TV curve
 
 
 def make_rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
+    """Philox generator; ConfigError unless seed is an integer >= 0."""
+    return np.random.Generator(np.random.Philox(_require_int("seed", seed, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +61,13 @@ def _step_batch(density, h, xs, rng):
     """Advance every point of xs ((n,) for d = 1, (n, 2) for d = 2) one
     step by vectorized rejection: proposals x + h u, u uniform in [-1, 1]^d
     (outside the unit ball: rejected), under the envelope rho at radius
-    max(|x| - h, 0), where rho peaks over the ball."""
+    max(|x| - h, 0), where rho peaks over the ball. Each pass gives every
+    live point one trial: one still live after REJECTION_BUDGET passes
+    raises RejectionBudgetExceeded."""
     xs = np.asarray(xs, dtype=float)
     out = xs.copy()
     alive = np.ones(xs.shape[0], dtype=bool)
-    trials = np.zeros(xs.shape[0], dtype=np.int64)
+    passes = 0
     while alive.any():
         idx = np.nonzero(alive)[0]
         x = out[idx]
@@ -75,8 +78,8 @@ def _step_batch(density, h, xs, rng):
         ok &= _radius(density, u) <= 1.0  # always true for d = 1
         out[idx[ok]] = y[ok]
         alive[idx[ok]] = False
-        trials[idx] += 1
-        if np.any(trials[alive] >= REJECTION_BUDGET):
+        passes += 1
+        if passes >= REJECTION_BUDGET and alive.any():
             raise RejectionBudgetExceeded(f"path stuck after {REJECTION_BUDGET} trials")
     return out
 

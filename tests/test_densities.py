@@ -25,7 +25,7 @@ from ballwalk.densities import (
     _mass_quadrature,
     _radius,
 )
-from ballwalk.errors import ConfigError, NumericalError, QuadratureNotConverged
+from ballwalk.errors import ConfigError, NumericalError, QuadratureNotConverged, WrongDensityKind
 from ballwalk.multiplier import gamma_d
 from ballwalk.operators import Grid
 
@@ -439,7 +439,7 @@ def test_weight_refuses_underflowed_mass(gauss_half):
 
 
 def test_exact_A_h_rejects_gaussian(gauss_half):
-    with pytest.raises(ConfigError):
+    with pytest.raises(WrongDensityKind):
         tempered_A_h(gauss_half, 0.2)
 
 

@@ -376,7 +376,7 @@ def test_no_convergence_on_tiny_budget(gauss_half, monkeypatch):
 
 def _interval_count(op, a, b):
     """Eigenvalues in (a, b], as a difference of two inertia counts."""
-    lo, hi = count_at_most([op], [a, b])[0].counts
+    (lo, hi), = count_at_most([op], [a, b])[0]
     return int(hi - lo)
 
 
@@ -433,17 +433,17 @@ def test_count_at_most_weyl_grid_matches_eigvals_banded(gauss_half, h):
     op = build_conjugated(_box_grid(gauss_half, h), gauss_half, h, scheme=BANDED)
     shifts = np.append(1.0 - np.linspace(0.10, 0.30, 9), 1.0)  # weyl_curve's
     ev = scipy.linalg.eigvals_banded(op.to_banded(), lower=True)
-    r = count_at_most([op], shifts)[0]
-    assert r.retries == 0
-    assert list(r.counts) == [int(np.sum(ev <= s + 1e-12)) for s in shifts]
+    (counts,), (flagged,) = count_at_most([op], shifts)
+    assert not flagged.any()
+    assert list(counts) == [int(np.sum(ev <= s + 1e-12)) for s in shifts]
 
 
 def test_count_at_most_order_and_duplicates(gauss_half):
     op = build_conjugated(Grid(1, 9.0, 360), gauss_half, 0.25, scheme=BANDED)
     shifts = [0.95, 0.5, 0.95, 0.7, 0.5]
-    sorted_unique = count_at_most([op], [0.5, 0.7, 0.95])[0].counts
+    (sorted_unique,), _ = count_at_most([op], [0.5, 0.7, 0.95])
     lookup = dict(zip([0.5, 0.7, 0.95], sorted_unique))
-    assert list(count_at_most([op], shifts)[0].counts) == [lookup[s] for s in shifts]
+    assert list(count_at_most([op], shifts)[0][0]) == [lookup[s] for s in shifts]
     ev = np.linalg.eigvalsh(op.to_dense())
     assert list(sorted_unique) == [int(np.sum(ev <= s)) for s in (0.5, 0.7, 0.95)]
 
@@ -458,13 +458,13 @@ def test_count_at_most_forced_retry(gauss_half, N):
     a00 = op.to_banded()[0, 0]
     s = a00 - 1e-12
     assert s + 1e-12 == a00
-    r = count_at_most([op], [0.5, s, 0.95])[0]
-    assert r.retries == 1
-    clean = count_at_most([op], [0.5, 0.95])[0]
-    assert clean.retries == 0
-    assert [r.counts[0], r.counts[2]] == list(clean.counts)
+    (counts,), (flagged,) = count_at_most([op], [0.5, s, 0.95])
+    assert flagged.sum() == 1
+    (clean,), (clean_flagged,) = count_at_most([op], [0.5, 0.95])
+    assert not clean_flagged.any()
+    assert [counts[0], counts[2]] == list(clean)
     ev = np.linalg.eigvalsh(op.to_dense())
-    assert list(r.counts) == [int(np.sum(ev <= t)) for t in (0.5, s, 0.95)]
+    assert list(counts) == [int(np.sum(ev <= t)) for t in (0.5, s, 0.95)]
 
 
 def test_count_at_most_counts_a_shift_on_a_pivot(banded_op, monkeypatch):
@@ -474,9 +474,9 @@ def test_count_at_most_counts_a_shift_on_a_pivot(banded_op, monkeypatch):
     a00 = banded_op.to_banded()[0, 0]
     ev = np.linalg.eigvalsh(banded_op.to_dense())
     assert np.min(np.abs(ev - a00)) > 1e-9
-    r = count_at_most([banded_op], [a00])[0]
-    assert r.retries == 1
-    assert list(r.counts) == [int(np.sum(ev <= a00))]
+    counts, flagged = count_at_most([banded_op], [a00])
+    assert flagged.sum() == 1
+    assert counts.tolist() == [[int(np.sum(ev <= a00))]]
 
 
 # --- the multi-shift sweep on its own -------------------------------------------
@@ -560,9 +560,9 @@ def test_late_vanishing_pivot_flags_only_its_shift(j):
     # count_at_most evaluates at s + eps, eps = 1e-12 * max(|shifts|, 1):
     # it lands on mu, is flagged, and LAPACK's eigenvalues count it
     s = mu - 1e-12 * max(abs(below), above, 1.0)
-    r = count_at_most([op], [below, s, above])[0]
-    assert r.retries >= 1
-    assert list(r.counts) == [0, int(np.sum(lam <= s)), A.shape[0]]
+    counts, flagged = count_at_most([op], [below, s, above])
+    assert flagged.tolist() == [[False, True, False]]
+    assert counts.tolist() == [[0, int(np.sum(lam <= s)), A.shape[0]]]
 
 
 @pytest.mark.parametrize("j", [_MIDDLE, _RAGGED])
@@ -642,16 +642,16 @@ def test_batched_sweep_flags_only_the_vanishing_pair(j, weyl_op, monkeypatch):
     assert ok.tolist() == [[True, False, True], [True, True, True]]
     assert [neg[0, 0], neg[0, 2]] == [0, _N]
     s = mu - 1e-12 * max(abs(below), above, 1.0)
-    alone = count_at_most([weyl_op], [below, s, above])[0]
+    (alone,), _ = count_at_most([weyl_op], [below, s, above])
     recounted = []
     eigvals_banded = scipy.linalg.eigvals_banded
     monkeypatch.setattr(scipy.linalg, "eigvals_banded",
                         lambda b, **kw: recounted.append(b.shape) or eigvals_banded(b, **kw))
-    weak, weyl = count_at_most([op, weyl_op], [below, s, above])
+    (weak, weyl), flagged = count_at_most([op, weyl_op], [below, s, above])
     assert recounted == [(11, _N)]
-    assert (weak.retries, weyl.retries) == (1, 0)
-    assert list(weak.counts) == [0, int(np.sum(lam <= s)), _N]
-    assert list(weyl.counts) == list(alone.counts)
+    assert flagged.tolist() == [[False, True, False], [False, False, False]]
+    assert list(weak) == [0, int(np.sum(lam <= s)), _N]
+    assert list(weyl) == list(alone)
 
 
 def test_weyl_curve_sweeps_once(gauss_half, monkeypatch):

@@ -86,7 +86,7 @@ def test_weyl_counts_match_h20(weyl_rows):
     assert len(weyl_rows) == len(WEYL_H) * len(WEYL_LAMBDAS)
     fine = []
     for h in WEYL_H:
-        counts = count_at_most([_operator(GAUSS, h, BANDED, rule=20)], SHIFTS)[0].counts
+        counts = count_at_most([_operator(GAUSS, h, BANDED, rule=20)], SHIFTS)[0][0]
         fine += [int(counts[-1] - below) for below in counts[:-1]]
     assert [n for _, _, n, _ in weyl_rows] == fine
 
