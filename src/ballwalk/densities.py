@@ -112,6 +112,14 @@ def _rho_at_radius(density, r):
     return density.beta * np.exp(-density.alpha * _s(density.R, r))
 
 
+def _log_rho_at_radius(density, r):
+    """log rho at the radius r >= 0 in closed form, with no exp: finite
+    where rho itself underflows to 0."""
+    if density.kind == GAUSSIAN:
+        return math.log(density.beta) - density.alpha * r * r
+    return math.log(density.beta) - density.alpha * _s(density.R, r)
+
+
 def eval_potential(density, x):
     """Potential V = (Delta rho)/rho.
 
@@ -273,6 +281,12 @@ def tempered_A_h(density, h):
 _GL_LO = np.polynomial.legendre.leggauss(16)
 _GL_HI = np.polynomial.legendre.leggauss(32)
 _MAX_PANEL_SPLITS = 48
+# Panels that bisection may add to a batch's first ones. An integrand
+# noisier than rel_tol fails every panel, so the live panels double on
+# each pass long before _MAX_PANEL_SPLITS. Tier-1 and the bench inputs add
+# at most 53 (one row of a tempered core mass); the cap bounds each pass's
+# (panels, 32) node arrays to about 17 MB past the first pass.
+_MAX_ADDED_PANELS = 2**16
 
 
 def _adaptive_gl(f, a, b, rel_tol, splits=()):
@@ -291,7 +305,10 @@ def _adaptive_gl_batch(f, a, b, rel_tol, splits=()):
     row's sum is reduced over that row's own panels only, in an order
     fixed by the row, so a row's result does not depend on which other
     rows share the batch. splits lists kink locations that seed panel
-    edges wherever they fall strictly inside a row's interval.
+    edges wherever they fall strictly inside a row's interval. A panel
+    still failing after _MAX_PANEL_SPLITS bisections, or a pass that would
+    leave more than _MAX_ADDED_PANELS live panels past the first pass's,
+    raises QuadratureNotConverged.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -301,6 +318,7 @@ def _adaptive_gl_batch(f, a, b, rel_tol, splits=()):
     live = p < q
     p, q, rows = p[live], q[live], rows[live]
     total = np.zeros(a.size)
+    first = p.size
     depth = 0  # every live panel has been bisected depth times
     while p.size:
         centre = (0.5 * (p + q))[:, None]
@@ -313,10 +331,11 @@ def _adaptive_gl_batch(f, a, b, rel_tol, splits=()):
         total += np.bincount(rows[ok], weights=fine[ok], minlength=a.size)
         if ok.all():
             break
-        if depth >= _MAX_PANEL_SPLITS:
-            bad = np.flatnonzero(~ok)[0]
+        failed = np.flatnonzero(~ok)
+        if depth >= _MAX_PANEL_SPLITS or 2 * failed.size > first + _MAX_ADDED_PANELS:
             raise QuadratureNotConverged(
-                f"panel [{p[bad]}, {q[bad]}] failed to reach rel_tol={rel_tol}"
+                f"panel [{p[failed[0]]}, {q[failed[0]]}] failed to reach rel_tol={rel_tol}, "
+                f"one of {failed.size} after {depth} bisections"
             )
         p, q, rows = p[~ok], q[~ok], rows[~ok]
         mid = 0.5 * (p + q)

@@ -28,13 +28,19 @@ Three routes, matched to the operator shapes:
     float, so degenerate levels come out exactly paired. bottom_values
     is the d = 1 path's eigenvalues alone, without the inverse iteration
     for the eigenvectors, optionally only those below a bound.
-  * count_at_most: Sylvester inertia of the symmetric banded scheme, by
-    one unpivoted banded LDL^T sweep that carries every (operator, shift)
-    pair along at once, for a list of operators of any sizes and band
-    widths (LAPACK has no banded symmetric indefinite driver). A pair
-    whose sweep meets a near-singular leading block of A - s*I, not
-    necessarily an eigenvalue of A, is counted from that operator's
-    LAPACK banded eigenvalues instead.
+  * count_at_most: Sylvester inertia of the symmetric banded scheme on
+    the mirror half. Every banded operator commutes with the mirror
+    x -> -x, so A - s*I is orthogonally similar to two banded blocks on
+    half the grid that differ only in their last K x K block. One
+    unpivoted banded LDL^T sweep carries every (operator, shift) pair of
+    the halves along at once, for a list of operators of any sizes and
+    band widths (LAPACK has no banded symmetric indefinite driver), and
+    stops K rows before each half's end: its pivots count for both
+    blocks, and the Schur complement S it leaves adds the negatives of
+    S + C and S - C, C the coupling across the centre (Haynsworth's
+    inertia additivity). A pair whose sweep meets a near-singular leading
+    block, not necessarily an eigenvalue of A, is counted from that
+    operator's LAPACK banded eigenvalues instead.
 
 Every eigenpair solver ends in one _finish: eigenpairs sorted (ascending
 for a SchrodingerOperator, descending otherwise), eigenvectors with unit
@@ -248,7 +254,7 @@ _GROWTH_CAP = 1e10
 _NUDGE = 1e-12  # shifts move by this, relative, off computed eigenvalues
 # Steps per staged chunk of _ldl_sweep; even, so that a step's window
 # buffer is fixed by its place in the chunk. Timed on weyl_curve's one
-# batched sweep (n = 800, 1200, 1600 at K = 9, 10 shifts, 30 columns),
+# full-band sweep (n = 800, 1200, 1600 at K = 9, 10 shifts, 30 columns),
 # one BLAS thread, 2 shared CPUs, best of 10 per round: in 40 interleaved
 # rounds of 8, 16 and 32 steps, 16 beat 8 in 35 and 32 beat 16 in 29;
 # in 20 more rounds of 16 against 32 alone, 32 won 17, median 22.0
@@ -260,9 +266,10 @@ _SWEEP_CHUNK = 16
 
 
 def _ldl_sweep(bands, shifts):
-    """Negatives of A - s*I for every operator A and shift s, and which
-    (operator, shift) pairs passed, as (operators, shifts) int64 and bool
-    arrays.
+    """The leading pivots of A - s*I for every operator A and shift s, and
+    the Schur complement they leave: the negatives among those pivots and
+    which (operator, shift) pairs passed, as (operators, shifts) int64 and
+    bool arrays, and the (operators, shifts, K, K) trailing windows.
 
     Unpivoted right-looking banded LDL^T, bands[o][k, i] = A_o[i, i+k],
     with one column of the sweep per (operator, shift) pair. Each column
@@ -282,14 +289,24 @@ def _ldl_sweep(bands, shifts):
     _GROWTH_CAP, the symptoms of a near-singular leading block of
     A - s*I, fails that pair alone.
 
+    Operator o, on n_o rows at half-width K_o, stops c_o = min(K_o, n_o)
+    rows before its end: its first t_o = n_o - c_o pivots are counted and
+    checked, and its window, copied out at step t_o (symmetrized from the
+    lower triangle), holds the Schur complement S_o they leave on the last
+    c_o rows, with the identity past it (K is the widest K_o). By
+    Haynsworth's inertia additivity, neg(A_o - s*I) is the pivots'
+    negatives plus neg(S_o). The copied window is set to the identity, so
+    that the operator's columns run on to the end of the sweep through
+    rows decoupled from them, as do the rows past its end, with a
+    diagonal of 1 for every shift: neither's pivots are counted or
+    checked, and their multipliers are zero.
+
     A narrower band is zero-padded to the widest K: its extra
-    multipliers are zero, so every pivot keeps its bits. A shorter
-    operator runs on past its last row through rows decoupled from it,
-    with a diagonal of 1 for every shift, whose pivots are neither
-    counted nor checked and whose multipliers are zero.
+    multipliers are zero, so every pivot keeps its bits.
     """
     sizes = [b.shape[1] for b in bands]
-    Kb, n = max(b.shape[0] for b in bands), max(sizes)
+    stops = [n_o - min(b.shape[0] - 1, n_o) for b, n_o in zip(bands, sizes)]
+    Kb, n = max(b.shape[0] for b in bands), max(stops)  # n steps in all
     K, P, S = Kb - 1, len(bands), shifts.size
     R = np.zeros((n + Kb, Kb, P))  # R[p, K-k, o] = A_o[p, p-k], zero off A_o
     for o, (b, n_o) in enumerate(zip(bands, sizes)):
@@ -315,6 +332,18 @@ def _ldl_sweep(bands, shifts):
              for c in range(_SWEEP_CHUNK)]
     D = np.empty((n, P * S))
     grow = np.zeros(P * S)
+    windows = np.empty((P, S, K, K))
+    stopping = {}  # step -> the operators that stop there
+    for o, t in enumerate(stops):
+        stopping.setdefault(t, []).append(o)
+    identity = np.eye(Kb)[..., None]
+
+    def stop(j):
+        for o in stopping[j]:
+            w = W4[j % 2, :, :, o]
+            windows[o] = np.moveaxis(w[:K, :K], -1, 0)
+            w[...] = identity
+
     with np.errstate(all="ignore"):  # a failed pair's column may overflow
         for j0 in range(0, n, _SWEEP_CHUNK):
             m = min(_SWEEP_CHUNK, n - j0)
@@ -323,6 +352,8 @@ def _ldl_sweep(bands, shifts):
             np.subtract(rows[:, K, :, None], shifts, out=entering[:m, K])
             entering[:m, K][past[j0 + Kb : j0 + Kb + m]] = 1.0
             for j, (piv, col, trail, row, top, new, lj, ej) in zip(range(j0, j0 + m), steps):
+                if j in stopping:
+                    stop(j)
                 D[j] = piv
                 np.divide(col, piv, out=lj)
                 np.multiply(lj, row, out=lw)
@@ -330,29 +361,92 @@ def _ldl_sweep(bands, shifts):
                 new[...] = ej
             lm = np.abs(l[:m], out=l[:m])
             np.maximum(grow, np.max(lm, axis=(0, 1, 2), initial=0.0), out=grow)
+        stop(n)
         D = D.reshape(n, P, S)
         ok = (grow <= _GROWTH_CAP).reshape(P, S)
         neg = np.empty((P, S), dtype=np.int64)
-        for o, (b, n_o) in enumerate(zip(bands, sizes)):
-            Do = D[:n_o, o]
+        for o, (b, t) in enumerate(zip(bands, stops)):
+            Do = D[:t, o]
             scale = float(np.max(np.abs(b))) + np.abs(shifts)
             ok[o] &= np.all(np.abs(Do) > _PIVOT_FLOOR * scale, axis=0)
             neg[o] = np.sum(Do < 0.0, axis=0)
-    return neg, ok
+    return neg, ok, np.tril(windows) + np.tril(windows, -1).swapaxes(-1, -2)
+
+
+def _mirror_fold(bands):
+    """The left half of a mirror-symmetric band and its centre coupling.
+
+    With J the mirror i <-> n-1-i and A = JAJ on n = 2M rows, A is
+    orthogonally similar to (A_LL + C') (+) (A_LL - C'), A_LL the leading
+    M x M block and C' = A_LR J, which is zero outside its trailing
+    c x c block C, c = min(K, M): C[r, r'] = A[t+r, n-1-t-r'], t = M - c.
+    Returns (A_LL's bands, a view, and C). ConfigError where the band
+    differs from its mirror image by more than _PIVOT_FLOOR * max|b|:
+    A = JAJ makes each diagonal a palindrome, b[k, i] = b[k, n-1-k-i].
+    """
+    Kb, n = bands.shape
+    M = n // 2
+    tol = _PIVOT_FLOOR * np.max(np.abs(bands))
+    if not all(np.max(np.abs(d[: n - k] - d[n - k - 1 :: -1]), initial=0.0) <= tol
+               for k, d in enumerate(bands[:n])):
+        raise ConfigError("count_at_most needs operators that commute with the mirror x -> -x")
+    c = min(Kb - 1, M)
+    t, r = M - c, np.arange(c)
+    off = 2 * c - 1 - r[:, None] - r  # C[r, r'] = A[t+r, t+r+off] = bands[off, t+r]
+    return bands[:, :M], np.where(off < Kb, bands[np.minimum(off, Kb - 1), t + r[:, None]], 0.0)
+
+
+def _centre_counts(windows, couplings, scale):
+    """Negatives of S + C and S - C for every operator's windows S and its
+    centre coupling C, summed, and which (operator, shift) pairs passed,
+    both (operators, shifts): one unpivoted LDL^T of all 2 x operators x
+    shifts blocks at once, K steps, reading lower triangles. A C of
+    c < K rows checks the first c pivots alone (the rest sit on the
+    identity, and are never negative); a pivot within
+    _PIVOT_FLOOR * scale of zero or a multiplier past _GROWTH_CAP fails
+    its pair, as in _ldl_sweep."""
+    P, S, K, _ = windows.shape
+    C = np.zeros((P, 1, 1, K, K))
+    real = np.zeros((P, 1, 1, K), dtype=bool)  # pivots on C's rows, not the identity's
+    for o, c in enumerate(couplings):
+        C[o, ..., : len(c), : len(c)] = c
+        real[o, ..., : len(c)] = True
+    X = windows[:, :, None] + np.array([1.0, -1.0])[:, None, None] * C  # (P, S, 2, K, K)
+    piv = np.empty(X.shape[:-1])
+    grow = np.zeros(X.shape[:-2])
+    with np.errstate(all="ignore"):
+        for j in range(K):
+            piv[..., j] = X[..., j, j]
+            lj = X[..., j + 1 :, j] / piv[..., j, None]
+            X[..., j + 1 :, j + 1 :] -= lj[..., :, None] * X[..., None, j + 1 :, j]
+            grow = np.maximum(grow, np.max(np.abs(lj), axis=-1, initial=0.0))
+        ok = np.all((np.abs(piv) > _PIVOT_FLOOR * scale[..., None, None]) | ~real, axis=(2, 3))
+        ok &= np.all(grow <= _GROWTH_CAP, axis=2)
+    return np.sum(piv < 0.0, axis=(2, 3)), ok
 
 
 def count_at_most(ops, shifts):
     """(counts, flagged), both (operators, shifts): counts[o, i] =
     #{lambda <= shifts[i]} of ops[o], a non-empty list of symmetric banded
-    DiscreteOperators, by one multi-shift banded LDL^T sweep over all of
-    them (Sylvester inertia), and flagged marks the pairs LAPACK counted.
+    DiscreteOperators that commute with the mirror x -> -x, and flagged
+    marks the pairs LAPACK counted.
+
+    Sylvester inertia on the mirror half (_mirror_fold): A - sI is
+    similar to (A_LL + C' - sI) (+) (A_LL - C' - sI), two banded blocks
+    that share every row but the last K x K. So one multi-shift banded
+    LDL^T sweep over all the operators' halves (_ldl_sweep) counts the
+    negatives of their shared leading pivots twice, and the Schur
+    complement S they leave adds those of S + C and S - C
+    (_centre_counts). An operator whose band is not mirror-symmetric to
+    within _PIVOT_FLOOR of its largest entry raises ConfigError.
 
     Each shift is evaluated at s + eps, eps = 1e-12 * max(|shifts|, 1),
     so a shift that lands on an eigenvalue (up to roundoff) resolves as
-    lambda <= s instead of flapping. A pair the sweep flags (a leading
-    block of A - (s + eps)I near singular) is counted from LAPACK's banded
-    eigenvalues of that operator at the same s + eps. Eigenvalue pairs
-    closer than eps are not resolved.
+    lambda <= s instead of flapping. A pair that the sweep or the centre
+    blocks flag (a near-singular leading block of a half or centre block
+    of A - (s + eps)I) is counted from LAPACK's banded eigenvalues of that
+    operator's full band at the same s + eps. Eigenvalue pairs closer
+    than eps are not resolved.
     """
     if not isinstance(ops, (list, tuple)) or not ops or not all(
         isinstance(op, DiscreteOperator) and op.scheme == BANDED and op.symmetric for op in ops
@@ -363,8 +457,11 @@ def count_at_most(ops, shifts):
         raise ConfigError(f"shifts must be a non-empty list of finite numbers, got {shifts}")
     at = shifts + _NUDGE * max(float(np.max(np.abs(shifts))), 1.0)
     bands = [op.to_banded() for op in ops]
-    counts, ok = _ldl_sweep(bands, at)
-    flagged = ~ok
+    halves, couplings = zip(*map(_mirror_fold, bands))
+    neg, ok, windows = _ldl_sweep(halves, at)
+    scale = np.array([float(np.max(np.abs(b))) for b in halves])[:, None] + np.abs(at)
+    centre, centre_ok = _centre_counts(windows, couplings, scale)
+    counts, flagged = 2 * neg + centre, ~(ok & centre_ok)
     for o in np.flatnonzero(flagged.any(axis=1)):
         # the sweep counts the strict negatives of A - (s + eps)I
         ev = scipy.linalg.eigvals_banded(bands[o], lower=True)

@@ -42,16 +42,17 @@ def _check_dim(d):
 
 
 def eval_Gd(d, r):
-    """Radial multiplier value G_d(r) for r >= 0 (scalar or array); a
-    negative or NaN r raises ConfigError.
+    """Radial multiplier value G_d(r) for finite r >= 0 (scalar or array);
+    a negative, NaN or infinite r raises ConfigError.
 
     Both dimensions use closed forms, accurate to a few ulps (tested against
     an adaptive quadrature of the dimensional-reduction integral).
     """
     _check_dim(d)
     r = np.asarray(r, dtype=float)
-    if not np.all(r >= 0):
-        raise ConfigError("radial argument must be >= 0, got a negative or NaN (non-finite) value")
+    if not np.all((r >= 0) & (r < math.inf)):
+        raise ConfigError("radial argument must be finite and >= 0, got a negative, NaN or "
+                          "infinite value")
     if d == 1:
         # sin(r)/r, stable at 0 through numpy's normalized sinc
         out = np.sinc(r / math.pi)

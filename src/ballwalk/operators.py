@@ -14,9 +14,10 @@ Four operators on a truncated uniform grid:
 
 The first three share one form, A = diag(lscale) C diag(rscale) with C a
 symmetric Toeplitz band or circulant, so A's transpose swaps the scales.
-Grid nodes are cell centers, x_i = -L + (i + 1/2) delta. The banded scheme
-restricts the infinite banded matrix to the box (zero extension) and
-caches nothing: a vector product is one band convolution (_band_apply),
+Grid nodes are cell centers, x_i = -L + (i + 1/2) delta, computed as
+(i - (N-1)/2) delta so that x_{N-1-i} = -x_i to the bit. The banded
+scheme restricts the infinite banded matrix to the box (zero extension)
+and caches nothing: a vector product is one band convolution (_band_apply),
 and DiscreteOperator.powers steps an (n, S) block by one matmul per step
 of a stack of Toeplitz blocks with both scales folded in, built per call.
 Its T and T-tilde are one chain, the ball walk of rho restricted to the
@@ -67,13 +68,16 @@ class Grid:
         if _require_int("N", self.N, 8) % 2 != 0:
             raise ConfigError("N must be even and at least 8")
         _require_positive("L", self.L)
+        _require_positive("delta = 2L/N", self.delta)
 
     @property
     def delta(self):
         return 2.0 * self.L / self.N
 
     def axis_nodes(self):
-        return -self.L + (np.arange(self.N) + 0.5) * self.delta
+        """Cell centres x_i = (i - (N-1)/2) delta, so x_{N-1-i} = -x_i
+        to the bit."""
+        return (np.arange(self.N) - (self.N - 1) / 2) * self.delta
 
     def nodes(self):
         """Node coordinates; (N,) for d=1, (N^2, 2) row-major for d=2."""

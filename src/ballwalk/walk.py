@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .densities import (_adaptive_gl, _adaptive_gl_batch, _radius, _require_h, _require_int,
-                        _rho_at_radius, ball_mass_grid, eval_density)
+from .densities import (_adaptive_gl, _adaptive_gl_batch, _log_rho_at_radius, _radius,
+                        _require_h, _require_int, _rho_at_radius, ball_mass_grid, eval_density)
 from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
 from .operators import Grid, build_markov
 from .report import Report
@@ -61,7 +61,11 @@ def _step_batch(density, h, xs, rng):
     """Advance every point of xs ((n,) for d = 1, (n, 2) for d = 2) one
     step by vectorized rejection: proposals x + h u, u uniform in [-1, 1]^d
     (outside the unit ball: rejected), under the envelope rho at radius
-    max(|x| - h, 0), where rho peaks over the ball. Each pass gives every
+    max(|x| - h, 0), where rho peaks over the ball: accept when
+    v rho_sup <= rho(y), v uniform in [0, 1). Where rho_sup is not a
+    normal float (rho underflows over the ball, and the product test would
+    read 0 <= 0), the same test runs in log space on the closed-form
+    log rho, log v + log rho_sup <= log rho(y). Each pass gives every
     live point one trial: one still live after REJECTION_BUDGET passes
     raises RejectionBudgetExceeded."""
     xs = np.asarray(xs, dtype=float)
@@ -73,8 +77,15 @@ def _step_batch(density, h, xs, rng):
         x = out[idx]
         u = rng.uniform(-1.0, 1.0, size=x.shape)
         y = x + h * u
-        sup = _rho_at_radius(density, np.maximum(_radius(density, x) - h, 0.0))
-        ok = rng.uniform(size=idx.size) * sup <= eval_density(density, y)
+        r_sup = np.maximum(_radius(density, x) - h, 0.0)
+        sup = _rho_at_radius(density, r_sup)
+        v = rng.uniform(size=idx.size)
+        ok = v * sup <= eval_density(density, y)
+        low = sup < np.finfo(float).tiny
+        if low.any():
+            with np.errstate(divide="ignore"):  # v = 0 accepts, log v = -inf
+                ok[low] = np.log(v[low]) + _log_rho_at_radius(density, r_sup[low]) <= (
+                    _log_rho_at_radius(density, _radius(density, y[low])))
         ok &= _radius(density, u) <= 1.0  # always true for d = 1
         out[idx[ok]] = y[ok]
         alive[idx[ok]] = False

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ballwalk import analysis
 from ballwalk.analysis import (
@@ -268,18 +269,41 @@ def test_weyl_curve_exponent(gauss_half):
         assert ns == sorted(ns)
 
 
-def test_weyl_count_at_one_is_every_node():
-    # weyl_curve reads N(lambda, h) as n minus the count at 1 - lambda,
-    # because the banded T-tilde is similar to a row-stochastic matrix:
-    # #{lambda <= 1} is n on every one of 70 operators, Gaussian and
-    # tempered, over weyl_curve's h range and two boxes, in one sweep
+@pytest.fixture(scope="module")
+def weyl_family():
+    """70 banded T-tilde, Gaussian and tempered, over weyl_curve's h range
+    and two boxes."""
     dens = [make_density("gaussian", 1, a) for a in (0.25, 0.5, 1.0, 2.0)]
     dens += [make_density("tempered", 1, 1.0, R=R) for R in (0.1, 0.5, 8.0)]
     ops = [build_conjugated(Grid(1, L, analysis._even_grid(L, h, analysis.GRID_RULE)), d, h)
            for d in dens for h in (0.5, 0.3, 0.2, 0.15, 0.1) for L in (6.0, 12.0)]
     assert len(ops) == 70 and all(op.scheme == BANDED for op in ops)
-    counts, _ = count_at_most(ops, [1.0])
-    assert counts[:, 0].tolist() == [op.grid.size for op in ops]
+    return ops
+
+
+def test_weyl_count_at_one_is_every_node(weyl_family):
+    # weyl_curve reads N(lambda, h) as n minus the count at 1 - lambda,
+    # because the banded T-tilde is similar to a row-stochastic matrix:
+    # #{lambda <= 1} is n on every operator of the family, in one sweep
+    counts, _ = count_at_most(weyl_family, [1.0])
+    assert counts[:, 0].tolist() == [op.grid.size for op in weyl_family]
+
+
+def test_weyl_family_counts_match_eigvals_banded(weyl_family, monkeypatch):
+    # the mirror fold against LAPACK's eigenvalues of each full band, at
+    # 41 shifts across [-0.25, 1]: the counts are the strict negatives of
+    # A - (s + eps)I, eps = 1e-12. The pairs the fold flags (the shift 0
+    # on 57 operators) are recounted from the same eigenvalues, served
+    # from the oracle's so that LAPACK runs once per operator
+    shifts = np.linspace(-0.25, 1.0, 41)
+    bands = [op.to_banded() for op in weyl_family]
+    eigenvalues = [scipy.linalg.eigvals_banded(b, lower=True) for b in bands]
+    served = {b.tobytes(): ev for b, ev in zip(bands, eigenvalues)}
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda b, **kw: served[b.tobytes()])
+    counts, flagged = count_at_most(weyl_family, shifts)
+    assert counts.tolist() == [np.searchsorted(ev, shifts + 1e-12, side="left").tolist()
+                               for ev in eigenvalues]
+    assert not flagged[:, shifts != 0.0].any()
 
 
 def test_weyl_below_gap_counts_one(gauss_half, monkeypatch):

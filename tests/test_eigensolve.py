@@ -438,6 +438,31 @@ def test_count_at_most_weyl_grid_matches_eigvals_banded(gauss_half, h):
     assert list(counts) == [int(np.sum(ev <= s + 1e-12)) for s in shifts]
 
 
+def test_count_at_most_leaves_a_narrower_centre_unchecked(gauss_half):
+    # a K = 9 operator batched with a K = 10 one carries a unit pivot past
+    # its 9 x 9 centre block; at the shift 1e14 that pivot is below the
+    # floor 1e-13 * (max|A| + 1e14), so it must not be checked
+    ops = [build_conjugated(_box_grid(gauss_half, h), gauss_half, h, scheme=BANDED)
+           for h in (0.35, 0.3)]
+    assert [len(op.stencil) for op in ops] == [11, 10]
+    counts, flagged = count_at_most(ops, [1e14])
+    assert counts.tolist() == [[op.grid.size] for op in ops] and not flagged.any()
+
+
+@pytest.mark.parametrize("h", [1.2, 1.9])
+def test_count_at_most_on_a_half_no_wider_than_the_band(gauss_half, h):
+    # 8 nodes at K = 4 and 7: M = 4 <= K, so the sweep takes no pivot and
+    # the centre blocks are the whole halves (at K = 7, three eigenvalues
+    # within 1e-16 of 0 sit inside eps of the shifts between them)
+    op = build_conjugated(Grid(1, 1.0, 8), gauss_half, h, scheme=BANDED)
+    assert len(op.stencil) - 1 >= op.grid.N // 2
+    lam = np.linalg.eigvalsh(op.to_dense())
+    shifts = np.concatenate([[lam[0] - 0.1], 0.5 * (lam[1:] + lam[:-1]), [lam[-1] + 0.1]])
+    counts, flagged = count_at_most([op], shifts)
+    assert not flagged.any()
+    assert counts.tolist() == [[int(np.sum(lam <= s + 1e-12)) for s in shifts]]
+
+
 def test_count_at_most_order_and_duplicates(gauss_half):
     op = build_conjugated(Grid(1, 9.0, 360), gauss_half, 0.25, scheme=BANDED)
     shifts = [0.95, 0.5, 0.95, 0.7, 0.5]
@@ -511,52 +536,107 @@ def _shifts_away(rng, lam, size):
     return far
 
 
+def _inertia(neg, windows):
+    """Negatives of A - s*I from the sweep's output: the leading pivots'
+    plus those of the Schur complement they leave (Haynsworth)."""
+    return neg + np.sum(np.linalg.eigvalsh(windows) < 0.0, axis=-1)
+
+
+def _embedded(window, K):
+    """A (..., k, k) window as the sweep gives it at the wider K: in the
+    leading block, with the identity past it."""
+    out = np.broadcast_to(np.eye(K), window.shape[:-2] + (K, K)).copy()
+    k = window.shape[-1]
+    out[..., :k, :k] = window
+    return out
+
+
 @pytest.mark.parametrize("Kb", [2, 3, 11, 25])
 @pytest.mark.parametrize("n", [3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
 def test_ldl_sweep_matches_dense_across_chunk_edges(n, Kb):
-    # a random indefinite band, so pivots of both signs meet every chunk
-    # edge: before the first full chunk, on it, one past it, and in a
-    # ragged last chunk
+    # a random indefinite band of n + K rows, so that the sweep takes n
+    # steps and pivots of both signs meet every chunk edge: before the
+    # first full chunk, on it, one past it, and in a ragged last chunk;
+    # the window it leaves carries the last K rows' negatives
     rng = np.random.default_rng([n, Kb])
-    bands = rng.standard_normal((Kb, n))
+    bands = rng.standard_normal((Kb, n + Kb - 1))
     lam = np.linalg.eigvalsh(_dense(bands))
     for S in (1, 10):
         shifts = _shifts_away(rng, lam, S)
-        (neg,), (ok,) = eigensolve._ldl_sweep([bands], shifts)
-        assert ok.all()
-        assert list(neg) == [int(np.sum(lam < s)) for s in shifts]
+        neg, ok, windows = eigensolve._ldl_sweep([bands], shifts)
+        assert ok.all() and windows.shape == (1, S, Kb - 1, Kb - 1)
+        assert list(_inertia(neg, windows)[0]) == [int(np.sum(lam < s)) for s in shifts]
 
 
-# a matrix of 3 chunks and a ragged 6 columns (a Grid needs an even size),
-# and a column in its second chunk and one in its last
+@pytest.mark.parametrize("Kb", [3, 11, 25])
+def test_ldl_sweep_window_is_a_short_band_itself(Kb):
+    # n <= K rows: no pivot is taken, and the window is A - s*I itself
+    # with the identity past it, both when the sweep ends there and when
+    # a longer band batched with it runs on past it
+    rng = np.random.default_rng(Kb)
+    K = Kb - 1
+    long = rng.standard_normal((Kb, 3 * _CHUNK + K))
+    for n in sorted({1, 2, K - 1, K}):
+        short = rng.standard_normal((Kb, n))
+        lams = [np.linalg.eigvalsh(_dense(b)) for b in (short, long)]
+        shifts = _shifts_away(rng, np.sort(np.concatenate(lams)), 5)
+        for batch in ([short], [short, long]):
+            neg, ok, windows = eigensolve._ldl_sweep(batch, shifts)
+            assert ok.all() and not neg[0].any()
+            np.testing.assert_array_equal(
+                windows[0], _embedded(_dense(short) - shifts[:, None, None] * np.eye(n), K))
+            assert _inertia(neg, windows).tolist() == [
+                [int(np.sum(lam < s)) for s in shifts] for lam in lams[: len(batch)]]
+
+
+# a leading block of 3 chunks and a ragged 6 columns, and a column in its
+# second chunk and one in its last
 _N = 3 * _CHUNK + 6
 _MIDDLE, _RAGGED = _CHUNK + 5, 3 * _CHUNK + 2
 
 
-def _weak_band(n, seed):
-    """A = diag(a) C diag(a), C a Toeplitz band with C[0] = 1 and
-    off-diagonals near 1e-3, as a banded DiscreteOperator that
-    count_at_most takes."""
+def _weak_band(seed, mirror=True):
+    """A = diag(a) C diag(a), C a Toeplitz band with C[0] = 1 and ten
+    off-diagonals near 1e-3, as a banded DiscreteOperator on 2 (_N + 10)
+    nodes: with scales a that are mirror-symmetric (count_at_most takes
+    it, and the sweep of its half takes _N steps), or drawn at random."""
     rng = np.random.default_rng(seed)
     stencil = np.append(1.0, 1e-3 * rng.uniform(-1.0, 1.0, 10))
-    a = rng.uniform(0.5, 1.5, n)
-    return DiscreteOperator(BANDED, Grid(1, 1.0, n), 0.5, stencil=stencil, lscale=a, rscale=a)
+    a = rng.uniform(0.5, 1.5, _N + 10)
+    a = np.concatenate([a, a[::-1]]) if mirror else rng.uniform(0.5, 1.5, 2 * a.size)
+    return DiscreteOperator(BANDED, Grid(1, 1.0, a.size), 0.5, stencil=stencil, lscale=a, rscale=a)
+
+
+def _vanishing_shift(A, j):
+    """mu, an eigenvalue of A's leading (j+1) x (j+1) block whose
+    eigenvector weighs on coordinate j: pivot j of A - mu*I vanishes."""
+    mus, vecs = np.linalg.eigh(A[: j + 1, : j + 1])
+    return mus[np.argmax(np.abs(vecs[j]))]
+
+
+def test_count_at_most_refuses_a_band_that_is_not_mirror_symmetric():
+    op = _weak_band(0, mirror=False)
+    with pytest.raises(ConfigError, match="mirror"):
+        count_at_most([op], [0.5])
+    with pytest.raises(ConfigError, match="mirror"):
+        count_at_most([_weak_band(0), op], [0.5])
 
 
 @pytest.mark.parametrize("j", [_MIDDLE, _RAGGED])
 def test_late_vanishing_pivot_flags_only_its_shift(j):
-    # mu, an eigenvalue of the leading (j+1) x (j+1) block whose
-    # eigenvector weighs on coordinate j, makes pivot j of A - mu*I vanish
-    op = _weak_band(_N, j)
-    bands, A = op.to_banded(), op.to_dense()
+    # mu makes pivot j of the half sweep vanish, a pivot that both halves
+    # of the fold share
+    op = _weak_band(j)
+    A = op.to_dense()
+    half, _ = eigensolve._mirror_fold(op.to_banded())
+    assert half.shape == (11, _N + 10)
     lam = np.linalg.eigvalsh(A)
-    mus, vecs = np.linalg.eigh(A[: j + 1, : j + 1])
-    mu = mus[np.argmax(np.abs(vecs[j]))]
+    mu = _vanishing_shift(_dense(half), j)
     assert np.min(np.abs(lam - mu)) > 1e-9
     below, above = lam[0] - 0.5, lam[-1] + 0.5
-    (neg,), (ok,) = eigensolve._ldl_sweep([bands], np.array([below, mu, above]))
+    (neg,), (ok,), _ = eigensolve._ldl_sweep([half], np.array([below, mu, above]))
     assert list(ok) == [True, False, True]
-    assert [neg[0], neg[2]] == [0, A.shape[0]]
+    assert [neg[0], neg[2]] == [0, _N]
     # count_at_most evaluates at s + eps, eps = 1e-12 * max(|shifts|, 1):
     # it lands on mu, is flagged, and LAPACK's eigenvalues count it
     s = mu - 1e-12 * max(abs(below), above, 1.0)
@@ -565,80 +645,133 @@ def test_late_vanishing_pivot_flags_only_its_shift(j):
     assert counts.tolist() == [[0, int(np.sum(lam <= s)), A.shape[0]]]
 
 
+def test_vanishing_centre_pivot_flags_only_its_shift():
+    # mu, an eigenvalue of the leading (j+1) x (j+1) block of the even
+    # half A_LL + C' for a row j of the centre block, passes the sweep and
+    # makes pivot j - _N = 4 of S + C vanish: the centre blocks flag that
+    # shift alone, and LAPACK counts it
+    op = _weak_band(1)
+    A = op.to_dense()
+    half, C = eigensolve._mirror_fold(op.to_banded())
+    even = _dense(half)
+    even[_N:, _N:] += C
+    mu = _vanishing_shift(even, _N + 4)
+    lam = np.linalg.eigvalsh(A)
+    assert np.min(np.abs(lam - mu)) > 1e-9
+    below, above = lam[0] - 0.5, lam[-1] + 0.5
+    assert eigensolve._ldl_sweep([half], np.array([below, mu, above]))[1].all()
+    s = mu - 1e-12 * max(abs(below), above, 1.0)
+    counts, flagged = count_at_most([op], [below, s, above])
+    assert flagged.tolist() == [[False, True, False]]
+    assert counts.tolist() == [[0, int(np.sum(lam <= s)), A.shape[0]]]
+
+
+def test_centre_growth_alone_flags_only_its_pair(monkeypatch):
+    # S +- C holds [[1e-11, 1], [1, 0]] on rows 1, 2 at the second shift:
+    # its pivot 1e-11 is above the floor, but its multiplier is past
+    # _GROWTH_CAP; each block has one negative eigenvalue
+    S = np.eye(4)
+    S[1:3, 1:3] = [[1e-11, 1.0], [1.0, 0.0]]
+    windows = np.stack([np.eye(4), S])[None]
+    counts = lambda: eigensolve._centre_counts(windows.copy(), [np.zeros((4, 4))],
+                                               np.ones((1, 2)))
+    neg, ok = counts()
+    assert neg.tolist() == [[0, 2]] and ok.tolist() == [[True, False]]
+    monkeypatch.setattr(eigensolve, "_GROWTH_CAP", np.inf)
+    assert counts()[1].all()
+
+
+def test_stopped_operator_runs_on_without_flagging(weyl_op):
+    # mu makes pivot j of A_LL vanish for a row j of the centre block, a
+    # pivot the sweep never takes: batched with a longer operator, the
+    # sweep runs on past the stop, and the pair still passes
+    half = eigensolve._mirror_fold(_weak_band(2).to_banded())[0]
+    mu = _vanishing_shift(_dense(half), _N + 4)
+    longer = eigensolve._mirror_fold(weyl_op.to_banded())[0]
+    assert eigensolve._ldl_sweep([half, longer], np.array([mu]))[1].all()
+
+
 @pytest.mark.parametrize("j", [_MIDDLE, _RAGGED])
 def test_growth_alone_flags_only_its_shift(j, monkeypatch):
     # A - s*I holds the 2 x 2 block [[1e-11, 1], [1, 0]] at rows j, j + 1,
     # cut off from the rest: pivot j is 1e-11, above the floor, but its
-    # multiplier is 1e11, past _GROWTH_CAP
+    # multiplier is 1e11, past _GROWTH_CAP (_N + K rows: the sweep takes
+    # _N steps)
     rng = np.random.default_rng(j)
-    n, Kb, s = _N, 11, 0.3
+    n, Kb, s = _N + 10, 11, 0.3
     A = _dense(rng.standard_normal((Kb, n)))
     A[j : j + 2, :] = A[:, j : j + 2] = 0.0
     A[j : j + 2, j : j + 2] = [[s + 1e-11, 1.0], [1.0, s]]
     bands = _bands(A, Kb)
     lam = np.linalg.eigvalsh(A)
     shifts = np.append(_shifts_away(rng, lam, 4), s)
-    (neg,), (ok,) = eigensolve._ldl_sweep([bands], shifts)
+    neg, (ok,), windows = eigensolve._ldl_sweep([bands], shifts)
     assert list(ok) == [True] * 4 + [False]
-    assert list(neg[:4]) == [int(np.sum(lam < t)) for t in shifts[:4]]
+    assert list(_inertia(neg, windows)[0, :4]) == [int(np.sum(lam < t)) for t in shifts[:4]]
     monkeypatch.setattr(eigensolve, "_GROWTH_CAP", np.inf)
     assert eigensolve._ldl_sweep([bands], shifts)[1].all()
 
 
 # --- one sweep over several operators -------------------------------------------
 
-def _one_at_a_time(bands, shifts):
-    alone = [eigensolve._ldl_sweep([b], shifts) for b in bands]
-    return np.vstack([neg for neg, _ in alone]), np.vstack([ok for _, ok in alone])
+def _assert_batched_is_alone(bands, shifts):
+    """The batched sweep gives each band's own pivots' negatives, pass
+    mask and window, the window bit for bit inside the identity."""
+    neg, ok, windows = eigensolve._ldl_sweep(bands, shifts)
+    for o, b in enumerate(bands):
+        (alone_neg,), (alone_ok,), (alone_window,) = eigensolve._ldl_sweep([b], shifts)
+        np.testing.assert_array_equal(neg[o], alone_neg)
+        np.testing.assert_array_equal(ok[o], alone_ok)
+        np.testing.assert_array_equal(windows[o], _embedded(alone_window, windows.shape[-1]))
+    return neg, ok, windows
 
 
 def test_batched_sweep_matches_one_operator_at_a_time(gauss_half):
-    # weyl_curve's operators of mixed n and K: 686 nodes at K = 10, 800 and
-    # 1,600 at K = 9, batched in both orders
+    # weyl_curve's operators of mixed n and K: the halves of 686 nodes at
+    # K = 10, 800 and 1,600 at K = 9, batched in both orders
     ops = [build_conjugated(_box_grid(gauss_half, h), gauss_half, h, scheme=BANDED)
            for h in (0.35, 0.3, 0.15)]
-    bands = [op.to_banded() for op in ops]
-    assert [b.shape for b in bands] == [(11, 686), (10, 800), (10, 1600)]
+    halves = [eigensolve._mirror_fold(op.to_banded())[0] for op in ops]
+    assert [b.shape for b in halves] == [(11, 343), (10, 400), (10, 800)]
     shifts = np.append(1.0 - np.linspace(0.10, 0.30, 9), 1.0) + 1e-12  # weyl_curve's, nudged
-    for order in (bands, bands[::-1]):
-        neg, ok = eigensolve._ldl_sweep(order, shifts)
-        alone_neg, alone_ok = _one_at_a_time(order, shifts)
-        assert ok.all() and alone_ok.all()
-        np.testing.assert_array_equal(neg, alone_neg)
+    for order in (halves, halves[::-1]):
+        _, ok, _ = _assert_batched_is_alone(order, shifts)
+        assert ok.all()
 
 
 def test_batched_sweep_pads_without_counting_or_flagging():
     # random indefinite bands shorter and longer, narrower and wider than
-    # each other (one wider than its matrix); at the shift 0 a padded row
-    # of A - s*I would be all zero without its unit diagonal, and at 1e14
-    # that unit pivot is below the pivot floor, so it must not be checked
+    # each other (one wider than its matrix), so that the sweep passes
+    # operators' stops before its first step, inside it and at its end;
+    # at the shift 0 a padded row of A - s*I would be all zero without
+    # its unit diagonal, and at 1e14 that unit pivot, and the unit pivots
+    # of a stopped operator, are below the pivot floor, so they must not
+    # be checked
     rng = np.random.default_rng(11)
     bands = [rng.standard_normal(shape) for shape in [(2, 3), (11, 53), (25, 17), (3, _CHUNK)]]
     lams = [np.linalg.eigvalsh(_dense(b)) for b in bands]
     every = np.sort(np.concatenate(lams))
     shifts = np.append(_shifts_away(rng, every, 9), [0.0, 1e14])
     assert np.min(np.abs(every)) > 1e-3
-    neg, ok = eigensolve._ldl_sweep(bands, shifts)
+    neg, ok, windows = _assert_batched_is_alone(bands, shifts)
     assert ok.all()
-    assert neg.tolist() == [[int(np.sum(lam < s)) for s in shifts] for lam in lams]
-    alone_neg, alone_ok = _one_at_a_time(bands, shifts)
-    np.testing.assert_array_equal(neg, alone_neg)
-    assert alone_ok.all()
+    assert _inertia(neg, windows).tolist() == [[int(np.sum(lam < s)) for s in shifts]
+                                               for lam in lams]
 
 
 @pytest.mark.parametrize("j", [_MIDDLE, _RAGGED])
 def test_batched_sweep_flags_only_the_vanishing_pair(j, weyl_op, monkeypatch):
     # test_late_vanishing_pivot_flags_only_its_shift's operator, batched
     # with a longer, narrower Weyl operator: only its own (operator, shift)
-    # pair is flagged, and LAPACK counts that operator alone
-    op = _weak_band(_N, j)
+    # pair is flagged, and LAPACK counts that operator alone, on its full band
+    op = _weak_band(j)
     A = op.to_dense()
     lam = np.linalg.eigvalsh(A)
-    mus, vecs = np.linalg.eigh(A[: j + 1, : j + 1])
-    mu = mus[np.argmax(np.abs(vecs[j]))]
+    half = eigensolve._mirror_fold(op.to_banded())[0]
+    mu = _vanishing_shift(_dense(half), j)
     below, above = lam[0] - 0.5, lam[-1] + 0.5
-    neg, ok = eigensolve._ldl_sweep([op.to_banded(), weyl_op.to_banded()],
-                                    np.array([below, mu, above]))
+    neg, ok, _ = eigensolve._ldl_sweep([half, eigensolve._mirror_fold(weyl_op.to_banded())[0]],
+                                       np.array([below, mu, above]))
     assert ok.tolist() == [[True, False, True], [True, True, True]]
     assert [neg[0, 0], neg[0, 2]] == [0, _N]
     s = mu - 1e-12 * max(abs(below), above, 1.0)
@@ -648,22 +781,23 @@ def test_batched_sweep_flags_only_the_vanishing_pair(j, weyl_op, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigvals_banded",
                         lambda b, **kw: recounted.append(b.shape) or eigvals_banded(b, **kw))
     (weak, weyl), flagged = count_at_most([op, weyl_op], [below, s, above])
-    assert recounted == [(11, _N)]
+    assert recounted == [(11, A.shape[0])]
     assert flagged.tolist() == [[False, True, False], [False, False, False]]
-    assert list(weak) == [0, int(np.sum(lam <= s)), _N]
+    assert list(weak) == [0, int(np.sum(lam <= s)), A.shape[0]]
     assert list(weyl) == list(alone)
 
 
 def test_weyl_curve_sweeps_once(gauss_half, monkeypatch):
-    # one sweep for the whole h list, of mixed K, with each h's rows as
-    # its own weyl_curve gives them
+    # one sweep for the whole h list, of mixed K, over each operator's
+    # mirror half, with each h's rows as its own weyl_curve gives them
     singles = [weyl_curve(gauss_half, [h]).rows for h in (0.35, 0.3)]
     sweeps = []
     sweep = eigensolve._ldl_sweep
     monkeypatch.setattr(eigensolve, "_ldl_sweep",
-                        lambda bands, shifts: sweeps.append(len(bands)) or sweep(bands, shifts))
+                        lambda bands, shifts: sweeps.append([b.shape for b in bands])
+                        or sweep(bands, shifts))
     rep = weyl_curve(gauss_half, [0.35, 0.3])
-    assert sweeps == [2]
+    assert sweeps == [[(11, 343), (10, 400)]]
     assert rep.rows == singles[0] + singles[1]
 
 

@@ -148,12 +148,16 @@ def test_bad_h_refused_at_every_entry_point(call, h):
     lambda: taper_profile(GRID, 0.25, -1.0),
     lambda: eval_Gd(1, math.nan),
     lambda: eval_Gd(2, [1.0, math.nan]),
+    lambda: eval_Gd(1, math.inf),
+    lambda: eval_Gd(2, [1.0, math.inf]),
+    lambda: Grid(1, 1e308, 8),
 ], ids=["gaussian-alpha-inf", "gaussian-alpha-nan", "tempered-alpha-inf", "tempered-R-inf",
         "tempered-R-nan", "grid-L-inf", "grid-L-nan", "gap-nan", "gap-inf", "gap-negative",
         "gap-zero", "nu_h_tail-tau-negative", "nu_h_tail-tau-nan", "nu_h_tail-tau-inf",
         "p_tau-tau-nan", "p_tau-tau-negative", "q_factor-tau-negative", "band_weights-delta-zero",
         "band_weights-delta-nan", "band_weights-delta-negative", "taper_profile-alpha-zero",
-        "taper_profile-alpha-negative", "eval_Gd-nan", "eval_Gd-d2-nan"])
+        "taper_profile-alpha-negative", "eval_Gd-nan", "eval_Gd-d2-nan", "eval_Gd-inf",
+        "eval_Gd-d2-inf", "grid-delta-overflows"])
 def test_non_finite_inputs_refused(call):
     # alpha = inf once gave a Density with beta = inf, R or L = inf a bare
     # RuntimeWarning, a nan or negative gap a silent c_fit = nan or a
@@ -162,7 +166,8 @@ def test_non_finite_inputs_refused(call):
     # at tau = -1; band_weights divided by a zero delta, gave an untyped
     # ValueError at nan and a misleading KernelUnderResolved at -0.1,
     # taper_profile divided by a zero alpha and hit a math domain error at
-    # -1, and eval_Gd returned nan for a NaN radius
+    # -1, and eval_Gd returned nan for a NaN or infinite radius; a Grid
+    # with a finite L whose delta = 2L/N overflows had nodes at +-inf
     with pytest.raises(ConfigError, match="finite"):
         call()
 

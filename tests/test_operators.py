@@ -78,6 +78,33 @@ def test_grid_geometry():
     assert g2.nodes().shape == (144, 2)
 
 
+@pytest.mark.parametrize("L, N", [(3.0, 12), (9.0, 720), (12.0, 2400), (8.0, 96), (0.3, 10),
+                                  (1e-3, 998)])
+def test_grid_nodes_are_mirror_symmetric_to_the_bit(L, N):
+    # x_{N-1-i} = -x_i exactly, so every banded T-tilde commutes with the
+    # mirror that count_at_most folds on, and the cell centres stay within
+    # rounding of -L + (i + 1/2) delta
+    g = Grid(1, L, N)
+    x = g.axis_nodes()
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_allclose(x, -L + (np.arange(N) + 0.5) * g.delta, rtol=0, atol=4e-16 * L)
+
+
+def test_d2_radii_are_those_of_one_wedge():
+    # with mirror-exact nodes, |(x, y)| depends on the unordered pair
+    # (|x|, |y|) alone: the radii of all N^2 nodes are those of the wedge
+    # 0 < x <= y, at most (N/2)(N/2 + 1)/2 values that ball_mass_grid
+    # integrates once each (935 on this grid: pairs such as (0.5, 3.5) and
+    # (2.5, 2.5) cells share a radius, and rounding splits some)
+    g = Grid(2, 8.0, 96)
+    radius = lambda xy: np.sqrt(np.sum(xy * xy, axis=-1))  # as ball_mass_grid takes it
+    radii = np.unique(radius(g.nodes()))
+    x = g.axis_nodes()[g.N // 2 :]
+    i, j = np.triu_indices(g.N // 2)
+    np.testing.assert_array_equal(radii, np.unique(radius(np.column_stack([x[i], x[j]]))))
+    assert radii.size == 935 <= (g.N // 2) * (g.N // 2 + 1) // 2
+
+
 # --- stencil weights --------------------------------------------------------
 
 def test_band_weights_interior_and_edge():

@@ -10,8 +10,12 @@ sampler's moments against the grid chain's stationary vector.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,19 @@ def test_step_batch_d2_mean_displacement():
     assert np.all(np.abs(z) <= Z_GATE)
 
 
+def test_step_batch_where_rho_underflows_over_the_ball():
+    # from x = 11 at alpha = 10, rho underflows to 0 over the whole ball,
+    # which once made every proposal pass u * 0 <= 0: the step was uniform
+    # on the ball, mean 11.0002. The kernel rho(y) / m_h on [10.75, 11.25]
+    # is nearly exp(-2 alpha 10.75 (y - 10.75)) there, mean about
+    # 10.75 + 1/(2 alpha 10.75) = 10.7547
+    dens = make_density("gaussian", 1, 10.0)
+    assert eval_density(dens, 10.75) == 0.0
+    y = _step_batch(dens, 0.25, np.full(20_000, 11.0), make_rng(7))
+    assert np.all(np.abs(y - 11.0) <= 0.25)
+    assert abs(y.mean() - 10.7547) <= 1e-3
+
+
 def test_witness_hypothesis(gauss_half):
     h, tau, n = 0.25, 2.0, 10
     edge = tau + (n + 1) * h
@@ -210,6 +227,36 @@ def test_nu_h_tail_against_quad(gauss_half, tempered_half, tau):
     for dens in (gauss_half, tempered_half):
         ref = _nu_tail_by_quad(dens, 0.25, tau)
         assert nu_h_tail(dens, 0.25, tau) == pytest.approx(ref, rel=1e-11)
+
+
+_PANEL_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from ballwalk.densities import make_density
+from ballwalk.errors import QuadratureNotConverged
+from ballwalk.walk import nu_h_tail
+try:
+    nu_h_tail(make_density("gaussian", 1, 0.5), 1e-9, 1.0)
+except QuadratureNotConverged as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_nu_h_tail_noisier_than_its_tolerance_stops_at_the_panel_cap():
+    # at h = 1e-9 the erfc mass carries rounding far above _NU_RTOL, so no
+    # panel converges, and the live panels once doubled on every pass until
+    # the process ran out of memory. The probe runs in a child process with
+    # a 2 GiB address-space limit, one BLAS thread and a timeout, so that
+    # without the panel cap it fails this test and nothing else
+    src = Path(walk.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", _PANEL_PROBE], env=env, capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert "bisections" in child.stdout
 
 
 def test_p_tau_tempered_against_quad(tempered_half):
