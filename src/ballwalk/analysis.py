@@ -12,7 +12,7 @@ import numpy as np
 
 from .densities import (MASS_RTOL, _mass_quadrature, _require_h, _require_int, eval_density,
                         kappa_analytic, tempered_A_h)
-from .eigensolve import bottom_values, count_at_most, top_k
+from .eigensolve import bottom_values, count_at_most, levels_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
 from .operators import BANDED, Grid, build_conjugated, build_schrodinger
@@ -297,15 +297,15 @@ class GapReport(Report):
 
 def _mu_1_if_below(density, floor):
     """mu_reference's mu_1 where it can decide min(mu_1, floor), inf where
-    it cannot. With a finite floor (tempered), one Sturm pass on the
-    coarser ladder grid first bisects only the levels up to
-    floor * (1 + MU_1_MARGIN); without a second one there, mu_1 is above
-    the floor and the Richardson pair is not solved. Measured over alpha
-    0.5-2 and R 0.1-8, the extrapolation moves the coarse mu_1 by at most
-    3.3e-5 of the floor, well inside the margin."""
+    it cannot. With a finite floor (tempered), one LAPACK Sturm count on
+    the coarser ladder grid (levels_at_most) first counts the levels up to
+    floor * (1 + MU_1_MARGIN); the decision reads only whether there are
+    two, so no level is bisected. With fewer, mu_1 is above the floor and
+    the Richardson pair is not solved. Measured over alpha 0.5-2 and R
+    0.1-8, the extrapolation moves the coarse mu_1 by at most 3.3e-5 of
+    the floor, well inside the margin."""
     if math.isfinite(floor):
-        op = _ladder_op(density, MU_DELTAS[0])
-        if bottom_values(op, 2, upto=floor * (1.0 + MU_1_MARGIN)).size < 2:
+        if levels_at_most(_ladder_op(density, MU_DELTAS[0]), floor * (1.0 + MU_1_MARGIN)) < 2:
             return math.inf
     return float(mu_reference(density, 1)[1])
 

@@ -33,6 +33,7 @@ GAUSSIAN = "gaussian"
 TEMPERED = "tempered"
 
 MASS_RTOL = 1e-10
+_R_MAX = 1e76  # the tempered core divides u^4 by R^3 for |u| < R: R^{+-4} stay normal floats
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,14 @@ def make_density(kind, dim, alpha, R=None):
         raise ConfigError("tempered density is implemented for d = 1 only")
     if R is None or not (math.isfinite(R) and R > 0):
         raise ConfigError(f"tempered density needs a finite transition radius R > 0, got {R!r}")
-    beta = 1.0 / _tempered_norm_integral(float(alpha), float(R))
-    return Density(TEMPERED, 1, float(alpha), float(R), beta)
+    if not 1.0 / _R_MAX <= R <= _R_MAX:
+        raise ConfigError(f"tempered density needs R in [{1.0 / _R_MAX:g}, {_R_MAX:g}], "
+                          f"where R^4 and R^-4 are finite, got {R!r}")
+    norm = _tempered_norm_integral(float(alpha), float(R))
+    if not norm > 1.0 / np.finfo(float).max:  # beta = 1/norm must be finite
+        raise ConfigError(f"tempered density at alpha R = {alpha * R:g}: integral of "
+                          f"exp(-alpha s) underflows, so beta overflows")
+    return Density(TEMPERED, 1, float(alpha), float(R), 1.0 / norm)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,19 @@ Three routes, matched to the operator shapes:
     shift-invert mode: one banded Cholesky factor of sigma I - B at
     sigma = 1 + 1e-3, just above the top of a T-tilde, and Lanczos on
     its solves, so the eigenvalues nearest 1 converge first. Its OPinv
-    is the negated Cholesky solve, (B - sigma I)^{-1}: scipy maps the
-    Ritz values back through 1/(lambda - sigma), so (sigma I - B)^{-1}
-    would give the right vectors with wrong eigenvalues. A multiplier
-    operator, which has no matrix, is solved on its matvec alone. Both
+    is the negated Cholesky solve, (B - sigma I)^{-1}, by LAPACK's dpbtrs
+    on the factor (cho_solve_banded's bits without its per-call checks):
+    scipy maps the Ritz values back through 1/(lambda - sigma), so
+    (sigma I - B)^{-1} would give the right vectors with wrong
+    eigenvalues. This route keeps scipy's Lanczos basis of max(2k + 1,
+    20) vectors: on the crowded band spectra of a tempered T-tilde, 2k + 1
+    vectors cost 4-6x the solves. A multiplier operator, which has no
+    matrix, is solved on its matvec alone, on a basis of 2k + 1 vectors
+    (scipy's formula without its floor of 20): at k = 6 on the 96 x 96
+    d = 2 grid it takes 76 matvecs against the default's 80, each step
+    re-orthogonalizing against 13 vectors instead of 20. At k = 1 the
+    3-vector basis needs 2-6x the matvecs (65 against 31 on that grid);
+    no driver asks for k = 1. Both
     start from a vector fixed by a seed, and ARPACK stops once each Ritz
     pair's residual estimate is below RESIDUAL_RTOL / 100 relative to
     its Ritz value, 100x under the gate rather than at machine
@@ -27,7 +36,9 @@ Three routes, matched to the operator shapes:
     eigenvectors u_i (x) u_j; the two orders of a pair give the same
     float, so degenerate levels come out exactly paired. bottom_values
     is the d = 1 path's eigenvalues alone, without the inverse iteration
-    for the eigenvectors, optionally only those below a bound.
+    for the eigenvectors. levels_at_most is the one route with a finite
+    bound: one LAPACK Sturm count of the d = 1 levels up to it, with no
+    bisection.
   * count_at_most: Sylvester inertia of the symmetric banded scheme on
     the mirror half. Every banded operator commutes with the mirror
     x -> -x, so A - s*I is orthogonally similar to two banded blocks on
@@ -54,6 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpbtrs, dstebz
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .densities import _require_int
@@ -134,8 +146,13 @@ def top_k(op, k):
     with its default restart budget, started from a vector fixed by
     _LANCZOS_SEED: in shift-invert mode at _SHIFT on one banded Cholesky
     factor for the banded scheme (ConfigError where _SHIFT I - A has none,
-    that is where A reaches _SHIFT), on the matvec for the multiplier
-    scheme. The result records the solves or matvecs ARPACK asked for.
+    that is where A reaches _SHIFT), with scipy's default basis of
+    max(2k + 1, 20) vectors, since 2k + 1 needs 4-6x the solves on a
+    crowded band spectrum; on the matvec for the multiplier scheme, with
+    a basis of 2k + 1 vectors, whose shorter re-orthogonalizations pay
+    for the few matvecs they add at the drivers' k >= 2 (not at k = 1:
+    see the module docstring). The result records the solves or matvecs
+    ARPACK asked for.
     ARPACK stops at RESIDUAL_RTOL / 100 and every pair's true residual
     must be <= RESIDUAL_RTOL * max|lambda|; multiplicities come from
     rounding and are pinned by the degenerate-level tests."""
@@ -152,7 +169,7 @@ def top_k(op, k):
             return apply(u)
         return LinearOperator((n, n), matvec=f, dtype=float)
 
-    mode = {"which": "LA"}
+    mode = {"which": "LA", "ncv": min(2 * k + 1, n)}
     if op.scheme == BANDED:
         ab = -op.to_banded()
         ab[0] += _SHIFT
@@ -163,8 +180,7 @@ def top_k(op, k):
                               "A reaches the shift") from exc
         # OPinv must apply (A - sigma I)^{-1}; in this mode ARPACK applies
         # OPinv alone, never A
-        mode = {"sigma": _SHIFT, "OPinv": counted(
-            lambda x: -scipy.linalg.cho_solve_banded((chol, True), x, check_finite=False))}
+        mode = {"sigma": _SHIFT, "OPinv": counted(lambda x: -dpbtrs(chol, x, lower=1)[0])}
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     try:
         vals, vecs = eigsh(counted(op.matvec), k=k, v0=v0, tol=RESIDUAL_RTOL / 100, **mode)
@@ -207,28 +223,41 @@ def bottom_k(op, k):
     return _finish(op, vals, vecs, method, scale=scale)
 
 
-def bottom_values(op, k, upto=math.inf):
+def bottom_values(op, k):
     """k smallest eigenvalues of a d = 1 SchrodingerOperator, ascending,
     by bottom_k's Sturm bisection without the eigenvectors, so with no
-    residuals to gate; with upto = inf they are bottom_k's to the bit. A
-    finite upto bisects only the eigenvalues at most upto, so fewer than
-    k may come back, at a cost that grows with how many there are; they
-    agree with bottom_k's to the bisection tolerance, not to the bit. An
-    upto that is NaN or -inf raises ConfigError."""
-    if not isinstance(op, SchrodingerOperator) or op.grid.dim != 1:
-        raise ConfigError("bottom_values expects a d = 1 SchrodingerOperator")
+    residuals to gate; they are bottom_k's to the bit."""
+    _require_ladder(op, "bottom_values")
     _require_k(op, k)
-    if not upto > -math.inf:
-        raise ConfigError(f"upto must not be NaN or -inf, got {upto!r}")
     A = op.matrix
-    if upto == math.inf:
-        select, bounds = "i", (0, k - 1)
-    else:
-        select, bounds = "v", (-math.inf, upto)
-    vals = scipy.linalg.eigh_tridiagonal(
-        A.diagonal(), A.diagonal(1), eigvals_only=True, select=select, select_range=bounds
+    return scipy.linalg.eigh_tridiagonal(
+        A.diagonal(), A.diagonal(1), eigvals_only=True, select="i", select_range=(0, k - 1)
     )
-    return vals[:k]
+
+
+def levels_at_most(op, bound):
+    """#{eigenvalues <= bound} of a d = 1 SchrodingerOperator, by one
+    LAPACK Sturm count (stebz over (-inf, bound]) with an absolute
+    tolerance twice a bound on the Gershgorin interval's width, so that
+    the interval counts as converged on entry and nothing is bisected:
+    the cost is one count's passes over the diagonals, whatever the
+    number of levels. A bound that is NaN or -inf raises ConfigError;
+    +inf counts them all."""
+    _require_ladder(op, "levels_at_most")
+    if not bound > -math.inf:
+        raise ConfigError(f"bound must not be NaN or -inf, got {bound!r}")
+    A = op.matrix
+    d, e = A.diagonal(), A.diagonal(1)
+    width = float(np.ptp(d) + 4.0 * np.max(np.abs(e), initial=0.0))  # >= Gershgorin's
+    m, *_, info = dstebz(d, e, 1, -math.inf, float(bound), 0, 0, 2.0 * width, "E")
+    if info != 0:
+        raise NoConvergence(f"stebz info = {info}")
+    return int(m)
+
+
+def _require_ladder(op, name):
+    if not isinstance(op, SchrodingerOperator) or op.grid.dim != 1:
+        raise ConfigError(f"{name} expects a d = 1 SchrodingerOperator")
 
 
 def dense_reference(op, k=None):

@@ -252,12 +252,14 @@ class DiscreteOperator:
         return self.lscale[:, None] * C * self.rscale[None, :]
 
     def to_banded(self):
-        """Symmetric banded storage bands[k, i] = A[i, i+k], k = 0..K."""
+        """Symmetric banded storage bands[k, i] = A[i, i+k], k = 0..K; a
+        band past the grid (k >= n, a stencil longer than the grid) stays
+        zero."""
         if self.scheme != BANDED or not self.symmetric:
             raise NumericalError("banded storage needs the symmetric banded scheme")
         c, n = self.stencil, self.grid.size
         bands = np.zeros((len(c), n))
-        for k in range(len(c)):
+        for k in range(min(len(c), n)):
             bands[k, : n - k] = c[k] * self.lscale[: n - k] * self.rscale[k:]
         return bands
 

@@ -20,7 +20,7 @@ from ballwalk.analysis import (
     weyl_curve,
 )
 from ballwalk.densities import MASS_RTOL, make_density, tempered_A_h
-from ballwalk.eigensolve import count_at_most
+from ballwalk.eigensolve import bottom_values, count_at_most
 from ballwalk.errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from ballwalk.operators import BANDED, Grid, build_conjugated
 
@@ -385,6 +385,23 @@ def test_gap_skips_the_ladder_above_the_floor(tempered_unit, monkeypatch):
 
     monkeypatch.setattr(analysis, "mu_reference", no_ladder)
     assert spectral_gap(tempered_unit, 0.25).comparison == expected
+
+
+# the screen counts the coarse ladder's levels up to the margin; the
+# decision must be the one its two bottom levels give
+@pytest.mark.parametrize("alpha_cfg", [0.5, 0.9])
+@pytest.mark.parametrize("alpha, R", [(0.5, 0.5), (1.0, 0.5), (1.0, 8.0), (2.0, 0.1)])
+def test_gap_screen_decides_as_the_coarse_levels_do(alpha, R, alpha_cfg, monkeypatch):
+    density = make_density("tempered", 1, alpha, R=R)
+    monkeypatch.setattr(analysis, "ALPHA_CFG", alpha_cfg)
+    floor = (1.0 - alpha_cfg) * alpha**2
+    mu_1 = bottom_values(analysis._ladder_op(density, analysis.MU_DELTAS[0]), 2)[1]
+    below = mu_1 <= floor * (1.0 + analysis.MU_1_MARGIN)
+    level = min(float(mu_reference(density, 1)[1]), floor) if below else floor
+    solved = []
+    monkeypatch.setattr(analysis, "mu_reference", lambda *a: solved.append(a) or mu_reference(*a))
+    assert spectral_gap(density, 0.25).comparison == 0.25**2 / 6.0 * level
+    assert len(solved) == below  # the Richardson pair runs only below the margin
 
 
 @pytest.mark.parametrize("alpha_cfg", [0.5, 0.64, 0.643, 0.9])

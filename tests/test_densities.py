@@ -3,6 +3,7 @@ oracles (scipy.integrate.quad / dblquad, scipy.stats.ncx2, central
 differences)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.stats import ncx2
 
+from ballwalk import densities
 from ballwalk.densities import (
     MASS_RTOL,
     Density,
@@ -60,6 +62,37 @@ def test_construction_validation():
         make_density("tempered", 2, 1.0, R=1.0)
     with pytest.raises(ConfigError):
         make_density("gaussian", 1, 1.0, R=2.0)
+
+
+@pytest.mark.parametrize("alpha, R", [(1.0, 1e300), (1e-300, 1e77), (1e300, 1e-300)])
+def test_tempered_refuses_an_R_out_of_float_range(alpha, R, monkeypatch):
+    # unchecked, R^4 in the quartic core overflowed (numpy's RuntimeWarning,
+    # an error under -W error) or R^3 underflowed into a 0/0; the refusal
+    # comes before any quadrature
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(densities, "_tempered_norm_integral", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"R in \[1e-76, 1e\+76\]"):
+            make_density("tempered", 1, alpha, R)
+
+
+@pytest.mark.parametrize("alpha, R", [(1.0, 2000.0), (1889.0, 1.0)])
+def test_tempered_refuses_a_normalizer_that_underflows(alpha, R):
+    # e^{-alpha s} <= e^{-3 alpha R / 8} on the core: the integral was 0
+    # (a ZeroDivisionError) or subnormal (beta = inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="underflows"):
+            make_density("tempered", 1, alpha, R)
+
+
+@pytest.mark.parametrize("alpha, R", [(1.0, 1e-76), (1e-300, 1e76), (1.0, 1000.0)])
+def test_tempered_accepts_the_ends_of_its_range(alpha, R):
+    d = make_density("tempered", 1, alpha, R)
+    assert math.isfinite(d.beta) and d.beta > 0
 
 
 def test_gaussian_pointwise(gauss_half):

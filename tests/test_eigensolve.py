@@ -28,6 +28,7 @@ from ballwalk.eigensolve import (
     bottom_values,
     count_at_most,
     dense_reference,
+    levels_at_most,
     top_k,
 )
 from ballwalk.errors import ConfigError, NoConvergence
@@ -202,6 +203,86 @@ def test_top_k_d2_multiplier_matches_dense():
     np.testing.assert_allclose(r.eigenvalues, lam, rtol=0, atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def multiplier_d1(gauss_half):
+    T = build_conjugated(Grid(1, 12.0, 960), gauss_half, 0.25, scheme=MULTIPLIER)
+    return T, dense_reference(T, 3)
+
+
+@pytest.fixture(scope="module")
+def multiplier_d2():
+    # 2,304 nodes; lambda_1 = lambda_2 is a degenerate pair
+    T = build_conjugated(Grid(2, 8.0, 48), make_density("gaussian", 2, 1.0), 1.0)
+    return T, dense_reference(T, 3)
+
+
+def _spy_on_eigsh(monkeypatch):
+    """The ncv of every eigsh call top_k makes (None where it passes none)."""
+    seen, eigsh = [], eigensolve.eigsh
+
+    def spy(A, **kwargs):
+        seen.append(kwargs.get("ncv"))
+        return eigsh(A, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigsh", spy)
+    return seen
+
+
+# the multiplier route runs ARPACK on a basis of 2k + 1 vectors (scipy's
+# formula without its floor of 20), and the degenerate d = 2 pair must
+# still come out whole
+@pytest.mark.parametrize("name, atol", [("multiplier_d1", 1e-9), ("multiplier_d2", 1e-12)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_top_k_multiplier_basis_is_2k_plus_1(name, atol, k, request, monkeypatch):
+    T, ref = request.getfixturevalue(name)
+    seen = _spy_on_eigsh(monkeypatch)
+    r = top_k(T, k)
+    assert seen == [2 * k + 1]
+    np.testing.assert_allclose(r.eigenvalues, ref.eigenvalues[:k], rtol=0, atol=atol)
+    assert np.all(r.residuals <= RESIDUAL_RTOL * np.max(np.abs(r.eigenvalues)))
+
+
+def test_top_k_banded_keeps_the_default_basis(banded_op, monkeypatch):
+    # 2k + 1 vectors cost the shift-invert route 4-6x the solves on
+    # crowded band spectra, so it passes no ncv
+    seen = _spy_on_eigsh(monkeypatch)
+    top_k(banded_op, 2)
+    assert seen == [None]
+
+
+def test_shift_invert_solve_is_cho_solve_banded_to_the_bit(banded_op, monkeypatch):
+    ab = -banded_op.to_banded()
+    ab[0] += eigensolve._SHIFT
+    chol = scipy.linalg.cholesky_banded(ab, lower=True)
+    x = np.random.default_rng(5).standard_normal(banded_op.grid.size)
+    np.testing.assert_array_equal(scipy.linalg.lapack.dpbtrs(chol, x, lower=1)[0],
+                                  scipy.linalg.cho_solve_banded((chol, True), x))
+    # and top_k's eigenpairs, with the checked solve in the raw one's place
+    raw = top_k(banded_op, 4)
+    monkeypatch.setattr(eigensolve, "dpbtrs", lambda c, b, lower: (
+        scipy.linalg.cho_solve_banded((c, bool(lower)), b), 0))
+    checked = top_k(banded_op, 4)
+    np.testing.assert_array_equal(raw.eigenvalues, checked.eigenvalues)
+    np.testing.assert_array_equal(raw.eigenvectors, checked.eigenvectors)
+    assert raw.matvecs == checked.matvecs
+
+
+# a ball wider than the box: K = 19 on 8 nodes, and K = n = 8; the bands
+# past the grid are zero, and the near-zero eigenvalues cluster within
+# 1e-16, so the shifts keep 0.01 clear of every eigenvalue
+@pytest.mark.parametrize("h, K", [(5.0, 19), (2.2, 8)])
+def test_stencil_longer_than_the_grid_counts_and_solves(gauss_half, h, K):
+    T = build_conjugated(Grid(1, 1.0, 8), gauss_half, h, scheme=BANDED)
+    assert len(T.stencil) - 1 == K
+    ev = np.linalg.eigvalsh(T.to_dense())
+    shifts = np.array([-0.5, -0.01, 0.01, 0.5, 1.5])
+    assert np.min(np.abs(ev[:, None] - shifts)) >= 0.005
+    counts, _ = count_at_most([T], shifts)
+    np.testing.assert_array_equal(counts[0], np.count_nonzero(ev[:, None] <= shifts, axis=0))
+    r = top_k(T, 2)
+    np.testing.assert_allclose(r.eigenvalues, dense_reference(T, 2).eigenvalues, rtol=0, atol=1e-12)
+
+
 # the d = 2 bottom_k sums the levels of the d = 1 line read off the
 # matrix, the construction _kronsum_levels repeats, so the dense eigh of
 # the assembled matrix is the independent oracle for it
@@ -307,16 +388,22 @@ def test_bottom_values_are_bottom_k_eigenvalues(kind, L, N, k):
     np.testing.assert_array_equal(bottom_values(op, k), bottom_k(op, k).eigenvalues)
 
 
-def test_bottom_values_up_to_a_bound(gauss_half):
-    op = build_schrodinger(Grid(1, 6.0, 1200), gauss_half)  # levels ~ 0, 2, 4, 6
-    full = bottom_k(op, 4).eigenvalues
-    np.testing.assert_array_equal(bottom_values(op, 4, upto=math.inf), full)
-    for upto, n in ((-1.0, 0), (3.0, 2), (5.0, 3), (100.0, 4)):
-        vals = bottom_values(op, 4, upto=upto)
-        np.testing.assert_allclose(vals, full[:n], rtol=0, atol=1e-9)
-    assert bottom_values(op, 1, upto=100.0).size == 1
-    with pytest.raises(ConfigError, match="upto"):
-        bottom_values(op, 2, upto=math.nan)
+@pytest.mark.parametrize("kind, L, N", [("gaussian", 6.0, 200), ("tempered", 8.0, 320)])
+def test_levels_at_most_counts_the_ladder(kind, L, N, banded_op):
+    dens = make_density(kind, 1, 0.5 if kind == "gaussian" else 1.0,
+                        R=0.5 if kind == "tempered" else None)
+    op = build_schrodinger(Grid(1, L, N), dens)
+    ev = np.linalg.eigvalsh(op.to_dense())
+    mid = (ev[:-1] + ev[1:]) / 2.0  # between levels, bottom and top
+    for s in (ev[0] - 1.0, *mid[:8], *mid[-3:], ev[-1] + 1.0, math.inf):
+        assert levels_at_most(op, s) == np.count_nonzero(ev <= s)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="bound must not be NaN or -inf"):
+            levels_at_most(op, bad)
+    d2 = build_schrodinger(Grid(2, 6.0, 40), make_density("gaussian", 2, 0.5))
+    for other in (d2, banded_op):
+        with pytest.raises(ConfigError, match="d = 1 SchrodingerOperator"):
+            levels_at_most(other, 1.0)
 
 
 def test_bottom_values_refuses_what_it_cannot_solve(gauss_half, banded_op):

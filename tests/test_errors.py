@@ -20,7 +20,7 @@ import pytest
 from ballwalk import errors, walk
 from ballwalk.analysis import essential_band
 from ballwalk.densities import ball_mass_grid, eval_density, make_density, tempered_A_h
-from ballwalk.eigensolve import bottom_k, bottom_values, dense_reference, top_k
+from ballwalk.eigensolve import bottom_k, bottom_values, dense_reference, levels_at_most, top_k
 from ballwalk.errors import ConfigError, NumericalError, RejectionBudgetExceeded
 from ballwalk.multiplier import eval_Gd
 from ballwalk.operators import (
@@ -228,16 +228,17 @@ GAUSS_2D = make_density("gaussian", 2, 0.5)
     (ConfigError, "sinh", lambda: tempered_A_h(TEMPERED, 800.0)),
     (ConfigError, "sinh", lambda: essential_band(TEMPERED, 800.0)),
     (ConfigError, "sinh", lambda: ball_mass_grid(TEMPERED, 1000.0, 800.0)),
-    (ConfigError, "upto",
-     lambda: bottom_values(build_schrodinger(Grid(1, 8.0, 200), GAUSS), 2, upto=-math.inf)),
+    (ConfigError, "bound",
+     lambda: levels_at_most(build_schrodinger(Grid(1, 8.0, 200), GAUSS), -math.inf)),
 ], ids=["build_markov-d2", "sample_stationary-d2", "nu_h_tail-d2", "eval_density-d2-shape",
         "bottom_k-discrete", "schrodinger-to_dense-cap", "tempered_A_h-sinh",
-        "essential_band-sinh", "ball_mass_grid-tail-sinh", "bottom_values-upto-minus-inf"])
+        "essential_band-sinh", "ball_mass_grid-tail-sinh", "levels_at_most-bound-minus-inf"])
 def test_unsupported_input_refused(error, match, call):
     # d = 1 only paths, a point of the wrong shape, the wrong operator
     # class and a dense matrix past the size cap each raise, typed; so do
-    # a sinh(alpha h) that overflows (alpha h = 800) and an upto of -inf,
-    # which raised a bare OverflowError and LAPACK's ValueError
+    # a sinh(alpha h) that overflows (alpha h = 800) and a count bound of
+    # -inf, which raised a bare OverflowError and met LAPACK stebz's
+    # illegal-argument check (VU <= VL)
     with pytest.raises(error, match=match):
         call()
 

@@ -688,6 +688,19 @@ def test_to_banded_matches_dense(gauss_half):
         np.testing.assert_allclose(bands[k, : n - k], np.diag(A, k), atol=1e-15)
 
 
+# a ball wider than the box: K = 19 on 8 nodes, and K = n = 8
+@pytest.mark.parametrize("h, K", [(5.0, 19), (2.2, 8)])
+def test_to_banded_of_a_stencil_longer_than_the_grid(gauss_half, h, K):
+    T = build_conjugated(Grid(1, 1.0, 8), gauss_half, h, scheme=BANDED)
+    assert len(T.stencil) - 1 == K
+    bands = T.to_banded()
+    A = T.to_dense()
+    assert bands.shape == (K + 1, 8)
+    for k in range(K + 1):
+        np.testing.assert_array_equal(bands[k, : max(8 - k, 0)], np.diag(A, k))
+        np.testing.assert_array_equal(bands[k, max(8 - k, 0):], 0.0)
+
+
 def test_to_dense_refuses_large(gauss_half):
     g = Grid(1, 12.0, 4200)
     T = build_conjugated(g, gauss_half, 0.25, scheme=MULTIPLIER)
