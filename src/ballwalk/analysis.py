@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import (MASS_RTOL, _mass_quadrature, _require_h, _require_int, eval_density,
-                        kappa_analytic, tempered_A_h)
-from .eigensolve import bottom_values, count_at_most, levels_at_most, top_k
+                        eval_potential, kappa_analytic, tempered_A_h)
+from .eigensolve import _sturm_count, bottom_values, count_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
 from .operators import BANDED, Grid, build_conjugated, build_schrodinger
@@ -57,11 +57,16 @@ def _fit_through_origin(x, y):
 # ---------------------------------------------------------------------------
 # reference levels of the comparison operator
 
-def _ladder_op(density, delta):
-    """-Lap + V on [-L, L], L = R + 25/alpha, at grid step <= delta: the
-    grids of mu_reference's Richardson pair."""
+def _ladder_grid(density, delta):
+    """[-L, L], L = R + 25/alpha, at grid step <= delta: the grids of
+    mu_reference's Richardson pair."""
     L = density.R + 25.0 / density.alpha
-    return build_schrodinger(Grid(1, L, _even_grid(L, 1.0, 1.0 / delta)), density)
+    return Grid(1, L, _even_grid(L, 1.0, 1.0 / delta))
+
+
+def _ladder_op(density, delta):
+    """-Lap + V on _ladder_grid(density, delta)."""
+    return build_schrodinger(_ladder_grid(density, delta), density)
 
 
 def mu_reference(density, k_max):
@@ -298,14 +303,18 @@ class GapReport(Report):
 def _mu_1_if_below(density, floor):
     """mu_reference's mu_1 where it can decide min(mu_1, floor), inf where
     it cannot. With a finite floor (tempered), one LAPACK Sturm count on
-    the coarser ladder grid (levels_at_most) first counts the levels up to
-    floor * (1 + MU_1_MARGIN); the decision reads only whether there are
-    two, so no level is bisected. With fewer, mu_1 is above the floor and
-    the Richardson pair is not solved. Measured over alpha 0.5-2 and R
-    0.1-8, the extrapolation moves the coarse mu_1 by at most 3.3e-5 of
-    the floor, well inside the margin."""
+    the coarser ladder grid (levels_at_most's count) first counts the
+    levels up to floor * (1 + MU_1_MARGIN), on the ladder's two diagonals
+    2/delta^2 + V and -1/delta^2 with no matrix built; the decision reads
+    only whether there are two, so no level is bisected. With fewer, mu_1
+    is above the floor and the Richardson pair is not solved. Measured
+    over alpha 0.5-2 and R 0.1-8, the extrapolation moves the coarse mu_1
+    by at most 3.3e-5 of the floor, well inside the margin."""
     if math.isfinite(floor):
-        if levels_at_most(_ladder_op(density, MU_DELTAS[0]), floor * (1.0 + MU_1_MARGIN)) < 2:
+        grid = _ladder_grid(density, MU_DELTAS[0])
+        diag = 2.0 / grid.delta**2 + eval_potential(density, grid.nodes())
+        off = np.full(grid.N - 1, -1.0 / grid.delta**2)
+        if _sturm_count(diag, off, floor * (1.0 + MU_1_MARGIN)) < 2:
             return math.inf
     return float(mu_reference(density, 1)[1])
 

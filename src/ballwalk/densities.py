@@ -12,8 +12,9 @@ mass m_h(x) = integral of rho over the radius-h ball at x, the conjugation
 weight a_h = (alpha_d h^d rho / m_h)^{1/2}, and the tail constants kappa
 (liminf of V) and A_h (limsup of a_h^2), both in closed form.
 
-Every mass, for one point or many, comes from ball_mass_grid. For the
-tempered tail the mass integral is elementary,
+Every mass, for one point or many, comes from ball_mass_grid. In d = 2
+(Gaussian only) it is a Poisson mixture of gamma distribution functions
+(_disc_mass). For the tempered tail the mass integral is elementary,
 m_h(x) = rho(x) * 2 sinh(alpha h)/alpha for |x| >= R + h, so a_h^2 is the
 constant A_h = alpha h / sinh(alpha h) there (tempered_A_h), and V the
 constant kappa = alpha^2 (kappa_analytic).
@@ -24,7 +25,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, i0e
+from scipy.special import erfc, gammainc, gammaln
 
 from .errors import ConfigError, NumericalError, QuadratureNotConverged, WrongDensityKind
 from .multiplier import unit_ball_volume
@@ -76,17 +77,21 @@ def make_density(kind, dim, alpha, R=None):
 # ---------------------------------------------------------------------------
 # smooth core of the tempered exponent
 
+# At u = +-inf the quartic core is inf - inf, which np.where discards.
+
 def _s(R, u):
     """Even C^2 exponent: s(u) = |u| outside [-R, R], quartic inside."""
     u = np.abs(u)
-    core = 3.0 * R / 8.0 + 3.0 * u * u / (4.0 * R) - u**4 / (8.0 * R**3)
+    with np.errstate(invalid="ignore"):
+        core = 3.0 * R / 8.0 + 3.0 * u * u / (4.0 * R) - u**4 / (8.0 * R**3)
     return np.where(u >= R, u, core)
 
 
 def _ds(R, u):
     sign = np.sign(u)
     u = np.abs(u)
-    core = 3.0 * u / (2.0 * R) - u**3 / (2.0 * R**3)
+    with np.errstate(invalid="ignore"):
+        core = 3.0 * u / (2.0 * R) - u**3 / (2.0 * R**3)
     return sign * np.where(u >= R, 1.0, core)
 
 
@@ -108,8 +113,10 @@ def _tempered_norm_integral(alpha, R):
 # evaluation
 
 def eval_density(density, x):
-    """rho(x). For d = 2, x has the coordinate pair on its last axis."""
-    return _rho_at_radius(density, _radius(density, x))
+    """rho(x). For d = 2, x has the coordinate pair on its last axis. A
+    NaN point raises ConfigError (_point_radius); rho is 0 at an infinite
+    one."""
+    return _rho_at_radius(density, _point_radius(density, x))
 
 
 def _rho_at_radius(density, r):
@@ -132,9 +139,10 @@ def eval_potential(density, x):
 
     Gaussian: 4 alpha^2 |x|^2 - 2 d alpha. Tempered d=1 with rho = beta
     e^{-alpha s}: alpha^2 s'^2 - alpha s'', which is the constant alpha^2
-    on the tail.
+    on the tail, so also at an infinite point, where the Gaussian V is inf.
+    A NaN point raises ConfigError (_point_radius).
     """
-    r = _radius(density, x)
+    r = _point_radius(density, x)
     a = density.alpha
     if density.kind == GAUSSIAN:
         return 4.0 * a * a * r * r - 2.0 * density.dim * a
@@ -181,6 +189,16 @@ def _radius(density, x):
     return np.sqrt(np.sum(x * x, axis=-1))
 
 
+def _point_radius(density, x):
+    """_radius of points from outside: the one check on them, ConfigError
+    for a NaN point (an infinite one has radius inf). The walk's own
+    steps, whose points are finite, take _radius unchecked."""
+    r = _radius(density, x)
+    if math.isnan(r.max(initial=0.0)):
+        raise ConfigError("points must be finite or infinite, not NaN")
+    return r
+
+
 # ---------------------------------------------------------------------------
 # ball mass
 
@@ -192,14 +210,15 @@ def ball_mass_grid(density, x, h):
     does not cancel, because the two arguments sit 2*alpha*h*|x| apart in
     exponent, but rounding sqrt(alpha)(|x| -+ h) costs up to about
     eps*|x|/(2h) relative, still inside MASS_RTOL down to h = 1e-4 for
-    |x| <= 10. The tempered tail uses its closed form. All other points
-    go into one batched quadrature to MASS_RTOL, one row per distinct
-    radius; the rows do not depend on each other, so sharing a row gives
-    the same bits. d = 2 is a radial integral through the scaled Bessel
-    i0e.
+    |x| <= 10. The tempered tail uses its closed form, and the tempered
+    core one batched quadrature to MASS_RTOL (_mass_quadrature). d = 2 is
+    the Gaussian's Poisson-gamma series (_disc_mass). Both take one row
+    per distinct radius; the rows do not depend on each other, so sharing
+    a row gives the same bits. The mass is 0 at an infinite point, and a
+    NaN point raises ConfigError (_point_radius).
     """
     _require_h(h)
-    r = _radius(density, x)
+    r = _point_radius(density, x)
     if density.kind == GAUSSIAN and density.dim == 1:
         sq = math.sqrt(density.alpha)
         return 0.5 * (erfc(sq * (r - h)) - erfc(sq * (r + h)))
@@ -211,7 +230,8 @@ def ball_mass_grid(density, x, h):
         if not core.all():
             out[~core] = _tail_mass(density, flat[~core], h)
     radii, where = np.unique(flat[core], return_inverse=True)
-    out[core] = _mass_quadrature(density, radii, h)[where]
+    per_radius = _mass_quadrature if density.dim == 1 else _disc_mass
+    out[core] = per_radius(density, radii, h)[where]
     return out.reshape(r.shape)[()]
 
 
@@ -231,23 +251,64 @@ def _sinh(ah):
 
 
 def _mass_quadrature(density, r, h):
-    """m_h at every radius of the 1-D array r, as one batched quadrature."""
-    a = density.alpha
-    if density.dim == 1:
-        splits = () if density.kind == GAUSSIAN else (-density.R, density.R)
-        return _adaptive_gl_batch(
-            lambda rows, t: eval_density(density, t), r - h, r + h,
-            rel_tol=MASS_RTOL, splits=splits,
-        )
-    # d = 2 gaussian: rotate around x; the angular integral is
-    # 2 pi I_0(2 alpha r t), written with i0e to avoid overflow
-    def radial(rows, t):
-        rr = r[rows, None]
-        return 2.0 * a * t * np.exp(-a * (rr - t) ** 2) * i0e(2.0 * a * rr * t)
-
+    """m_h at every radius of the 1-D array r in d = 1, as one batched
+    quadrature of rho over [r - h, r + h], with panel edges at the
+    tempered joints +-R."""
     return _adaptive_gl_batch(
-        radial, np.zeros_like(r), np.full_like(r, h), rel_tol=MASS_RTOL
+        lambda rows, t: eval_density(density, t), r - h, r + h,
+        rel_tol=MASS_RTOL, splits=(-density.R, density.R),
     )
+
+
+_SERIES_CHUNK = 16  # series terms per pass of _disc_mass
+_MAX_SERIES_TERMS = 2**16
+_FAR = 746.0  # exp(-746) < 2^-1075, half the least subnormal
+
+
+def _disc_mass(density, r, h):
+    """m_h at every radius of the 1-D array r, d = 2 Gaussian, as a
+    series. For Y ~ rho, 2 alpha |Y - x|^2 is noncentral chi^2 with 2
+    degrees of freedom and noncentrality 2 alpha |x|^2, a Poisson
+    mixture of central ones, so with lam = alpha r^2 and u = alpha h^2
+
+        m_h = sum_j e^{-lam} lam^j / j! * P(j + 1, u),
+
+    P the regularized lower incomplete gamma function (gammainc); the
+    Poisson weights are taken in log space through gammaln. The term
+    ratio is lam/(j + 1) times P(j + 2, u)/P(j + 1, u) <= u/(j + 2), so
+    past j >= 2 sqrt(lam u) every term is under a quarter of the one
+    before. Each row sums its terms in order and stops at the first such
+    j whose term is at most 2^-54 of the sum so far: the term count
+    depends on the row alone, so a row's bits do not depend on the batch.
+    A row still running after _MAX_SERIES_TERMS terms raises
+    NumericalError. Where r - h >= sqrt(_FAR / alpha) the mass is below
+    P(|Y| >= r - h) = e^{-alpha (r - h)^2} < 2^-1075, so it is 0 (r = inf
+    too). scipy's chndtr cannot serve: it returns 0 where the mass is
+    about 4e-57 (r = 16, alpha = 0.5, h = 0.25).
+    """
+    a = density.alpha
+    out = np.zeros_like(r)
+    rows = np.flatnonzero(r - h < math.sqrt(_FAR / a))
+    lam = a * r[rows] ** 2
+    u = a * h * h
+    # lam below the least normal float changes no bit of the mass
+    log_lam = np.log(np.maximum(lam, np.finfo(float).tiny))
+    start = 2.0 * np.sqrt(lam * u)
+    total = np.zeros_like(lam)
+    for j0 in range(0, _MAX_SERIES_TERMS, _SERIES_CHUNK):
+        j = np.arange(j0, j0 + _SERIES_CHUNK, dtype=float)[:, None]
+        terms = np.exp(j * log_lam - lam - gammaln(j + 1.0)) * gammainc(j + 1.0, u)
+        sums = np.cumsum(np.vstack([total, terms]), axis=0)[1:]
+        done = (j >= start) & (terms <= 2.0**-54 * sums)
+        stop = done.any(axis=0)
+        last = np.where(stop, done.argmax(axis=0), _SERIES_CHUNK - 1)
+        total = sums[last, np.arange(rows.size)]
+        out[rows[stop]] = total[stop]
+        rows, lam, log_lam, start, total = (v[~stop] for v in (rows, lam, log_lam, start, total))
+        if not rows.size:
+            return out
+    raise NumericalError(f"ball mass series still running after {_MAX_SERIES_TERMS} terms "
+                         f"at radius {r[rows[0]]:.6g}, h = {h!r}")
 
 
 def _require_mass(density, x, m):

@@ -14,12 +14,11 @@ Three routes, matched to the operator shapes:
     eigenvalues. This route keeps scipy's Lanczos basis of max(2k + 1,
     20) vectors: on the crowded band spectra of a tempered T-tilde, 2k + 1
     vectors cost 4-6x the solves. A multiplier operator, which has no
-    matrix, is solved on its matvec alone, on a basis of 2k + 1 vectors
-    (scipy's formula without its floor of 20): at k = 6 on the 96 x 96
-    d = 2 grid it takes 76 matvecs against the default's 80, each step
-    re-orthogonalizing against 13 vectors instead of 20. At k = 1 the
-    3-vector basis needs 2-6x the matvecs (65 against 31 on that grid);
-    no driver asks for k = 1. Both
+    matrix, is solved on its matvec alone, on a basis of
+    max(2k + 1, _MIN_NCV) vectors (scipy's formula with a floor of 9
+    instead of 20): at k = 6 on the 96 x 96 d = 2 grid it takes 76
+    matvecs against the default's 80, each step re-orthogonalizing
+    against 13 vectors instead of 20. Both
     start from a vector fixed by a seed, and ARPACK stops once each Ritz
     pair's residual estimate is below RESIDUAL_RTOL / 100 relative to
     its Ritz value, 100x under the gate rather than at machine
@@ -38,7 +37,8 @@ Three routes, matched to the operator shapes:
     is the d = 1 path's eigenvalues alone, without the inverse iteration
     for the eigenvectors. levels_at_most is the one route with a finite
     bound: one LAPACK Sturm count of the d = 1 levels up to it, with no
-    bisection.
+    bisection, on the matrix's two diagonals (_sturm_count, which
+    analysis's gap screen calls on the diagonals directly).
   * count_at_most: Sylvester inertia of the symmetric banded scheme on
     the mirror half. Every banded operator commutes with the mirror
     x -> -x, so A - s*I is orthogonally similar to two banded blocks on
@@ -79,6 +79,14 @@ RESIDUAL_RTOL = 1e-9  # true-residual gate, relative to the spectral scale
 
 _LANCZOS_SEED = 0x9E3779B97F4A7C15  # fixed: solves must be reproducible
 _SHIFT = 1.0 + 1e-3  # banded shift-invert target, just above the top of a T-tilde
+# Least Lanczos basis of the multiplier route. ARPACK's matvecs against
+# the basis size at k = 1, 2, 3 on the d = 1 multiplier
+# build_conjugated(Grid(1, 12, 1600), gaussian alpha = 0.5, 0.25) and on
+# the d = 2 Grid(2, 8, 96), alpha = 1, h = 0.5 (2k + 1 / 7 / 9 / 11):
+# d = 1 340/92/75/66, 155/124/118/109, -/114/113/108; d = 2 65/32/30/30,
+# 53/46/44/47, -/99/93/109. 9 takes fewer than 7 everywhere, fewer than
+# 11 on d = 2 at k = 3, and leaves k >= 4 at 2k + 1.
+_MIN_NCV = 9
 
 
 @dataclass
@@ -149,10 +157,9 @@ def top_k(op, k):
     that is where A reaches _SHIFT), with scipy's default basis of
     max(2k + 1, 20) vectors, since 2k + 1 needs 4-6x the solves on a
     crowded band spectrum; on the matvec for the multiplier scheme, with
-    a basis of 2k + 1 vectors, whose shorter re-orthogonalizations pay
-    for the few matvecs they add at the drivers' k >= 2 (not at k = 1:
-    see the module docstring). The result records the solves or matvecs
-    ARPACK asked for.
+    a basis of max(2k + 1, _MIN_NCV) vectors, whose shorter
+    re-orthogonalizations pay for the few matvecs they add. The result
+    records the solves or matvecs ARPACK asked for.
     ARPACK stops at RESIDUAL_RTOL / 100 and every pair's true residual
     must be <= RESIDUAL_RTOL * max|lambda|; multiplicities come from
     rounding and are pinned by the degenerate-level tests."""
@@ -169,7 +176,7 @@ def top_k(op, k):
             return apply(u)
         return LinearOperator((n, n), matvec=f, dtype=float)
 
-    mode = {"which": "LA", "ncv": min(2 * k + 1, n)}
+    mode = {"which": "LA", "ncv": min(max(2 * k + 1, _MIN_NCV), n)}
     if op.scheme == BANDED:
         ab = -op.to_banded()
         ab[0] += _SHIFT
@@ -244,10 +251,14 @@ def levels_at_most(op, bound):
     number of levels. A bound that is NaN or -inf raises ConfigError;
     +inf counts them all."""
     _require_ladder(op, "levels_at_most")
+    return _sturm_count(op.matrix.diagonal(), op.matrix.diagonal(1), bound)
+
+
+def _sturm_count(d, e, bound):
+    """levels_at_most's count on the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, with no matrix built."""
     if not bound > -math.inf:
         raise ConfigError(f"bound must not be NaN or -inf, got {bound!r}")
-    A = op.matrix
-    d, e = A.diagonal(), A.diagonal(1)
     width = float(np.ptp(d) + 4.0 * np.max(np.abs(e), initial=0.0))  # >= Gershgorin's
     m, *_, info = dstebz(d, e, 1, -math.inf, float(bound), 0, 0, 2.0 * width, "E")
     if info != 0:

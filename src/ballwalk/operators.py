@@ -10,7 +10,8 @@ Four operators on a truncated uniform grid:
     T-tilde),
   * L = -Lap + V, the Schrodinger comparison operator (positive
     Laplacian sign convention), second-order stencil with Dirichlet walls,
-    stored as one scipy.sparse CSR matrix in d = 1 and d = 2.
+    stored as one scipy.sparse CSR matrix in d = 1 and d = 2, assembled
+    from its three or five bands.
 
 The first three share one form, A = diag(lscale) C diag(rscale) with C a
 symmetric Toeplitz band or circulant, so A's transpose swaps the scales.
@@ -369,14 +370,24 @@ class SchrodingerOperator:
 
 
 def build_schrodinger(grid, density):
-    """-Lap + V: the Dirichlet second difference D = tridiag(-1, 2, -1) /
-    delta^2 on one axis, its Kronecker sum D (+) D on the d = 2 grid (no
-    coupling across row ends), plus diag(V)."""
+    """-Lap + V with the Dirichlet second difference tridiag(-1, 2, -1) /
+    delta^2 on each axis, assembled from its bands in d = 1 and d = 2 by
+    one diags_array and one CSR conversion: the diagonal
+    d * 2/delta^2 + V, -1/delta^2 at offsets +-1 (zero across the ends of
+    a row of nodes in d = 2, which the conversion drops) and, in d = 2, at
+    +-N. It is the Kronecker sum of the d = 1 difference with itself, plus
+    diag(V), to the bit."""
     if density.dim != grid.dim:
         raise ConfigError("grid and density dimension mismatch")
     V = np.asarray(eval_potential(density, grid.nodes()), dtype=float)
     if not np.all(np.isfinite(V)):
         raise NumericalError("potential not finite on the grid")
-    D = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(grid.N, grid.N))
-    lap = functools.reduce(scipy.sparse.kronsum, [D / grid.delta**2] * grid.dim)
-    return SchrodingerOperator(grid, scipy.sparse.csr_array(lap + scipy.sparse.diags_array(V)))
+    N, n, off = grid.N, grid.size, -1.0 / grid.delta**2
+    near = np.full(n - 1, off)
+    near[N - 1 :: N] = 0.0  # the last node of a row has no right neighbour
+    bands, offsets = [grid.dim * (2.0 / grid.delta**2) + V, near, near], [0, 1, -1]
+    if grid.dim == 2:
+        bands += [np.full(n - N, off)] * 2
+        offsets += [N, -N]
+    matrix = scipy.sparse.diags_array(bands, offsets=offsets, shape=(n, n), format="csr")
+    return SchrodingerOperator(grid, matrix)

@@ -404,6 +404,22 @@ def test_gap_screen_decides_as_the_coarse_levels_do(alpha, R, alpha_cfg, monkeyp
     assert len(solved) == below  # the Richardson pair runs only below the margin
 
 
+@pytest.mark.parametrize("alpha, R", [(0.5, 0.5), (1.0, 0.5), (1.0, 8.0), (2.0, 0.1)])
+def test_gap_screen_counts_on_the_ladder_diagonals(alpha, R, monkeypatch):
+    # the screen builds no matrix, and the two diagonals it counts on are
+    # the ladder matrix's to the bit
+    density = make_density("tempered", 1, alpha, R=R)
+    matrix = analysis._ladder_op(density, analysis.MU_DELTAS[0]).matrix
+    seen, count = [], analysis._sturm_count
+    monkeypatch.setattr(analysis, "_sturm_count", lambda d, e, b: seen.append((d, e)) or count(d, e, b))
+    monkeypatch.setattr(analysis, "build_schrodinger", lambda *a: pytest.fail("matrix built"))
+    monkeypatch.setattr(analysis, "mu_reference", lambda *a: np.zeros(2))
+    analysis._mu_1_if_below(density, 0.1 * alpha**2)
+    [(d, e)] = seen
+    np.testing.assert_array_equal(d, matrix.diagonal())
+    np.testing.assert_array_equal(e, matrix.diagonal(1))
+
+
 @pytest.mark.parametrize("alpha_cfg", [0.5, 0.64, 0.643, 0.9])
 def test_gap_comparison_is_the_full_min(alpha_cfg, monkeypatch):
     # R = 8 has mu_1 = 0.3577: floors of 0.5, 0.36 (mu_1 below them),

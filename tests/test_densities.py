@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.special import i0e
 from scipy.stats import ncx2
 
 from ballwalk import densities
@@ -24,6 +25,7 @@ from ballwalk.densities import (
     weight_a_h,
     _adaptive_gl,
     _adaptive_gl_batch,
+    _disc_mass,
     _mass_quadrature,
     _radius,
 )
@@ -302,7 +304,7 @@ def test_grid_path_dedup_is_exact(gauss2d, tempered_unit):
     r = _radius(gauss2d, x)
     assert np.unique(r).size < r.size // 4
     np.testing.assert_array_equal(
-        ball_mass_grid(gauss2d, x, 0.5), _mass_quadrature(gauss2d, r, 0.5)
+        ball_mass_grid(gauss2d, x, 0.5), _disc_mass(gauss2d, r, 0.5)
     )
     # d = 1 tempered core: repeats and +-x pairs, some straddling |x| = R
     xs = np.array([0.0, 0.3, -0.3, 0.3, 1.1, -1.1, 0.0, -0.7, 0.7, 1.1])
@@ -311,6 +313,70 @@ def test_grid_path_dedup_is_exact(gauss2d, tempered_unit):
     np.testing.assert_array_equal(
         ball_mass_grid(tempered_unit, xs, h), _mass_quadrature(tempered_unit, np.abs(xs), h)
     )
+
+
+def _polar_mass(density, r, h):
+    """The d = 2 Gaussian mass at every radius of r as a radial quadrature
+    (the route _disc_mass replaced): rotated around x, the angular
+    integral of rho is 2 pi I_0(2 alpha r t), written with i0e to avoid
+    overflow."""
+    a = density.alpha
+
+    def radial(rows, t):
+        rr = r[rows, None]
+        return 2.0 * a * t * np.exp(-a * (rr - t) ** 2) * i0e(2.0 * a * rr * t)
+
+    return _adaptive_gl_batch(radial, np.zeros_like(r), np.full_like(r, h), rel_tol=MASS_RTOL)
+
+
+@pytest.mark.parametrize("L, N, alpha, h", [(8.0, 96, 1.0, 0.5), (12.0, 100, 0.5, 0.25),
+                                            (6.0, 80, 2.0, 0.3)])
+def test_disc_mass_series_matches_polar_quadrature(L, N, alpha, h):
+    # every distinct radius of the grid, masses down to about 1e-62
+    dens = make_density("gaussian", 2, alpha)
+    r = np.unique(_radius(dens, Grid(2, L, N).nodes()))
+    oracle = _polar_mass(dens, r, h)
+    assert oracle.min() > 1e-70
+    np.testing.assert_allclose(_disc_mass(dens, r, h), oracle, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("alpha, h, r", [(1.0, 0.5, 0.0), (1.0, 2.0, 0.5), (2.0, 2.0, 10.0),
+                                         (1.0, 0.5, 26.75)],
+                         ids=["centre", "h-past-r", "large-alpha-r-h", "near-underflow"])
+def test_disc_mass_series_at_the_edges(alpha, h, r):
+    dens = make_density("gaussian", 2, alpha)
+    radius = np.array([r])
+    m = _disc_mass(dens, radius, h)
+    np.testing.assert_allclose(m, _polar_mass(dens, radius, h), rtol=1e-13, atol=0)
+    assert ball_mass_grid(dens, [0.0, r], h) == m[0]
+
+
+@pytest.mark.parametrize("r", [27.25, 27.75, 28.0], ids=["subnormal", "series-zero", "far"])
+def test_disc_mass_that_underflows_is_refused(gauss2d, r):
+    # the series' own subnormal and 0, and the 0 of the far rule
+    # (r - h >= sqrt(746 / alpha)), all without a warning
+    m = ball_mass_grid(gauss2d, [r, 0.0], 0.5)
+    assert m < np.finfo(float).tiny
+    with pytest.raises(NumericalError, match="underflow"):
+        weight_a_h(gauss2d, [[0.0, 0.0], [r, 0.0]], 0.5)
+
+
+@pytest.mark.parametrize("dens, x", [
+    (make_density("gaussian", 1, 0.5), math.inf),
+    (make_density("gaussian", 1, 0.5), -math.inf),
+    (make_density("tempered", 1, 2.0, R=1.0), math.inf),
+    (make_density("tempered", 1, 2.0, R=1.0), -math.inf),
+    (make_density("gaussian", 2, 1.0), [math.inf, 0.0]),
+    (make_density("gaussian", 2, 1.0), [-math.inf, math.inf]),
+], ids=["gaussian+", "gaussian-", "tempered+", "tempered-", "gaussian-d2", "gaussian-d2-corner"])
+def test_infinite_points_take_their_limits(dens, x):
+    # rho = 0 and m = 0; V = inf (Gaussian) or alpha^2 (tempered), with no
+    # invalid-value warning from the quartic core or the series
+    assert eval_density(dens, x) == 0.0
+    assert ball_mass_grid(dens, x, 0.5) == 0.0
+    assert eval_potential(dens, x) == (math.inf if dens.kind == "gaussian" else dens.alpha**2)
+    with pytest.raises(NumericalError, match="underflow"):
+        weight_a_h(dens, [x], 0.5)
 
 
 def test_grid_path_output_shapes(gauss_half, tempered_unit, gauss2d):

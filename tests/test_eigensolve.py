@@ -228,17 +228,27 @@ def _spy_on_eigsh(monkeypatch):
     return seen
 
 
-# the multiplier route runs ARPACK on a basis of 2k + 1 vectors (scipy's
-# formula without its floor of 20), and the degenerate d = 2 pair must
-# still come out whole
+# the multiplier route runs ARPACK on a basis of max(2k + 1, 9) vectors
+# (scipy's formula with a floor of 9 instead of 20), and the degenerate
+# d = 2 pair must still come out whole
 @pytest.mark.parametrize("name, atol", [("multiplier_d1", 1e-9), ("multiplier_d2", 1e-12)])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_top_k_multiplier_basis_is_2k_plus_1(name, atol, k, request, monkeypatch):
     T, ref = request.getfixturevalue(name)
     seen = _spy_on_eigsh(monkeypatch)
     r = top_k(T, k)
-    assert seen == [2 * k + 1]
+    assert seen == [max(2 * k + 1, 9)]
     np.testing.assert_allclose(r.eigenvalues, ref.eigenvalues[:k], rtol=0, atol=atol)
+    assert np.all(r.residuals <= RESIDUAL_RTOL * np.max(np.abs(r.eigenvalues)))
+
+
+def test_top_k_multiplier_basis_past_the_floor(multiplier_d2, monkeypatch):
+    # from k = 4 on the floor is below 2k + 1: the bench's k = 6 runs on 13
+    T, ref = multiplier_d2
+    seen = _spy_on_eigsh(monkeypatch)
+    r = top_k(T, 6)
+    assert seen == [13]
+    np.testing.assert_allclose(r.eigenvalues[:3], ref.eigenvalues, rtol=0, atol=1e-12)
     assert np.all(r.residuals <= RESIDUAL_RTOL * np.max(np.abs(r.eigenvalues)))
 
 

@@ -19,7 +19,8 @@ import pytest
 
 from ballwalk import errors, walk
 from ballwalk.analysis import essential_band
-from ballwalk.densities import ball_mass_grid, eval_density, make_density, tempered_A_h
+from ballwalk.densities import (ball_mass_grid, eval_density, eval_potential, make_density,
+                                tempered_A_h)
 from ballwalk.eigensolve import bottom_k, bottom_values, dense_reference, levels_at_most, top_k
 from ballwalk.errors import ConfigError, NumericalError, RejectionBudgetExceeded
 from ballwalk.multiplier import eval_Gd
@@ -151,13 +152,22 @@ def test_bad_h_refused_at_every_entry_point(call, h):
     lambda: eval_Gd(1, math.inf),
     lambda: eval_Gd(2, [1.0, math.inf]),
     lambda: Grid(1, 1e308, 8),
+    lambda: eval_density(GAUSS, [0.0, math.nan]),
+    lambda: eval_density(make_density("gaussian", 2, 0.5), [math.nan, 0.0]),
+    lambda: eval_potential(GAUSS, math.nan),
+    lambda: eval_potential(TEMPERED, [1.0, math.nan]),
+    lambda: ball_mass_grid(GAUSS, math.nan, 0.25),
+    lambda: ball_mass_grid(TEMPERED, [0.1, math.nan], 0.25),
+    lambda: ball_mass_grid(make_density("gaussian", 2, 0.5), [[0.0, 0.0], [math.nan, 1.0]], 0.4),
 ], ids=["gaussian-alpha-inf", "gaussian-alpha-nan", "tempered-alpha-inf", "tempered-R-inf",
         "tempered-R-nan", "grid-L-inf", "grid-L-nan", "gap-nan", "gap-inf", "gap-negative",
         "gap-zero", "nu_h_tail-tau-negative", "nu_h_tail-tau-nan", "nu_h_tail-tau-inf",
         "p_tau-tau-nan", "p_tau-tau-negative", "q_factor-tau-negative", "band_weights-delta-zero",
         "band_weights-delta-nan", "band_weights-delta-negative", "taper_profile-alpha-zero",
         "taper_profile-alpha-negative", "eval_Gd-nan", "eval_Gd-d2-nan", "eval_Gd-inf",
-        "eval_Gd-d2-inf", "grid-delta-overflows"])
+        "eval_Gd-d2-inf", "grid-delta-overflows", "eval_density-nan", "eval_density-d2-nan",
+        "eval_potential-nan", "eval_potential-tempered-nan", "ball_mass_grid-nan",
+        "ball_mass_grid-tempered-nan", "ball_mass_grid-d2-nan"])
 def test_non_finite_inputs_refused(call):
     # alpha = inf once gave a Density with beta = inf, R or L = inf a bare
     # RuntimeWarning, a nan or negative gap a silent c_fit = nan or a
@@ -167,7 +177,9 @@ def test_non_finite_inputs_refused(call):
     # ValueError at nan and a misleading KernelUnderResolved at -0.1,
     # taper_profile divided by a zero alpha and hit a math domain error at
     # -1, and eval_Gd returned nan for a NaN or infinite radius; a Grid
-    # with a finite L whose delta = 2L/N overflows had nodes at +-inf
+    # with a finite L whose delta = 2L/N overflows had nodes at +-inf; a
+    # NaN point gave a NaN density, potential and d = 1 mass, and the
+    # d = 2 quadrature mass raised QuadratureNotConverged
     with pytest.raises(ConfigError, match="finite"):
         call()
 

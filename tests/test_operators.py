@@ -7,6 +7,7 @@ assemblies small enough for eigvalsh.
 """
 
 import dataclasses
+import functools
 import math
 import os
 
@@ -15,6 +16,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from ballwalk import analysis
 from ballwalk.densities import eval_potential, make_density, tempered_A_h
 from ballwalk.eigensolve import bottom_k, count_at_most, top_k
 from ballwalk.errors import ConfigError, KernelUnderResolved, NumericalError
@@ -451,6 +453,29 @@ def test_schrodinger_matrix_matches_stencil(dim):
     np.testing.assert_array_equal(L.to_dense(), A)
     u = np.random.default_rng(2).standard_normal(g.size)
     np.testing.assert_allclose(L.matvec(u), A @ u, rtol=1e-13, atol=1e-13 * np.abs(A).max())
+
+
+def _kronsum_reference(grid, density):
+    """-Lap + V as the Kronecker sum of the d = 1 Dirichlet difference with
+    itself, plus diag(V)."""
+    V = eval_potential(density, grid.nodes())
+    D = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(grid.N, grid.N))
+    lap = functools.reduce(scipy.sparse.kronsum, [D / grid.delta**2] * grid.dim)
+    return scipy.sparse.csr_array(lap + scipy.sparse.diags_array(V))
+
+
+@pytest.mark.parametrize("grid, density", [
+    (Grid(1, 8.0, 8), make_density("gaussian", 1, 0.5)),
+    (Grid(2, 4.0, 8), make_density("gaussian", 2, 1.0)),
+    (Grid(2, 7.0, 70), make_density("gaussian", 2, 0.5)),
+    (analysis._ladder_grid(make_density("tempered", 1, 1.0, R=0.5), analysis.MU_DELTAS[0]),
+     make_density("tempered", 1, 1.0, R=0.5)),
+], ids=["d1", "d2", "d2-bench", "ladder-12750"])
+def test_schrodinger_bands_are_the_kronsum_to_the_bit(grid, density):
+    A, ref = build_schrodinger(grid, density).matrix, _kronsum_reference(grid, density)
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(A, part), getattr(ref, part))
+    assert A.has_canonical_format
 
 
 def test_schrodinger_refuses_a_density_of_another_dimension(gauss_half):
