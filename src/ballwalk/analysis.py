@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import (MASS_RTOL, _mass_quadrature, _require_h, _require_int, eval_density,
-                        eval_potential, kappa_analytic, tempered_A_h)
-from .eigensolve import _sturm_count, bottom_values, count_at_most, top_k
+                        kappa_analytic, tempered_A_h)
+from .eigensolve import bottom_values, count_at_most, levels_at_most, top_k
 from .errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from .multiplier import find_min_M, gamma_d
 from .operators import BANDED, Grid, build_conjugated, build_schrodinger
@@ -143,9 +143,7 @@ def verify_asymptotics(density, k_max, h_list):
     any solve.
     """
     k_max = _require_int("k_max", k_max, 1)
-    h_list = [float(h) for h in h_list]
-    for h in h_list:
-        _require_h(h)
+    h_list = [float(_require_h(h)) for h in h_list]
     if len(h_list) < 3:
         raise InsufficientHPoints(f"order fit needs >= 3 h values, got {len(h_list)}")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
@@ -302,20 +300,16 @@ class GapReport(Report):
 
 def _mu_1_if_below(density, floor):
     """mu_reference's mu_1 where it can decide min(mu_1, floor), inf where
-    it cannot. With a finite floor (tempered), one LAPACK Sturm count on
-    the coarser ladder grid (levels_at_most's count) first counts the
-    levels up to floor * (1 + MU_1_MARGIN), on the ladder's two diagonals
-    2/delta^2 + V and -1/delta^2 with no matrix built; the decision reads
-    only whether there are two, so no level is bisected. With fewer, mu_1
-    is above the floor and the Richardson pair is not solved. Measured
-    over alpha 0.5-2 and R 0.1-8, the extrapolation moves the coarse mu_1
-    by at most 3.3e-5 of the floor, well inside the margin."""
-    if math.isfinite(floor):
-        grid = _ladder_grid(density, MU_DELTAS[0])
-        diag = 2.0 / grid.delta**2 + eval_potential(density, grid.nodes())
-        off = np.full(grid.N - 1, -1.0 / grid.delta**2)
-        if _sturm_count(diag, off, floor * (1.0 + MU_1_MARGIN)) < 2:
-            return math.inf
+    it cannot. With a finite floor (tempered), one LAPACK Sturm count
+    (levels_at_most) on the coarser ladder operator first counts the
+    levels up to floor * (1 + MU_1_MARGIN); the decision reads only
+    whether there are two, so no level is bisected. With fewer, mu_1 is
+    above the floor and the Richardson pair is not solved. Measured over
+    alpha 0.5-2 and R 0.1-8, the extrapolation moves the coarse mu_1 by at
+    most 3.3e-5 of the floor, well inside the margin."""
+    if math.isfinite(floor) and levels_at_most(_ladder_op(density, MU_DELTAS[0]),
+                                               floor * (1.0 + MU_1_MARGIN)) < 2:
+        return math.inf
     return float(mu_reference(density, 1)[1])
 
 

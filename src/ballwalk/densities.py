@@ -21,6 +21,7 @@ constant kappa = alpha^2 (kappa_analytic).
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -51,6 +52,7 @@ class Density:
 def make_density(kind, dim, alpha, R=None):
     if kind not in (GAUSSIAN, TEMPERED):
         raise ConfigError(f"unknown density kind {kind!r}")
+    dim = _require_int("dim", dim, 1)
     if dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {dim!r}")
     _require_positive("alpha", alpha)
@@ -62,7 +64,7 @@ def make_density(kind, dim, alpha, R=None):
     # tempered
     if dim != 1:
         raise ConfigError("tempered density is implemented for d = 1 only")
-    if R is None or not (math.isfinite(R) and R > 0):
+    if not (_finite_real(R) and R > 0):
         raise ConfigError(f"tempered density needs a finite transition radius R > 0, got {R!r}")
     if not 1.0 / _R_MAX <= R <= _R_MAX:
         raise ConfigError(f"tempered density needs R in [{1.0 / _R_MAX:g}, {_R_MAX:g}], "
@@ -157,15 +159,24 @@ def kappa_analytic(density):
     return density.alpha**2
 
 
+def _finite_real(value):
+    """The one test that a scalar argument is a finite real number, a
+    Python or numpy int or float (not None, a string or an array), made
+    before any check compares it."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _require_positive(name, value):
-    """ConfigError naming the argument unless value is finite and positive."""
-    if not (math.isfinite(value) and value > 0):
+    """ConfigError naming the argument unless value is a finite and
+    positive real number; returns it."""
+    if not (_finite_real(value) and value > 0):
         raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 def _require_h(h):
-    """The one check on a ball radius, wherever h enters."""
-    _require_positive("h", h)
+    """The one check on a ball radius, wherever h enters; returns h."""
+    return _require_positive("h", h)
 
 
 def _require_int(name, value, least):
@@ -263,6 +274,7 @@ def _mass_quadrature(density, r, h):
 _SERIES_CHUNK = 16  # series terms per pass of _disc_mass
 _MAX_SERIES_TERMS = 2**16
 _FAR = 746.0  # exp(-746) < 2^-1075, half the least subnormal
+_HEAD_WIDTHS = 10.0  # a row starts this many sqrt(mode) below its largest term, or at 0
 
 
 def _disc_mass(density, r, h):
@@ -271,15 +283,30 @@ def _disc_mass(density, r, h):
     degrees of freedom and noncentrality 2 alpha |x|^2, a Poisson
     mixture of central ones, so with lam = alpha r^2 and u = alpha h^2
 
-        m_h = sum_j e^{-lam} lam^j / j! * P(j + 1, u),
+        m_h = sum_j t_j,  t_j = e^{-lam} lam^j / j! * P(j + 1, u),
 
-    P the regularized lower incomplete gamma function (gammainc); the
-    Poisson weights are taken in log space through gammaln. The term
-    ratio is lam/(j + 1) times P(j + 2, u)/P(j + 1, u) <= u/(j + 2), so
-    past j >= 2 sqrt(lam u) every term is under a quarter of the one
-    before. Each row sums its terms in order and stops at the first such
-    j whose term is at most 2^-54 of the sum so far: the term count
-    depends on the row alone, so a row's bits do not depend on the batch.
+    P the regularized lower incomplete gamma function (gammainc). The
+    Poisson weight and P(j + 1, u) are both log-concave in j, so t_j is:
+    the ratios t_{j+1}/t_j fall with j. They are at most
+    q_j = min(lam/(j + 1), lam u/((j + 1)(j + 2))), since P(j + 2, u) <=
+    P(j + 1, u) and P(j + 2, u)/P(j + 1, u) <= u/(j + 2), so no term past
+    the mode bound min(lam, sqrt(lam u)) is larger than the one before it.
+
+    A row starts at j0 = floor(m - _HEAD_WIDTHS sqrt(m)), m its mode
+    bound, or at j0 = 0 where that is below 1 (m up to about 110, every
+    row of the bench among them), with its weights as
+    j log lam - lam - log j!. A row with j0 > 0 takes its weights in
+    Loader's form (_log_poisson_far), since j log lam and log j! are large
+    there. Below j0 every ratio is at least rho = t_{j0+1}/t_{j0}, so the
+    skipped head is at most t_{j0}/(rho - 1) (0 where t_{j0} underflows);
+    a row where that exceeds 2^-54/3 of its sum raises NumericalError. A
+    row stops at the first j >= s = m + 2 sqrt(m) + 1, where q_s < 1, whose
+    term is at most 2^-54 / max(1, 3 q_s/(1 - q_s)) of its sum so far: its
+    tail, at most t_j q_s/(1 - q_s), is then at most 2^-54/3 of the sum,
+    and no later term moves it. The term count depends on the row alone,
+    so a row's bits do not depend on the batch; a row with j0 = 0 gets the
+    bits of a sum to convergence. P(j + 1, u) depends on j alone, so a
+    batch evaluates it once per j, for all the rows that reach that j.
     A row still running after _MAX_SERIES_TERMS terms raises
     NumericalError. Where r - h >= sqrt(_FAR / alpha) the mass is below
     P(|Y| >= r - h) = e^{-alpha (r - h)^2} < 2^-1075, so it is 0 (r = inf
@@ -288,27 +315,80 @@ def _disc_mass(density, r, h):
     """
     a = density.alpha
     out = np.zeros_like(r)
-    rows = np.flatnonzero(r - h < math.sqrt(_FAR / a))
-    lam = a * r[rows] ** 2
-    u = a * h * h
-    # lam below the least normal float changes no bit of the mass
-    log_lam = np.log(np.maximum(lam, np.finfo(float).tiny))
-    start = 2.0 * np.sqrt(lam * u)
+    live = np.flatnonzero(r - h < math.sqrt(_FAR / a))
+    lam, u = a * r[live] ** 2, a * h * h
+    mode = np.minimum(lam, np.sqrt(lam * u))
+    first = np.floor(np.maximum(mode - _HEAD_WIDTHS * np.sqrt(mode), 0.0))
+    far = first > 0.0
+    out[live[~far]] = _disc_series(lam[~far], u, 0.0, _log_poisson_near, r[live[~far]], h)
+    if far.any():
+        out[live[far]] = _disc_series(lam[far], u, first[far], _log_poisson_far, r[live[far]], h)
+    return out
+
+
+def _log_poisson_near(j, lam):
+    """log(e^{-lam} lam^j / j!) as j log lam - lam - log j!, whose rounding
+    grows with j log lam; lam below the least normal float changes no bit
+    of the mass."""
+    return j * np.log(np.maximum(lam, np.finfo(float).tiny)) - lam - gammaln(j + 1.0)
+
+
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _log_poisson_far(j, lam):
+    """log(e^{-lam} lam^j / j!) for j >= 1 as -bd0 - log(2 pi j)/2 - s(j)
+    (Loader, 2000), with no large term to cancel: the deviance
+    bd0 = j log(j/lam) + lam - j by its series in v = (j - lam)/(j + lam)
+    where |v| < 0.1, and s(j) = log j! - (j + 1/2) log j + j - log(2 pi)/2
+    by Stirling's series past j = 15."""
+    v = (j - lam) / (j + lam)
+    odd = 2.0 * j * v**3 * np.polynomial.polynomial.polyval(v * v, 1.0 / np.arange(3.0, 19.0, 2.0))
+    bd0 = np.where(np.abs(v) < 0.1, (j - lam) * v + odd, j * np.log(j / lam) + lam - j)
+    k = np.maximum(j, 16.0)
+    s = np.where(j > 15.0, np.polynomial.polynomial.polyval(k**-2, _STIRLING) / k,
+                 gammaln(j + 1.0) - (j + 0.5) * np.log(j) + j - 0.5 * math.log(2.0 * math.pi))
+    return -bd0 - 0.5 * np.log(2.0 * math.pi * j) - s
+
+
+def _disc_series(lam, u, first, log_poisson, radii, h):
+    """_disc_mass's sums for the rows lam, each from its term j = first:
+    0 for every row, or one start per row, whose skipped heads are
+    bounded."""
+    mode = np.minimum(lam, np.sqrt(lam * u))
+    past = mode + 2.0 * np.sqrt(mode) + 1.0
+    q = np.minimum(lam / (past + 1.0), lam * u / ((past + 1.0) * (past + 2.0)))
+    slack = np.maximum(1.0, 3.0 * q / (1.0 - q))
+    out = np.empty_like(lam)
+    rows = np.arange(lam.size)
     total = np.zeros_like(lam)
+    base, gamma = np.min(first), np.empty(0)
     for j0 in range(0, _MAX_SERIES_TERMS, _SERIES_CHUNK):
-        j = np.arange(j0, j0 + _SERIES_CHUNK, dtype=float)[:, None]
-        terms = np.exp(j * log_lam - lam - gammaln(j + 1.0)) * gammainc(j + 1.0, u)
+        j = first + np.arange(j0, j0 + _SERIES_CHUNK, dtype=float)[:, None]
+        top = int(np.max(j) - base) + 1
+        if top > gamma.size:  # P(j + 1, u) once per j, however many rows share it
+            gamma = np.append(gamma, gammainc(base + np.arange(gamma.size, top) + 1.0, u))
+        terms = np.exp(log_poisson(j, lam)) * gamma[(j - base).astype(int)]
+        if j0 == 0 and np.ndim(first):  # the head bound t_j0 / (rho - 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                head = np.where(terms[0] > 0.0, terms[0] / (terms[1] / terms[0] - 1.0), 0.0)
         sums = np.cumsum(np.vstack([total, terms]), axis=0)[1:]
-        done = (j >= start) & (terms <= 2.0**-54 * sums)
+        done = (j >= past) & (slack * terms <= 2.0**-54 * sums)
         stop = done.any(axis=0)
         last = np.where(stop, done.argmax(axis=0), _SERIES_CHUNK - 1)
         total = sums[last, np.arange(rows.size)]
+        if np.ndim(first):
+            bad = stop & ~((head >= 0.0) & (3.0 * head <= 2.0**-54 * total))
+            if bad.any():
+                raise NumericalError(f"ball mass series skipped more than its head bound at "
+                                     f"radius {radii[rows[bad][0]]:.6g}, h = {h!r}")
+            first, head = first[~stop], head[~stop]
         out[rows[stop]] = total[stop]
-        rows, lam, log_lam, start, total = (v[~stop] for v in (rows, lam, log_lam, start, total))
+        rows, lam, past, slack, total = (v[~stop] for v in (rows, lam, past, slack, total))
         if not rows.size:
             return out
     raise NumericalError(f"ball mass series still running after {_MAX_SERIES_TERMS} terms "
-                         f"at radius {r[rows[0]]:.6g}, h = {h!r}")
+                         f"at radius {radii[rows[0]]:.6g}, h = {h!r}")
 
 
 def _require_mass(density, x, m):

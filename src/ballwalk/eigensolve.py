@@ -28,17 +28,17 @@ Three routes, matched to the operator shapes:
     arbiter of multiplicities. The result records how many operator
     applications ARPACK asked for: solves on the banded route, matvecs
     on the multiplier one.
-  * bottom_k: LAPACK Sturm bisection (eigh_tridiagonal) on the two
-    diagonals of the d = 1 Schrodinger matrix. In d = 2 it reads the
-    d = 1 line L_1 off the matrix, whose bottom levels are then the
+  * bottom_k, bottom_values and levels_at_most: LAPACK Sturm routes on
+    the two diagonals of the Schrodinger operator's d = 1 line L_1
+    (SchrodingerOperator.line), the operator itself in d = 1. bottom_k
+    bisects (eigh_tridiagonal); in d = 2 the bottom levels are the
     smallest sums lambda_i + lambda_j of one d = 1 Sturm solve, with
     eigenvectors u_i (x) u_j; the two orders of a pair give the same
     float, so degenerate levels come out exactly paired. bottom_values
     is the d = 1 path's eigenvalues alone, without the inverse iteration
     for the eigenvectors. levels_at_most is the one route with a finite
     bound: one LAPACK Sturm count of the d = 1 levels up to it, with no
-    bisection, on the matrix's two diagonals (_sturm_count, which
-    analysis's gap screen calls on the diagonals directly).
+    bisection (analysis's gap screen counts on the ladder with it).
   * count_at_most: Sylvester inertia of the symmetric banded scheme on
     the mirror half. Every banded operator commutes with the mirror
     x -> -x, so A - s*I is orthogonally similar to two banded blocks on
@@ -68,7 +68,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrs, dstebz
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .densities import _require_int
+from .densities import _finite_real, _require_int
 from .errors import ConfigError, NoConvergence
 from .operators import BANDED, DiscreteOperator, SchrodingerOperator
 from .report import Report
@@ -198,26 +198,21 @@ def top_k(op, k):
 
 def bottom_k(op, k):
     """k smallest eigenvalues of a SchrodingerOperator, ascending, by
-    Sturm bisection on a tridiagonal matrix: in d = 1 the operator's own,
-    whose first k pairs are the result; in d = 2 the d = 1 line L_1 read
-    off the matrix (half its diagonal at the nodes x = y, and the
-    couplings inside one row of nodes), whose first min(k, N) pairs give
-    the k smallest sums lambda_i + lambda_j with eigenvectors u_i (x) u_j
-    in row-major node order. The matrix is L_1 (+) L_1, up to V's
-    rounding, exactly when V(x, y) = V_1(x) + V_1(y). Every true residual,
-    taken against the matrix, must be <= RESIDUAL_RTOL times the largest
-    absolute row sum, a Gershgorin bound on the spectral radius, so any
-    other V raises NoConvergence."""
+    Sturm bisection on the operator's d = 1 line L_1 (line): in d = 1 the
+    operator itself, whose first k pairs are the result; in d = 2 its
+    first min(k, N) pairs give the k smallest sums lambda_i + lambda_j
+    with eigenvectors u_i (x) u_j in row-major node order. The operator
+    is L_1 (+) L_1, up to V's rounding, exactly when V(x, y) = V_1(x) +
+    V_1(y). Every true residual, taken through the operator's matvec,
+    must be <= RESIDUAL_RTOL times the largest absolute row sum, a
+    Gershgorin bound on the spectral radius, so any other V raises
+    NoConvergence."""
     if not isinstance(op, SchrodingerOperator):
         raise ConfigError("bottom_k expects a SchrodingerOperator")
     _require_k(op, k)
     grid = op.grid
-    A = op.matrix
-    diag, off = A.diagonal(), A.diagonal(1)
-    if grid.dim == 2:
-        diag, off = diag[:: grid.N + 1] / 2, off[: grid.N - 1]
     m = min(k, grid.N)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))
+    vals, vecs = scipy.linalg.eigh_tridiagonal(*op.line(), select="i", select_range=(0, m - 1))
     method = "SturmBisection"
     if grid.dim == 2:
         sums = np.add.outer(vals, vals).ravel()
@@ -226,8 +221,7 @@ def bottom_k(op, k):
         vals = sums[pick]
         vecs = (vecs[:, None, i] * vecs[None, :, j]).reshape(grid.size, k)
         method = "SturmKroneckerSum"
-    scale = float(abs(A).sum(axis=1).max())
-    return _finish(op, vals, vecs, method, scale=scale)
+    return _finish(op, vals, vecs, method, scale=op._gershgorin())
 
 
 def bottom_values(op, k):
@@ -236,29 +230,23 @@ def bottom_values(op, k):
     residuals to gate; they are bottom_k's to the bit."""
     _require_ladder(op, "bottom_values")
     _require_k(op, k)
-    A = op.matrix
-    return scipy.linalg.eigh_tridiagonal(
-        A.diagonal(), A.diagonal(1), eigvals_only=True, select="i", select_range=(0, k - 1)
-    )
+    return scipy.linalg.eigh_tridiagonal(*op.line(), eigvals_only=True, select="i",
+                                         select_range=(0, k - 1))
 
 
 def levels_at_most(op, bound):
     """#{eigenvalues <= bound} of a d = 1 SchrodingerOperator, by one
-    LAPACK Sturm count (stebz over (-inf, bound]) with an absolute
-    tolerance twice a bound on the Gershgorin interval's width, so that
-    the interval counts as converged on entry and nothing is bisected:
-    the cost is one count's passes over the diagonals, whatever the
-    number of levels. A bound that is NaN or -inf raises ConfigError;
-    +inf counts them all."""
+    LAPACK Sturm count (stebz over (-inf, bound]) on its line, with an
+    absolute tolerance twice a bound on the Gershgorin interval's width,
+    so that the interval counts as converged on entry and nothing is
+    bisected: the cost is one count's passes over the diagonals, whatever
+    the number of levels. A bound that is not a real number, or is NaN
+    or -inf, raises ConfigError; +inf counts them all."""
     _require_ladder(op, "levels_at_most")
-    return _sturm_count(op.matrix.diagonal(), op.matrix.diagonal(1), bound)
-
-
-def _sturm_count(d, e, bound):
-    """levels_at_most's count on the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e, with no matrix built."""
-    if not bound > -math.inf:
-        raise ConfigError(f"bound must not be NaN or -inf, got {bound!r}")
+    if not (_finite_real(bound) or bound == math.inf):
+        raise ConfigError(f"bound must not be NaN or -inf, and must be a real number, "
+                          f"got {bound!r}")
+    d, e = op.line()
     width = float(np.ptp(d) + 4.0 * np.max(np.abs(e), initial=0.0))  # >= Gershgorin's
     m, *_, info = dstebz(d, e, 1, -math.inf, float(bound), 0, 0, 2.0 * width, "E")
     if info != 0:

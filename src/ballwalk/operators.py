@@ -10,8 +10,8 @@ Four operators on a truncated uniform grid:
     T-tilde),
   * L = -Lap + V, the Schrodinger comparison operator (positive
     Laplacian sign convention), second-order stencil with Dirichlet walls,
-    stored as one scipy.sparse CSR matrix in d = 1 and d = 2, assembled
-    from its three or five bands.
+    stored as its diagonal, the -1/delta^2 couplings of axis neighbours
+    following from the grid (SchrodingerOperator.line, their one writer).
 
 The first three share one form, A = diag(lscale) C diag(rscale) with C a
 symmetric Toeplitz band or circulant, so A's transpose swaps the scales.
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .densities import (_require_h, _require_int, _require_mass, _require_positive, eval_density,
@@ -354,40 +353,57 @@ def build_markov(grid, density, h):
 
 @dataclass
 class SchrodingerOperator:
-    """L = -Laplacian + V as one scipy.sparse CSR matrix on the grid's
-    nodes (row-major in d = 2), second-order stencil, Dirichlet walls."""
+    """L = -Laplacian + V on the grid's nodes (row-major in d = 2), Dirichlet
+    walls: `diagonal` is 2d/delta^2 + V, the couplings come from line."""
 
     grid: Grid
-    matrix: scipy.sparse.csr_array
+    diagonal: np.ndarray
+
+    def line(self):
+        """The d = 1 line L_1 as (diagonal, couplings): L itself in d = 1; in
+        d = 2 half the diagonal at x = y and one row's couplings, so that
+        L = L_1 (+) L_1, up to V's rounding, when V(x, y) = V_1(x) + V_1(y)."""
+        N = self.grid.N
+        d = self.diagonal if self.grid.dim == 1 else self.diagonal[:: N + 1] / 2
+        return d, np.full(N - 1, -1.0 / self.grid.delta**2)
+
+    def _rows(self, diagonal, e, u):
+        """sum_j A[i, j] u[j], added from 0 in column order as CSR does, for A
+        with `diagonal` and axis neighbours k, k + 1 coupled by e[k]."""
+        U = u.reshape((self.grid.N,) * self.grid.dim)
+        out = np.zeros_like(U)
+        for a in range(self.grid.dim):  # axis 0's neighbour is the farthest column
+            out.swapaxes(a, -1)[..., 1:] += e * U.swapaxes(a, -1)[..., :-1]
+        out += diagonal.reshape(U.shape) * U
+        for a in reversed(range(self.grid.dim)):
+            out.swapaxes(a, -1)[..., :-1] += e * U.swapaxes(a, -1)[..., 1:]
+        return out.ravel()
 
     def matvec(self, u):
-        return self.matrix @ np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.grid.size,):
+            raise ConfigError(f"expected shape ({self.grid.size},), got {u.shape}")
+        return self._rows(self.diagonal, self.line()[1], u)
+
+    def _gershgorin(self):
+        """max_i sum_j |L[i, j]|, a bound on the spectral radius."""
+        ones = np.ones(self.grid.size)
+        return float(np.max(self._rows(np.abs(self.diagonal), np.abs(self.line()[1]), ones)))
 
     def to_dense(self):
         if self.grid.size > 4096:
             raise NumericalError(f"refusing dense assembly at N={self.grid.size}")
-        return self.matrix.toarray()
+        return np.column_stack([self.matvec(col) for col in np.eye(self.grid.size)])
 
 
 def build_schrodinger(grid, density):
     """-Lap + V with the Dirichlet second difference tridiag(-1, 2, -1) /
-    delta^2 on each axis, assembled from its bands in d = 1 and d = 2 by
-    one diags_array and one CSR conversion: the diagonal
-    d * 2/delta^2 + V, -1/delta^2 at offsets +-1 (zero across the ends of
-    a row of nodes in d = 2, which the conversion drops) and, in d = 2, at
-    +-N. It is the Kronecker sum of the d = 1 difference with itself, plus
-    diag(V), to the bit."""
+    delta^2 on each axis: the diagonal d * 2/delta^2 + V, the couplings
+    from the grid (SchrodingerOperator.line). It is the Kronecker sum of
+    the d = 1 difference with itself, plus diag(V), to the bit."""
     if density.dim != grid.dim:
         raise ConfigError("grid and density dimension mismatch")
     V = np.asarray(eval_potential(density, grid.nodes()), dtype=float)
     if not np.all(np.isfinite(V)):
         raise NumericalError("potential not finite on the grid")
-    N, n, off = grid.N, grid.size, -1.0 / grid.delta**2
-    near = np.full(n - 1, off)
-    near[N - 1 :: N] = 0.0  # the last node of a row has no right neighbour
-    bands, offsets = [grid.dim * (2.0 / grid.delta**2) + V, near, near], [0, 1, -1]
-    if grid.dim == 2:
-        bands += [np.full(n - N, off)] * 2
-        offsets += [N, -N]
-    matrix = scipy.sparse.diags_array(bands, offsets=offsets, shape=(n, n), format="csr")
-    return SchrodingerOperator(grid, matrix)
+    return SchrodingerOperator(grid, grid.dim * (2.0 / grid.delta**2) + V)

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .densities import (_adaptive_gl, _adaptive_gl_batch, _log_rho_at_radius, _radius,
-                        _require_h, _require_int, _rho_at_radius, ball_mass_grid, eval_density)
+from .densities import (_adaptive_gl, _adaptive_gl_batch, _finite_real, _log_rho_at_radius,
+                        _radius, _require_h, _require_int, _require_positive, _rho_at_radius,
+                        ball_mass_grid, eval_density)
 from .errors import ConfigError, RejectionBudgetExceeded, WitnessHypothesisViolated
 from .operators import Grid, build_markov
 from .report import Report
@@ -145,7 +146,7 @@ def _decay_cut(density, extra=0.0):
 
 
 def _require_tau(tau):
-    if not (math.isfinite(tau) and tau >= 0):
+    if not (_finite_real(tau) and tau >= 0):
         raise ConfigError(f"tau must be finite and >= 0, got {tau!r}")
 
 
@@ -306,7 +307,7 @@ def tv_lower_bound_witness(density, h, x, tau, n):
     non-finite x or a tau that is not finite and >= 0 raises ConfigError."""
     _require_h(h)
     n = _require_int("n", n, 0)
-    if not (math.isfinite(x) and math.isfinite(tau) and tau >= 0):
+    if not (_finite_real(x) and _finite_real(tau) and tau >= 0):
         raise ConfigError(f"witness needs finite x and finite tau >= 0: got {x!r}, {tau!r}")
     if abs(x) < tau + (n + 1) * h:
         raise WitnessHypothesisViolated(
@@ -381,10 +382,9 @@ def tv_upper_bound_curve(density, h, tau, n_max, grid, gap):
     """
     _require_tv_grid(grid, h)
     n_max = _require_int("n_max", n_max, 2)
-    if not math.isfinite(tau):
+    if not _finite_real(tau):
         raise ConfigError(f"the TV curve needs a finite tau, got {tau!r}")
-    if not (math.isfinite(gap) and gap > 0):
-        raise ConfigError(f"the TV curve needs a finite gap > 0, got {gap!r}")
+    _require_positive("gap", gap)
     fit_horizon = n_max // 2
     starts = np.flatnonzero(np.abs(grid.axis_nodes()) < tau)[::TV_START_STRIDE]
     if starts.size == 0:

@@ -19,7 +19,7 @@ from ballwalk.analysis import (
     verify_asymptotics,
     weyl_curve,
 )
-from ballwalk.densities import MASS_RTOL, make_density, tempered_A_h
+from ballwalk.densities import MASS_RTOL, eval_potential, make_density, tempered_A_h
 from ballwalk.eigensolve import bottom_values, count_at_most
 from ballwalk.errors import ConfigError, InsufficientHPoints, WrongDensityKind
 from ballwalk.operators import BANDED, Grid, build_conjugated
@@ -406,18 +406,19 @@ def test_gap_screen_decides_as_the_coarse_levels_do(alpha, R, alpha_cfg, monkeyp
 
 @pytest.mark.parametrize("alpha, R", [(0.5, 0.5), (1.0, 0.5), (1.0, 8.0), (2.0, 0.1)])
 def test_gap_screen_counts_on_the_ladder_diagonals(alpha, R, monkeypatch):
-    # the screen builds no matrix, and the two diagonals it counts on are
-    # the ladder matrix's to the bit
+    # the screen counts on the coarser ladder operator's line, whose two
+    # diagonals are 2/delta^2 + V and -1/delta^2 to the bit
     density = make_density("tempered", 1, alpha, R=R)
-    matrix = analysis._ladder_op(density, analysis.MU_DELTAS[0]).matrix
-    seen, count = [], analysis._sturm_count
-    monkeypatch.setattr(analysis, "_sturm_count", lambda d, e, b: seen.append((d, e)) or count(d, e, b))
-    monkeypatch.setattr(analysis, "build_schrodinger", lambda *a: pytest.fail("matrix built"))
+    grid = analysis._ladder_grid(density, analysis.MU_DELTAS[0])
+    seen, count = [], analysis.levels_at_most
+    monkeypatch.setattr(analysis, "levels_at_most", lambda op, b: seen.append(op) or count(op, b))
     monkeypatch.setattr(analysis, "mu_reference", lambda *a: np.zeros(2))
     analysis._mu_1_if_below(density, 0.1 * alpha**2)
-    [(d, e)] = seen
-    np.testing.assert_array_equal(d, matrix.diagonal())
-    np.testing.assert_array_equal(e, matrix.diagonal(1))
+    [op] = seen
+    assert op.grid == grid
+    d, e = op.line()
+    np.testing.assert_array_equal(d, 2.0 / grid.delta**2 + eval_potential(density, grid.nodes()))
+    np.testing.assert_array_equal(e, np.full(grid.N - 1, -1.0 / grid.delta**2))
 
 
 @pytest.mark.parametrize("alpha_cfg", [0.5, 0.64, 0.643, 0.9])

@@ -330,19 +330,28 @@ def _polar_mass(density, r, h):
 
 
 @pytest.mark.parametrize("L, N, alpha, h", [(8.0, 96, 1.0, 0.5), (12.0, 100, 0.5, 0.25),
-                                            (6.0, 80, 2.0, 0.3)])
+                                            (6.0, 80, 2.0, 0.3), (16.0, 40, 1.0, 15.0)])
 def test_disc_mass_series_matches_polar_quadrature(L, N, alpha, h):
-    # every distinct radius of the grid, masses down to about 1e-62
+    # every distinct radius of the grid, masses down to about 1e-62; at
+    # h = 15, 122 of the 177 rows start far from j = 0, where a series from
+    # j = 0 was 2.2e-13 off. A row's bits do not depend on its batch.
     dens = make_density("gaussian", 2, alpha)
     r = np.unique(_radius(dens, Grid(2, L, N).nodes()))
     oracle = _polar_mass(dens, r, h)
     assert oracle.min() > 1e-70
-    np.testing.assert_allclose(_disc_mass(dens, r, h), oracle, rtol=1e-13, atol=0)
+    m = _disc_mass(dens, r, h)
+    np.testing.assert_allclose(m, oracle, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(_disc_mass(dens, r[::7], h), m[::7])
 
 
+# h = r = 130 and 200 put the largest term near j = 16,900 and 40,000: a
+# series from j = 0 took 66 ms at 130, lost 2e-12 to the rounding of
+# j log lam - log j!, and ran past its 2^16 terms at 200
 @pytest.mark.parametrize("alpha, h, r", [(1.0, 0.5, 0.0), (1.0, 2.0, 0.5), (2.0, 2.0, 10.0),
-                                         (1.0, 0.5, 26.75)],
-                         ids=["centre", "h-past-r", "large-alpha-r-h", "near-underflow"])
+                                         (1.0, 0.5, 26.75), (1.0, 130.0, 130.0),
+                                         (1.0, 200.0, 200.0)],
+                         ids=["centre", "h-past-r", "large-alpha-r-h", "near-underflow",
+                              "far-mode-130", "far-mode-200"])
 def test_disc_mass_series_at_the_edges(alpha, h, r):
     dens = make_density("gaussian", 2, alpha)
     radius = np.array([r])

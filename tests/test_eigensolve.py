@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from ballwalk import eigensolve
 from ballwalk.analysis import LAMBDA_ZERO_TOL, _box_grid, weyl_curve
@@ -308,8 +307,9 @@ def _kronsum_levels(grid, alpha, k):
     v1 = eval_potential(d1, line.nodes())
     v2 = eval_potential(make_density("gaussian", 2, alpha), grid.nodes())
     np.testing.assert_allclose(v2, np.add.outer(v1, v1).ravel(), rtol=1e-14, atol=1e-14)
-    A = build_schrodinger(line, d1).matrix
-    e = scipy.linalg.eigh_tridiagonal(A.diagonal(), A.diagonal(1), eigvals_only=True)
+    diag = build_schrodinger(line, d1).diagonal
+    off = np.full(line.N - 1, -1.0 / line.delta**2)
+    e = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
     return np.sort(np.add.outer(e, e).ravel())[:k]
 
 
@@ -352,8 +352,7 @@ def test_bottom_k_d2_refuses_a_non_separable_matrix():
     v1 = eval_potential(make_density("gaussian", 1, 0.5), op.grid.axis_nodes())
     skew = np.add.outer(np.zeros(op.grid.N), v1).ravel()  # one more V_1(y)
     for extra in (bump, skew):
-        bad = dataclasses.replace(op, matrix=scipy.sparse.csr_array(
-            op.matrix + scipy.sparse.diags_array(extra)))
+        bad = dataclasses.replace(op, diagonal=op.diagonal + extra)
         with pytest.raises(NoConvergence):
             bottom_k(bad, 3)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ballwalk import errors, walk
-from ballwalk.analysis import essential_band
+from ballwalk.analysis import essential_band, spectral_gap, verify_asymptotics, weyl_curve
 from ballwalk.densities import (ball_mass_grid, eval_density, eval_potential, make_density,
                                 tempered_A_h)
 from ballwalk.eigensolve import bottom_k, bottom_values, dense_reference, levels_at_most, top_k
@@ -86,7 +86,7 @@ def _paths_with_h(h):
     return simulate_paths(cfg, GRID)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf])
+@pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf, None, "0.25"])
 @pytest.mark.parametrize("call", [
     lambda h, rng: ball_mass_grid(GAUSS, [0.0, 1.0], h),
     lambda h, rng: step_sample(GAUSS, h, 0.5, rng),
@@ -117,7 +117,8 @@ def test_bad_h_refused_at_every_entry_point(call, h):
     # returned one at h < 0, and q_factor hit a math domain error at h < 0
     # and called a NaN h an overflow; band_weights raised an untyped
     # ValueError at h = nan and an OverflowError at h = inf, and
-    # taper_profile returned a profile at h = 0 and h < 0, all NaN at nan
+    # taper_profile returned a profile at h = 0 and h < 0, all NaN at nan;
+    # an h of None or a string raised a TypeError from math.isfinite
     rng = make_rng(4)
     with pytest.raises(ConfigError, match="h must be finite and positive"):
         call(h, rng)
@@ -184,6 +185,42 @@ def test_non_finite_inputs_refused(call):
         call()
 
 
+@pytest.mark.parametrize("match, call", [
+    ("h must be finite and positive", lambda: weyl_curve(GAUSS, [None])),
+    ("h must be finite and positive", lambda: spectral_gap(GAUSS, "0.3")),
+    ("h must be finite and positive", lambda: essential_band(TEMPERED, None)),
+    ("h must be finite and positive", lambda: verify_asymptotics(GAUSS, 2, ["0.5", "0.35", "0.25"])),
+    ("L must be finite and positive", lambda: Grid(1, "a", 8)),
+    ("delta must be finite and positive", lambda: band_weights(0.5, None)),
+    ("alpha must be finite and positive", lambda: make_density("gaussian", 1, "a")),
+    ("transition radius R", lambda: make_density("tempered", 1, 1.0, R="a")),
+    ("tau must be finite", lambda: q_factor(GAUSS, 0.25, None)),
+    ("tau must be finite", lambda: nu_h_tail(GAUSS, 0.25, None)),
+    ("tau must be finite", lambda: p_tau(GAUSS, 0.25, None)),
+    ("gap must be finite and positive", lambda: tv_upper_bound_curve(GAUSS, 0.25, 1.0, 20, GRID, "a")),
+    ("finite x", lambda: tv_lower_bound_witness(GAUSS, 0.25, "a", 2.0, 3)),
+    ("finite tau", lambda: tv_lower_bound_witness(GAUSS, 0.25, 6.0, "a", 3)),
+    ("bound", lambda: levels_at_most(COUNT_SCHROD, "a")),
+], ids=["weyl_curve-h-none", "spectral_gap-h-string", "essential_band-h-none",
+        "verify_asymptotics-h-strings", "grid-L-string", "band_weights-delta-none",
+        "make_density-alpha-string", "make_density-R-string", "q_factor-tau-none",
+        "nu_h_tail-tau-none", "p_tau-tau-none", "tv_upper_bound_curve-gap-string",
+        "witness-x-string", "witness-tau-string", "levels_at_most-bound-string"])
+def test_non_real_scalars_refused(match, call):
+    # each raised a TypeError from math.isfinite or a comparison, and
+    # verify_asymptotics took the strings for floats and ran
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
+def test_numpy_reals_pass_the_real_number_check():
+    # the check is numbers.Real, which numpy's ints and floats register with
+    assert make_density("gaussian", np.int64(1), np.float32(0.5)).dim == 1
+    assert Grid(1, np.float64(4.0), 8).L == 4.0
+    assert levels_at_most(COUNT_SCHROD, np.float64(math.inf)) == COUNT_SCHROD.grid.size
+    assert levels_at_most(COUNT_SCHROD, np.float32(3.0)) == levels_at_most(COUNT_SCHROD, 3.0)
+
+
 @pytest.mark.parametrize("name, call", [
     ("size", lambda rng: sample_stationary(GAUSS, 0.25, rng, size=math.nan)),
     ("size", lambda rng: sample_stationary(GAUSS, 0.25, rng, size=-3)),
@@ -206,18 +243,21 @@ def test_non_finite_inputs_refused(call):
     ("k", lambda rng: bottom_values(COUNT_SCHROD, 2.5)),
     ("k", lambda rng: dense_reference(COUNT_SCHROD, 2.5)),
     ("seed", lambda rng: make_rng(-1)),
+    ("dim", lambda rng: make_density("gaussian", 1.0, 0.5)),
 ], ids=["size-nan", "size-negative", "size-fractional", "paths-fractional", "paths-nan",
         "paths-string", "n_max-nan", "seed-none", "seed-negative", "seed-fractional",
         "seed-string", "tv-n_max-fractional", "witness-n-fractional", "witness-n-negative",
         "top_k-k-float", "top_k-k-string", "bottom_k-k-fractional", "bottom_k-k-none",
-        "bottom_values-k-fractional", "dense_reference-k-fractional", "make_rng-seed-negative"])
+        "bottom_values-k-fractional", "dense_reference-k-fractional", "make_rng-seed-negative",
+        "make_density-dim-float"])
 def test_bad_count_refused_at_every_entry_point(name, call):
     # unchecked, these gave an untyped ValueError or TypeError, an empty
     # sample at size -3, 2 draws at size 2.7, and a witness reporting n = 2
     # for n = 2.5; seed = None drew OS entropy, so the run could not be
     # repeated. A k of 2.0 made ARPACK return NULL without an exception (a
     # SystemError), one of 2.5 gave scipy's ValueError from the Sturm
-    # solvers and 2 eigenvalues from dense_reference
+    # solvers and 2 eigenvalues from dense_reference; make_density took
+    # dim = 1.0, on which mu_reference raised a TypeError from math.comb
     rng = make_rng(4)
     with pytest.raises(ConfigError, match=rf"^{name} must be (an integer|at least)"):
         call(rng)
@@ -242,15 +282,18 @@ GAUSS_2D = make_density("gaussian", 2, 0.5)
     (ConfigError, "sinh", lambda: ball_mass_grid(TEMPERED, 1000.0, 800.0)),
     (ConfigError, "bound",
      lambda: levels_at_most(build_schrodinger(Grid(1, 8.0, 200), GAUSS), -math.inf)),
+    (ConfigError, "expected shape", lambda: COUNT_SCHROD.matvec(np.ones(5))),
 ], ids=["build_markov-d2", "sample_stationary-d2", "nu_h_tail-d2", "eval_density-d2-shape",
         "bottom_k-discrete", "schrodinger-to_dense-cap", "tempered_A_h-sinh",
-        "essential_band-sinh", "ball_mass_grid-tail-sinh", "levels_at_most-bound-minus-inf"])
+        "essential_band-sinh", "ball_mass_grid-tail-sinh", "levels_at_most-bound-minus-inf",
+        "schrodinger-matvec-length"])
 def test_unsupported_input_refused(error, match, call):
     # d = 1 only paths, a point of the wrong shape, the wrong operator
     # class and a dense matrix past the size cap each raise, typed; so do
     # a sinh(alpha h) that overflows (alpha h = 800) and a count bound of
     # -inf, which raised a bare OverflowError and met LAPACK stebz's
-    # illegal-argument check (VU <= VL)
+    # illegal-argument check (VU <= VL), and a Schrodinger matvec of the
+    # wrong length, which raised scipy's ValueError
     with pytest.raises(error, match=match):
         call()
 

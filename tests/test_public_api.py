@@ -31,12 +31,9 @@ def test_public_callables_are_plain_functions_or_classes(name):
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ballwalk"
-# references the tests compare against, the public face of the Sturm
-# count that the gap screen calls on bare diagonals, and the paper's
-# one-step kernel and the report serializer, which the drivers themselves
-# never call
-TEST_REFERENCES = {"build_ball_average", "dense_reference", "levels_at_most", "step_sample",
-                   "to_json"}
+# references the tests compare against, and the paper's one-step kernel
+# and the report serializer, which the drivers themselves never call
+TEST_REFERENCES = {"build_ball_average", "dense_reference", "step_sample", "to_json"}
 
 
 def _public_definitions(tree):
