@@ -41,6 +41,16 @@ def _box_grid(density, h):
     return Grid(density.dim, BOX_L, _even_grid(BOX_L, h, GRID_RULE))
 
 
+def _require_h_list(h_list):
+    """The one check on a driver's h values: ConfigError naming h_list
+    unless it is a list, tuple or 1-d array, and naming h unless each of
+    its values is finite and positive; returns them as floats."""
+    if not (isinstance(h_list, (list, tuple))
+            or isinstance(h_list, np.ndarray) and h_list.ndim == 1):
+        raise ConfigError(f"h_list must be a list of ball radii, got {h_list!r}")
+    return [float(_require_h(h)) for h in h_list]
+
+
 def _fit_loglog_slope(x, y):
     lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
     A = np.column_stack([lx, np.ones_like(lx)])
@@ -139,11 +149,11 @@ def verify_asymptotics(density, k_max, h_list):
     residual stays within twice its own h^4 trend line (so the last point
     is on the curve, not an outlier the slope fit smoothed over). A k_max
     that is not an integer >= 1 (0 leaves no level to fit) raises
-    ConfigError, and so does an h that is not finite and positive, before
-    any solve.
+    ConfigError, and so do an h_list that is not a list and an h that is
+    not finite and positive, before any solve.
     """
     k_max = _require_int("k_max", k_max, 1)
-    h_list = [float(_require_h(h)) for h in h_list]
+    h_list = _require_h_list(h_list)
     if len(h_list) < 3:
         raise InsufficientHPoints(f"order fit needs >= 3 h values, got {len(h_list)}")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
@@ -253,12 +263,13 @@ def weyl_curve(density, h_list):
     max N / (1 + lambda h^{-2})^d is reported alongside. Fewer than two
     distinct abscissae with N >= 1 leave the exponent undetermined: it is
     reported as nan and the check fails; with none, c_dominating is nan
-    too. An empty h_list, or an h that is not finite and positive, raises
-    ConfigError before any count.
+    too. An h_list that is empty or not a list, or an h that is not finite
+    and positive, raises ConfigError before any count.
     """
     if density.kind != "gaussian":
         raise WrongDensityKind("the counting bound is checked on Gaussian densities")
-    if len(h_list) == 0:
+    h_list = _require_h_list(h_list)
+    if not h_list:
         raise ConfigError("the Weyl sweep needs at least one h")
 
     grids = [_box_grid(density, h) for h in h_list]
@@ -267,7 +278,7 @@ def weyl_curve(density, h_list):
     rows = []
     for h, g, row in zip(h_list, grids, counts):
         for lam, below in zip(WEYL_LAMBDAS, row):
-            rows.append((float(h), float(lam), int(g.size - below), 1.0 + lam / h**2))
+            rows.append((h, float(lam), int(g.size - below), 1.0 + lam / h**2))
 
     pts = [(s, n) for _, _, n, s in rows if n >= 1]
     if len({s for s, _ in pts}) >= 2:

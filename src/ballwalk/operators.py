@@ -99,10 +99,14 @@ def band_weights(h, delta):
     and second moment of 1_{|t|<h} dt exactly. K is the largest integer
     with K delta < h, so every weight multiplies a cell with |x_j - x_i|
     strictly inside the ball. ConfigError unless h and delta are finite
-    and positive.
+    and positive, and where delta**3 is subnormal: the second moment's
+    delta**3 terms would lose their bits, so that the edge pair comes out
+    wrong (negative at delta = 1e-111) or NaN.
     """
     _require_h(h)
     _require_positive("delta", delta)
+    if delta**3 < np.finfo(float).tiny:
+        raise ConfigError(f"delta must have a normal delta**3 (delta >= ~2.8e-103), got {delta!r}")
     K = int(math.floor(h / delta))
     if K * delta >= h:
         K -= 1

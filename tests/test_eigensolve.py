@@ -535,9 +535,9 @@ def test_count_at_most_weyl_grid_matches_eigvals_banded(gauss_half, h):
 
 
 def test_count_at_most_leaves_a_narrower_centre_unchecked(gauss_half):
-    # a K = 9 operator batched with a K = 10 one carries a unit pivot past
-    # its 9 x 9 centre block; at the shift 1e14 that pivot is below the
-    # floor 1e-13 * (max|A| + 1e14), so it must not be checked
+    # a K = 9 operator batched with a K = 10 one carries a unit diagonal
+    # past its 9 x 9 centre block; at the shift 1e14, where every
+    # eigenvalue of A - s*I is negative, that unit row must not count
     ops = [build_conjugated(_box_grid(gauss_half, h), gauss_half, h, scheme=BANDED)
            for h in (0.35, 0.3)]
     assert [len(op.stencil) for op in ops] == [11, 10]
@@ -666,9 +666,9 @@ def test_ldl_sweep_matches_dense_across_chunk_edges(n, Kb):
 
 @pytest.mark.parametrize("Kb", [3, 11, 25])
 def test_ldl_sweep_window_is_a_short_band_itself(Kb):
-    # n <= K rows: no pivot is taken, and the window is A - s*I itself
-    # with the identity past it, both when the sweep ends there and when
-    # a longer band batched with it runs on past it
+    # n <= K rows: no pivot is taken, and the window's lower triangle is
+    # A - s*I's with the identity past it, both when the sweep takes no
+    # step and when a longer band batched with it takes steps in front of it
     rng = np.random.default_rng(Kb)
     K = Kb - 1
     long = rng.standard_normal((Kb, 3 * _CHUNK + K))
@@ -679,8 +679,8 @@ def test_ldl_sweep_window_is_a_short_band_itself(Kb):
         for batch in ([short], [short, long]):
             neg, ok, windows = eigensolve._ldl_sweep(batch, shifts)
             assert ok.all() and not neg[0].any()
-            np.testing.assert_array_equal(
-                windows[0], _embedded(_dense(short) - shifts[:, None, None] * np.eye(n), K))
+            np.testing.assert_array_equal(np.tril(windows[0]), np.tril(
+                _embedded(_dense(short) - shifts[:, None, None] * np.eye(n), K)))
             assert _inertia(neg, windows).tolist() == [
                 [int(np.sum(lam < s)) for s in shifts] for lam in lams[: len(batch)]]
 
@@ -741,11 +741,12 @@ def test_late_vanishing_pivot_flags_only_its_shift(j):
     assert counts.tolist() == [[0, int(np.sum(lam <= s)), A.shape[0]]]
 
 
-def test_vanishing_centre_pivot_flags_only_its_shift():
+def test_vanishing_centre_pivot_is_counted_without_a_flag(monkeypatch):
     # mu, an eigenvalue of the leading (j+1) x (j+1) block of the even
     # half A_LL + C' for a row j of the centre block, passes the sweep and
-    # makes pivot j - _N = 4 of S + C vanish: the centre blocks flag that
-    # shift alone, and LAPACK counts it
+    # would make pivot j - _N = 4 of an LDL^T of S + C vanish: LAPACK's
+    # eigvalsh counts the centre blocks with no pivot, so no shift is
+    # flagged and no banded eigenvalues are computed
     op = _weak_band(1)
     A = op.to_dense()
     half, C = eigensolve._mirror_fold(op.to_banded())
@@ -757,30 +758,17 @@ def test_vanishing_centre_pivot_flags_only_its_shift():
     below, above = lam[0] - 0.5, lam[-1] + 0.5
     assert eigensolve._ldl_sweep([half], np.array([below, mu, above]))[1].all()
     s = mu - 1e-12 * max(abs(below), above, 1.0)
+    recounted = []
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda b, **kw: recounted.append(b))
     counts, flagged = count_at_most([op], [below, s, above])
-    assert flagged.tolist() == [[False, True, False]]
+    assert not flagged.any() and not recounted
     assert counts.tolist() == [[0, int(np.sum(lam <= s)), A.shape[0]]]
-
-
-def test_centre_growth_alone_flags_only_its_pair(monkeypatch):
-    # S +- C holds [[1e-11, 1], [1, 0]] on rows 1, 2 at the second shift:
-    # its pivot 1e-11 is above the floor, but its multiplier is past
-    # _GROWTH_CAP; each block has one negative eigenvalue
-    S = np.eye(4)
-    S[1:3, 1:3] = [[1e-11, 1.0], [1.0, 0.0]]
-    windows = np.stack([np.eye(4), S])[None]
-    counts = lambda: eigensolve._centre_counts(windows.copy(), [np.zeros((4, 4))],
-                                               np.ones((1, 2)))
-    neg, ok = counts()
-    assert neg.tolist() == [[0, 2]] and ok.tolist() == [[True, False]]
-    monkeypatch.setattr(eigensolve, "_GROWTH_CAP", np.inf)
-    assert counts()[1].all()
 
 
 def test_stopped_operator_runs_on_without_flagging(weyl_op):
     # mu makes pivot j of A_LL vanish for a row j of the centre block, a
-    # pivot the sweep never takes: batched with a longer operator, the
-    # sweep runs on past the stop, and the pair still passes
+    # pivot the sweep never takes: batched with a longer operator, whose
+    # steps run in front of this one's rows, the pair still passes
     half = eigensolve._mirror_fold(_weak_band(2).to_banded())[0]
     mu = _vanishing_shift(_dense(half), _N + 4)
     longer = eigensolve._mirror_fold(weyl_op.to_banded())[0]
@@ -812,13 +800,15 @@ def test_growth_alone_flags_only_its_shift(j, monkeypatch):
 
 def _assert_batched_is_alone(bands, shifts):
     """The batched sweep gives each band's own pivots' negatives, pass
-    mask and window, the window bit for bit inside the identity."""
+    mask and window, the window's lower triangle bit for bit inside the
+    identity."""
     neg, ok, windows = eigensolve._ldl_sweep(bands, shifts)
     for o, b in enumerate(bands):
         (alone_neg,), (alone_ok,), (alone_window,) = eigensolve._ldl_sweep([b], shifts)
         np.testing.assert_array_equal(neg[o], alone_neg)
         np.testing.assert_array_equal(ok[o], alone_ok)
-        np.testing.assert_array_equal(windows[o], _embedded(alone_window, windows.shape[-1]))
+        np.testing.assert_array_equal(np.tril(windows[o]),
+                                      np.tril(_embedded(alone_window, windows.shape[-1])))
     return neg, ok, windows
 
 
@@ -837,12 +827,11 @@ def test_batched_sweep_matches_one_operator_at_a_time(gauss_half):
 
 def test_batched_sweep_pads_without_counting_or_flagging():
     # random indefinite bands shorter and longer, narrower and wider than
-    # each other (one wider than its matrix), so that the sweep passes
-    # operators' stops before its first step, inside it and at its end;
-    # at the shift 0 a padded row of A - s*I would be all zero without
-    # its unit diagonal, and at 1e14 that unit pivot, and the unit pivots
-    # of a stopped operator, are below the pivot floor, so they must not
-    # be checked
+    # each other (one wider than its matrix), so that operators' rows
+    # start at the sweep's first step, inside it and at its end; at the
+    # shift 0 a padded row of A - s*I would be all zero without its unit
+    # diagonal, and at 1e14 the unit pivots of the rows in front of an
+    # operator are below the pivot floor, so they must not be checked
     rng = np.random.default_rng(11)
     bands = [rng.standard_normal(shape) for shape in [(2, 3), (11, 53), (25, 17), (3, _CHUNK)]]
     lams = [np.linalg.eigvalsh(_dense(b)) for b in bands]

@@ -21,7 +21,8 @@ from ballwalk import errors, walk
 from ballwalk.analysis import essential_band, spectral_gap, verify_asymptotics, weyl_curve
 from ballwalk.densities import (ball_mass_grid, eval_density, eval_potential, make_density,
                                 tempered_A_h)
-from ballwalk.eigensolve import bottom_k, bottom_values, dense_reference, levels_at_most, top_k
+from ballwalk.eigensolve import (bottom_k, bottom_values, count_at_most, dense_reference,
+                                 levels_at_most, top_k)
 from ballwalk.errors import ConfigError, NumericalError, RejectionBudgetExceeded
 from ballwalk.multiplier import eval_Gd
 from ballwalk.operators import (
@@ -201,13 +202,20 @@ def test_non_finite_inputs_refused(call):
     ("finite x", lambda: tv_lower_bound_witness(GAUSS, 0.25, "a", 2.0, 3)),
     ("finite tau", lambda: tv_lower_bound_witness(GAUSS, 0.25, 6.0, "a", 3)),
     ("bound", lambda: levels_at_most(COUNT_SCHROD, "a")),
+    ("shifts", lambda: count_at_most([COUNT_T], ["a"])),
+    ("h_list", lambda: weyl_curve(GAUSS, 0.3)),
+    ("h_list", lambda: weyl_curve(GAUSS, None)),
+    ("h_list", lambda: verify_asymptotics(GAUSS, 3, 0.3)),
 ], ids=["weyl_curve-h-none", "spectral_gap-h-string", "essential_band-h-none",
         "verify_asymptotics-h-strings", "grid-L-string", "band_weights-delta-none",
         "make_density-alpha-string", "make_density-R-string", "q_factor-tau-none",
         "nu_h_tail-tau-none", "p_tau-tau-none", "tv_upper_bound_curve-gap-string",
-        "witness-x-string", "witness-tau-string", "levels_at_most-bound-string"])
+        "witness-x-string", "witness-tau-string", "levels_at_most-bound-string",
+        "count_at_most-shifts-string", "weyl_curve-h_list-scalar", "weyl_curve-h_list-none",
+        "verify_asymptotics-h_list-scalar"])
 def test_non_real_scalars_refused(match, call):
-    # each raised a TypeError from math.isfinite or a comparison, and
+    # each raised a TypeError from math.isfinite, a comparison or len(),
+    # or numpy's ValueError for a shift that is a string, and
     # verify_asymptotics took the strings for floats and ran
     with pytest.raises(ConfigError, match=match):
         call()
@@ -283,17 +291,24 @@ GAUSS_2D = make_density("gaussian", 2, 0.5)
     (ConfigError, "bound",
      lambda: levels_at_most(build_schrodinger(Grid(1, 8.0, 200), GAUSS), -math.inf)),
     (ConfigError, "expected shape", lambda: COUNT_SCHROD.matvec(np.ones(5))),
+    (ConfigError, r"normal delta\*\*3", lambda: band_weights(1e-110, 1e-111)),
+    (ConfigError, r"normal delta\*\*3", lambda: band_weights(1e-100, 1e-104)),
+    (ConfigError, r"normal delta\*\*3", lambda: band_weights(1e-300, 1e-301)),
 ], ids=["build_markov-d2", "sample_stationary-d2", "nu_h_tail-d2", "eval_density-d2-shape",
         "bottom_k-discrete", "schrodinger-to_dense-cap", "tempered_A_h-sinh",
         "essential_band-sinh", "ball_mass_grid-tail-sinh", "levels_at_most-bound-minus-inf",
-        "schrodinger-matvec-length"])
+        "schrodinger-matvec-length", "band_weights-delta-cube-subnormal",
+        "band_weights-delta-cube-subnormal-off", "band_weights-delta-cube-zero"])
 def test_unsupported_input_refused(error, match, call):
     # d = 1 only paths, a point of the wrong shape, the wrong operator
     # class and a dense matrix past the size cap each raise, typed; so do
     # a sinh(alpha h) that overflows (alpha h = 800) and a count bound of
     # -inf, which raised a bare OverflowError and met LAPACK stebz's
-    # illegal-argument check (VU <= VL), and a Schrodinger matvec of the
-    # wrong length, which raised scipy's ValueError
+    # illegal-argument check (VU <= VL), a Schrodinger matvec of the
+    # wrong length, which raised scipy's ValueError, and a delta whose
+    # cube is subnormal, on which band_weights returned the edge pair
+    # (11.9, -9.4) delta at delta = 1e-111 (no Markov kernel), one 2.4e-5
+    # off at 1e-104, and NaN with a RuntimeWarning at 1e-301
     with pytest.raises(error, match=match):
         call()
 

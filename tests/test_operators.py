@@ -120,8 +120,10 @@ def test_band_weights_interior_and_edge():
 
 def test_band_weights_moments_exact():
     # mass 2h and second moment 2h^3/3 are matched identically, which is
-    # what makes constants and the h^2 eigenvalue scale exact downstream
-    for h, delta in [(0.25, 0.00625), (0.5, 0.031), (0.3, 0.09), (0.4, 0.1333)]:
+    # what makes constants and the h^2 eigenvalue scale exact downstream,
+    # down to a delta whose cube is just above the least normal float
+    for h, delta in [(0.25, 0.00625), (0.5, 0.031), (0.3, 0.09), (0.4, 0.1333),
+                     (1.05e-102, 3e-103)]:
         c = band_weights(h, delta)
         m = np.arange(len(c), dtype=float)
         mass = c[0] + 2.0 * c[1:].sum()

@@ -3,7 +3,8 @@
 The bench tracer (bench/spans.py) wraps only plain functions, so a public
 function hidden behind functools.cache or lru_cache would silently drop
 out of the traced bench and its per-layer metrics. Every public name has
-a caller in the package or the bench, apart from a few test references.
+a caller in the package or the bench, apart from a few test references,
+and every private module-level name has one in the package.
 """
 
 import ast
@@ -46,10 +47,24 @@ def _public_definitions(tree):
                         and not item.name.startswith("_"))
 
 
+def _private_definitions(tree):
+    """Private module-level functions, classes and assigned names (not dunders)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
 def _references(tree):
-    """Every name used as a Name, an Attribute or an import (not a string)."""
+    """Every name used as a Name (not an assignment's target), an
+    Attribute or an import (not a string)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -67,3 +82,13 @@ def test_every_public_name_has_a_caller_in_the_package_or_the_bench():
     orphans = sorted(defined - used - TEST_REFERENCES)
     assert not orphans, "no caller in src/ or bench/: " + ", ".join(orphans)
     assert TEST_REFERENCES <= defined
+
+
+def test_every_private_name_has_a_reference_in_the_package():
+    # a private helper or constant that only tests reach is dead code that
+    # its tests keep alive: when its last caller in src/ goes, it goes too
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")]
+    defined = {name for tree in trees for name in _private_definitions(tree)}
+    used = {name for tree in trees for name in _references(tree)}
+    orphans = sorted(defined - used)
+    assert not orphans, "no reference in src/: " + ", ".join(orphans)
